@@ -20,14 +20,12 @@ zero, no periodic wrap).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .model import ModelParams, velocity_symbol
-from .spectral import SpectralField, l2_norm
+from .spectral import SpectralField, fractional_power, l2_norm
 
 TWO_PI = 2.0 * math.pi
 
@@ -156,22 +154,19 @@ def _trilinear_naive(G, F: SpectralField, absolute: bool = False) -> float:
     return total
 
 
-def _linear_convolution(a: np.ndarray, b: np.ndarray, grid) -> np.ndarray:
-    """No-wrap convolution of shifted coefficient arrays, restricted to the lattice."""
-    full = fftconvolve(a, b, mode="full")
-    half = grid.n // 2
-    sl = tuple(slice(half, half + grid.n) for _ in range(grid.d))
-    return full[sl]
-
-
 def _trilinear_fft(G: SeparableKernel, F: SpectralField) -> float:
+    """Zero-padded FFT convolutions: padding to 2N per axis leaves no wrap."""
     grid = F.grid
     c = _shifted(F)
     kv = _lattice_vectors(grid)
+    pad = (2 * grid.n,) * grid.d
+    axes = tuple(range(grid.d))
+    band = tuple(slice(grid.n // 2, 3 * grid.n // 2) for _ in axes)
+    c_pad = np.fft.fftn(c, s=pad, axes=axes)
     total = 0.0
     for a, b in G.terms:
         w = np.asarray(b(kv)) * c
-        inner = _linear_convolution(w, c, grid)
+        inner = np.fft.ifftn(np.fft.fftn(w, s=pad, axes=axes) * c_pad, axes=axes)[band]
         total += float(np.sum((np.conj(c) * np.asarray(a(kv)) * inner).real))
     return total
 
@@ -196,42 +191,21 @@ def trilinear_scale(G, F: SpectralField) -> float:
     return _trilinear_naive(G, F, absolute=True)
 
 
-def _neg_power(eta: np.ndarray, p: float) -> np.ndarray:
-    """|eta|^p with the zero-mode rule |0|^p := 0 for p < 0 (and 0^0 := 1)."""
-    mag = np.sqrt(np.sum(eta * eta, axis=-1))
-    if p == 0.0:
-        return np.ones_like(mag)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(mag > 0.0, mag ** p, 0.0)
-
-
 def energy_kernel(s: float, p: ModelParams, grid) -> SeparableKernel:
     """Kernel |xi|^{2s} xi.eta m(eta) driving d/dt (1/2)||rho||_{Hdot^s}^2.
 
     m(eta) = |eta|^{-2b} chi(mu |eta|) matches the (possibly regularized)
     velocity law of ``p``; s = 0 gives the L2 identity.
     """
-    if p.mu > 0.0:
-        chi = p.cutoff.chi
-
-        def radial(eta):
-            mag = np.sqrt(np.sum(eta * eta, axis=-1))
-            return _neg_power(eta, p.alpha_minus_d) * chi(p.mu * mag)
-
-    else:
-
-        def radial(eta):
-            return _neg_power(eta, p.alpha_minus_d)
-
-    d = grid.d
+    weight = fractional_power(2.0 * s).symbol
     terms = []
-    for j in range(d):
+    for j in range(grid.d):
 
         def a(xi, j=j):
-            return _neg_power(xi, 2.0 * s) * xi[..., j]
+            return weight(xi) * xi[..., j]
 
         def b(eta, j=j):
-            return radial(eta) * eta[..., j]
+            return velocity_symbol(eta, p) * eta[..., j]
 
         terms.append((a, b))
     return SeparableKernel(terms=tuple(terms))

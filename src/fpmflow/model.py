@@ -15,7 +15,7 @@ Diffusion is handled exactly by the integrating factor in the stepper, so
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,9 +30,11 @@ from .spectral import (
     dealias,
     dealias_mask,
     forward_transform,
+    fractional_power,
     gradient,
     heat_multiplier,
     inverse_transform,
+    random_real_field,
 )
 
 
@@ -67,19 +69,20 @@ class ModelParams:
         return -self.alpha_minus_d / 2.0
 
 
-def velocity_symbol(grid: TorusGrid, p: ModelParams) -> np.ndarray:
-    """Scalar part of the velocity multiplier: |xi|^{alpha-d} chi(mu |xi|), 0 at xi = 0."""
-    mag = grid.wavenumber_magnitude()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sym = np.where(mag > 0.0, mag ** p.alpha_minus_d, 0.0)
+def velocity_symbol(kv: np.ndarray, p: ModelParams) -> np.ndarray:
+    """Scalar part of the velocity multiplier on wavevectors kv of shape (..., d).
+
+    |xi|^{alpha-d} chi(mu |xi|), 0 at xi = 0; the cutoff applies only when mu > 0.
+    """
+    sym = fractional_power(p.alpha_minus_d).symbol(kv)
     if p.mu > 0.0:
-        sym = sym * p.cutoff.chi(p.mu * mag)
+        sym = sym * p.cutoff.chi(p.mu * np.sqrt(np.sum(kv * kv, axis=-1)))
     return sym
 
 
 def velocity(rho_hat: SpectralField, p: ModelParams) -> list:
     """u = c_K Lambda^{alpha-d} grad rho (regularized when mu > 0), one RealField per component."""
-    sym = velocity_symbol(rho_hat.grid, p)
+    sym = velocity_symbol(rho_hat.grid.wavevectors(), p)
     scaled = SpectralField(rho_hat.grid, p.c_K * sym * rho_hat.coeffs)
     return [inverse_transform(g) for g in gradient(scaled)]
 
@@ -175,8 +178,6 @@ class InitialCondition:
             )
             return inverse_transform(SpectralField(grid, coeffs))
         if self.kind == "random":
-            from .spectral import random_real_field
-
             rng = np.random.default_rng(self.seed)
             return random_real_field(
                 grid, rng, decay=self.decay, amplitude=self.amplitude, mean=self.mean

@@ -14,7 +14,7 @@ along each axis).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -196,31 +196,16 @@ def apply_multiplier(F: SpectralField, m: MultiplierSpec) -> SpectralField:
 
 
 def fractional_power(s: float) -> MultiplierSpec:
-    """Multiplier |xi|^s on nonzero modes, zero at the zero mode."""
+    """Multiplier |xi|^s on nonzero modes, zero at the zero mode.
+
+    Every |xi|^s with that zero-mode rule in the package goes through ``symbol``.
+    """
 
     def symbol(kv):
         mag = np.sqrt(np.sum(kv * kv, axis=-1))
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.where(mag > 0.0, mag ** s, 0.0)
         return out
-
-    return MultiplierSpec(symbol=symbol, zero_mode_rule=0.0)
-
-
-def regularized_neg_power(b: float, mu: float, chi: CutoffSpec = BUMP_CUTOFF) -> MultiplierSpec:
-    """Multiplier |xi|^{-b} chi(mu |xi|) on nonzero modes; exact |xi|^{-b} at mu = 0."""
-    if b <= 0.0:
-        raise SpectralError(f"b must be positive, got {b}")
-    if mu < 0.0:
-        raise SpectralError(f"mu must be nonnegative, got {mu}")
-    if mu == 0.0:
-        return fractional_power(-b)
-
-    def symbol(kv):
-        mag = np.sqrt(np.sum(kv * kv, axis=-1))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(mag > 0.0, mag ** (-b), 0.0)
-        return out * chi.chi(mu * mag)
 
     return MultiplierSpec(symbol=symbol, zero_mode_rule=0.0)
 

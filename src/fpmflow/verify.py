@@ -9,12 +9,11 @@ over the second half of the samples is within 2x of the first half).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import SeparableKernel, sobolev_norm, trilinear_T, trilinear_scale
-from .model import velocity_symbol
+from .diagnostics import sobolev_norm, trilinear_T, trilinear_scale
 from .spectral import (
     RealField,
     SpectralField,
@@ -275,10 +274,6 @@ def sample_gdecomp(s: float, b: float, d: int, n: int, seed: int = 0) -> VerifyR
 # commutator estimates on fields
 
 
-def _neg_power_field(F: SpectralField, p: float) -> SpectralField:
-    return apply_multiplier(F, fractional_power(p))
-
-
 def _commutator_lhs(f: RealField, g: RealField, b: float, extract_symbol: bool) -> float:
     """L2 norm of ([Lambda^{-b}, f grad] - correction) g, evaluated spectrally."""
     grid = f.grid
@@ -288,17 +283,18 @@ def _commutator_lhs(f: RealField, g: RealField, b: float, extract_symbol: bool) 
         raise ValueError("g must have zero mean")
     grad_g = [inverse_transform(c) for c in gradient(gh)]
     grad_f = [inverse_transform(c) for c in gradient(fh)]
+    lam_b = fractional_power(-b)
     total = 0.0
     for j in range(grid.d):
         # Lambda^{-b}(f dg/dx_j) - f Lambda^{-b}(dg/dx_j), products dealiased.
         prod = forward_transform(dealiased_product(f, grad_g[j]))
-        term1 = _neg_power_field(prod, -b)
-        lam_dg = inverse_transform(_neg_power_field(forward_transform(grad_g[j]), -b))
+        term1 = apply_multiplier(prod, lam_b)
+        lam_dg = inverse_transform(apply_multiplier(forward_transform(grad_g[j]), lam_b))
         term2 = forward_transform(dealiased_product(f, lam_dg))
         comm = term1.coeffs - term2.coeffs
         if extract_symbol:
             # b sum_k (df/dx_k) d/dx_k Lambda^{-b-2} dg/dx_j
-            base = _neg_power_field(forward_transform(grad_g[j]), -b - 2.0)
+            base = apply_multiplier(forward_transform(grad_g[j]), fractional_power(-b - 2.0))
             parts = gradient(base)
             corr = np.zeros(grid.shape, dtype=np.complex128)
             for k in range(grid.d):

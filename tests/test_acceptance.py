@@ -10,11 +10,9 @@ import sys
 import time
 
 import numpy as np
-import pytest
 
 from fpmflow.diagnostics import (
     SeparableKernel,
-    blowup_B1,
     energy_residual_L2,
     trilinear_T,
     trilinear_scale,

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from fpmflow.diagnostics import (
-    SeparableKernel,
     blowup_B1,
     blowup_B2,
     energy_kernel,

@@ -1,11 +1,13 @@
 """Tests for configuration handling, output files, campaigns, and the CLI."""
 
-import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fpmflow
 from fpmflow.driver import (
     ConfigError,
     RunConfig,
@@ -23,7 +25,16 @@ from fpmflow.driver import (
     verify_suite,
     write_snapshot,
 )
-from fpmflow.spectral import RealField, TorusGrid, field_from_function
+from fpmflow.spectral import (
+    RealField,
+    SpectralField,
+    TorusGrid,
+    apply_multiplier,
+    field_from_function,
+    forward_transform,
+    heat_multiplier,
+    l2_norm,
+)
 
 
 def write_cfg(path, text):
@@ -216,6 +227,18 @@ class TestCampaigns:
         assert all(b < a for a, b in zip(d[1:], d[2:]))
         assert not rep["diverged"]
 
+    def test_picard_includes_diffusion(self):
+        # c_K = 0: every iterate is the heat flow of rho0, so d_1 measures it
+        # and d_2 vanishes.
+        cfg = self._cfg(c_K=0.0, nu=1.0, mu=0.25)
+        rep = picard_iteration(cfg, 2)
+        rho0 = forward_transform(cfg.initial_field())
+        heat = apply_multiplier(rho0, heat_multiplier(cfg.nu * cfg.t_end))
+        expected = l2_norm(SpectralField(rho0.grid, heat.coeffs - rho0.coeffs))
+        assert expected > 0.0
+        assert rep["diffs"][0] == pytest.approx(expected, rel=1e-12)
+        assert rep["diffs"][1] == 0.0
+
     def test_picard_requires_mu(self):
         with pytest.raises(ConfigError):
             picard_iteration(self._cfg(), 3)
@@ -267,6 +290,16 @@ class TestCli:
 
     def test_verify_unknown_selection(self, capsys):
         assert main(["verify", "--select", "nosuch"]) == 1
+
+    def test_import_loads_no_scipy(self):
+        src = os.path.dirname(os.path.dirname(fpmflow.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        code = ("import sys, fpmflow.driver; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"
 
     def test_byte_determinism(self, tmp_path):
         args = ["simulate", "--modes", "32", "--t_end", "0.05",

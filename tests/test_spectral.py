@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fpmflow.model import ModelParams, velocity_symbol
 from fpmflow.spectral import (
     BUMP_CUTOFF,
     MultiplierSpec,
@@ -21,7 +22,6 @@ from fpmflow.spectral import (
     inverse_transform,
     l2_norm,
     random_real_field,
-    regularized_neg_power,
 )
 
 
@@ -183,32 +183,40 @@ class TestMultipliers:
 
 
 class TestRegularizedPower:
+    """The regularized power |xi|^{alpha-d} chi(mu |xi|) is model.velocity_symbol."""
+
     def test_mu_zero_matches_plain(self):
         g = TorusGrid(d=1, n=32)
         kv = g.wavevectors()
         plain = fractional_power(-0.5)
-        reg = regularized_neg_power(0.5, 0.0)
-        assert np.array_equal(plain.symbol(kv), reg.symbol(kv))
+        reg = velocity_symbol(kv, ModelParams(alpha_minus_d=-0.5, c_K=1.0, mu=0.0))
+        assert np.array_equal(plain.symbol(kv), reg)
 
     def test_support_property(self):
-        m = regularized_neg_power(0.5, 1.0)
-        val = m.symbol(np.array([[2.0]]))
-        assert val[0] == 0.0
+        p = ModelParams(alpha_minus_d=-0.5, c_K=1.0, mu=1.0)
+        val = velocity_symbol(np.array([[1.0], [2.0], [-3.0]]), p)
+        assert np.all(val == 0.0)
+        p2 = ModelParams(alpha_minus_d=-1.0, c_K=1.0, mu=0.25)
+        kv = TorusGrid(d=2, n=16).wavevectors()
+        mag = np.sqrt(np.sum(kv * kv, axis=-1))
+        sym = velocity_symbol(kv, p2)
+        assert np.all(sym[mag >= 4.0] == 0.0)
+        assert np.all(sym[(mag > 0.0) & (mag < 4.0)] > 0.0)
 
     def test_direct_evaluation(self):
-        # |xi| = 1, b = 0.5, mu = 0.1: value chi(0.1) = exp(1 - 1/(1 - 0.01))
-        m = regularized_neg_power(0.5, 0.1)
+        # |xi| = 1, alpha-d = -0.5, mu = 0.1: value chi(0.1) = exp(1 - 1/(1 - 0.01))
+        p = ModelParams(alpha_minus_d=-0.5, c_K=1.0, mu=0.1)
         expected = math.exp(1.0 - 1.0 / (1.0 - 0.01))
-        assert m.symbol(np.array([[1.0]]))[0] == pytest.approx(expected, rel=1e-14)
+        assert velocity_symbol(np.array([[1.0]]), p)[0] == pytest.approx(expected, rel=1e-14)
 
     def test_cutoff_at_origin(self):
         assert BUMP_CUTOFF.chi(np.array([0.0]))[0] == 1.0
 
     def test_invalid_args(self):
-        with pytest.raises(SpectralError):
-            regularized_neg_power(-1.0, 0.0)
-        with pytest.raises(SpectralError):
-            regularized_neg_power(0.5, -0.1)
+        with pytest.raises(ValueError):
+            ModelParams(alpha_minus_d=1.0, c_K=1.0)
+        with pytest.raises(ValueError):
+            ModelParams(alpha_minus_d=-0.5, c_K=1.0, mu=-0.1)
 
 
 class TestDealias:

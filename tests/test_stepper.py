@@ -12,7 +12,6 @@ from fpmflow.spectral import (
     field_from_function,
     forward_transform,
     inverse_transform,
-    l2_norm,
     random_real_field,
 )
 from fpmflow.stepper import StepperConfig, cfl_dt, integrate, step
