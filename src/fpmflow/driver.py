@@ -21,7 +21,7 @@ import numpy as np
 
 from . import diagnostics, verify
 from .diagnostics import energy_residual_Hs, energy_residual_L2
-from .model import InitialCondition, ModelParams, flux_divergence, mollify_initial, velocity
+from .model import InitialCondition, ModelParams, SpectralOperator, mollify_initial, velocity
 from .spectral import (
     RealField,
     SpectralField,
@@ -210,10 +210,10 @@ def write_series(path: str, records, s_list):
 
 
 def write_snapshot(path: str, f: RealField, t: float):
+    values = f.values.ravel().tolist()
     with open(path, "w") as fh:
         fh.write(f"{f.grid.d} {f.grid.n} {FMT % t}\n")
-        for v in f.values.reshape(-1):
-            fh.write((FMT % v) + "\n")
+        fh.write(((FMT + "\n") * len(values)) % tuple(values))
 
 
 def read_snapshot(path: str) -> tuple:
@@ -320,6 +320,7 @@ def picard_iteration(cfg: RunConfig, n_max: int) -> dict:
         raise ConfigError("picard iteration requires mu > 0")
     p = cfg.params()
     grid = cfg.grid()
+    op = SpectralOperator(grid, p)
     rho0 = cfg.initial_field()
     c0 = forward_transform(rho0)
     n_steps = max(1, int(round(cfg.t_end / cfg.dt)))
@@ -333,13 +334,13 @@ def picard_iteration(cfg: RunConfig, n_max: int) -> dict:
         for k in range(n_steps):
             a, bb = prev_traj[k], prev_traj[k + 1]
             mid = SpectralField(grid, 0.5 * (a.coeffs + bb.coeffs))
-            u_at = {0.0: velocity(a, p), 0.5: velocity(mid, p), 1.0: velocity(bb, p)}
+            u_d = {tau: [op.dealias(u.values) for u in velocity(c, p, op)]
+                   for tau, c in ((0.0, a), (0.5, mid), (1.0, bb))}
 
-            def frozen_rhs(arr, tau, u_at=u_at):
-                rho = inverse_transform(SpectralField(grid, arr))
-                return -flux_divergence(rho, u_at[tau]).coeffs
+            def frozen_rhs(arr, tau, u_d=u_d):
+                return op.transport(op.physical(op.mask * op.half(arr)), u_d[tau])
 
-            state = _integrating_factor_rk4(state, dt, p.nu, frozen_rhs)
+            state = _integrating_factor_rk4(state, dt, p, frozen_rhs, op)
             traj.append(state.copy())
         d = l2_norm(SpectralField(grid, state.coeffs - prev_traj[-1].coeffs))
         diffs.append(d)

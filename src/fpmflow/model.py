@@ -10,6 +10,10 @@ chi(mu |xi|) with a smooth cutoff chi supported in [0, 1].
 
 Diffusion is handled exactly by the integrating factor in the stepper, so
 ``nonlinear_rhs`` returns only -div(rho u) in coefficient space.
+
+The fixed multipliers of a run live in one :class:`SpectralOperator`, which
+works in rfft layout; states stay full-layout :class:`SpectralField` s.  The
+functions that take an optional ``op`` build a throwaway operator without it.
 """
 
 from __future__ import annotations
@@ -27,11 +31,9 @@ from .spectral import (
     SpectralField,
     TorusGrid,
     apply_multiplier,
-    dealias,
     dealias_mask,
     forward_transform,
     fractional_power,
-    gradient,
     heat_multiplier,
     inverse_transform,
     random_real_field,
@@ -80,44 +82,125 @@ def velocity_symbol(kv: np.ndarray, p: ModelParams) -> np.ndarray:
     return sym
 
 
-def velocity(rho_hat: SpectralField, p: ModelParams) -> list:
+class SpectralOperator:
+    """The fixed Fourier multipliers of one run, in rfft layout.
+
+    rfft layout keeps the last axis at wavenumbers 0..N/2; the other half
+    follows from Hermitian symmetry.  Every transform here is a real FFT with
+    ``norm="forward"``, so coefficients scale as in :mod:`fpmflow.spectral`
+    (c_0 is the mean).  Build one per run and pass it down: it holds a few
+    arrays of the grid's size, and nothing outside the run keeps it alive.
+
+    Attributes (rfft layout unless noted):
+
+    mask          : 2/3-rule dealias mask.
+    neg_div       : -i xi_j on the dealiased band, one per component.
+    vel           : velocity multipliers c_K |xi|^{alpha-d} chi(mu |xi|) i xi_j,
+                    unpaired Nyquist zeroed as in ``spectral.gradient``.
+    vel_dealiased : ``vel`` times ``mask``.
+    mag2          : |xi|^2 in full layout, for the integrating factors.
+    """
+
+    def __init__(self, grid: TorusGrid, p: ModelParams):
+        self.grid = grid
+        half = grid.n // 2 + 1
+        self.mag2 = grid.wavenumber_magnitude() ** 2
+        kv = grid.wavevectors()[..., :half, :]
+        self.mask = dealias_mask(grid)[..., :half]
+        scale = p.c_K * velocity_symbol(kv, p)
+        self.neg_div = []
+        self.vel = []
+        for j in range(grid.d):
+            ik = 1j * kv[..., j]
+            self.neg_div.append(np.where(self.mask, -ik, 0.0))
+            self.vel.append(np.where(kv[..., j] == -(grid.n // 2), 0.0, scale * ik))
+        self.vel_dealiased = [np.where(self.mask, v, 0.0) for v in self.vel]
+        self._axes = tuple(range(grid.d))
+        # Row of -xi_0 for each row xi_0, for the conjugate mirror in 2-D.
+        self._neg_rows = (-np.arange(grid.n)) % grid.n
+
+    def half(self, coeffs: np.ndarray) -> np.ndarray:
+        """The rfft-layout part of full-layout coefficients (a view)."""
+        return coeffs[..., : self.grid.n // 2 + 1]
+
+    def physical(self, h: np.ndarray) -> np.ndarray:
+        """Physical values of the real field with rfft-layout coefficients h."""
+        return np.fft.irfftn(h, s=self.grid.shape, axes=self._axes, norm="forward")
+
+    def dealias(self, values: np.ndarray) -> np.ndarray:
+        """Physical values with every |xi_j| > N/3 removed."""
+        return self.physical(self.mask * np.fft.rfftn(values, norm="forward"))
+
+    def full(self, h: np.ndarray) -> np.ndarray:
+        """Full-layout coefficients from rfft-layout ones, Hermitian bit for bit.
+
+        The last axis is completed by the conjugate mirror of h.  In 2-D the
+        xi_1 = 0 column is made Hermitian as well, from its xi_0 > 0 half.
+        """
+        n = self.grid.n
+        out = np.empty(self.grid.shape, dtype=np.complex128)
+        out[..., : n // 2 + 1] = h
+        if self.grid.d == 1:
+            np.conjugate(h[n // 2 - 1:0:-1], out=out[n // 2 + 1:])
+        else:
+            np.conjugate(h[self._neg_rows, n // 2 - 1:0:-1], out=out[:, n // 2 + 1:])
+            np.conjugate(h[n // 2 - 1:0:-1, 0], out=out[n // 2 + 1:, 0])
+        return out
+
+    def transport(self, rho_d: np.ndarray, u_d: list) -> np.ndarray:
+        """Full-layout coefficients of -div(rho_d u_d) on the dealiased band.
+
+        rho_d and the components u_d are dealiased physical values, so the
+        product is the exact (no-wrap) convolution on the retained band.
+        """
+        acc = np.zeros(self.mask.shape, dtype=np.complex128)
+        for m, uj in zip(self.neg_div, u_d):
+            acc += m * np.fft.rfftn(rho_d * uj, norm="forward")
+        acc[(0,) * self.grid.d] = 0.0  # divergence form: exact mass conservation
+        return self.full(acc)
+
+
+def velocity(rho_hat: SpectralField, p: ModelParams,
+             op: SpectralOperator | None = None) -> list:
     """u = c_K Lambda^{alpha-d} grad rho (regularized when mu > 0), one RealField per component."""
-    sym = velocity_symbol(rho_hat.grid.wavevectors(), p)
-    scaled = SpectralField(rho_hat.grid, p.c_K * sym * rho_hat.coeffs)
-    return [inverse_transform(g) for g in gradient(scaled)]
+    if op is None:
+        op = SpectralOperator(rho_hat.grid, p)
+    h = op.half(rho_hat.coeffs)
+    return [RealField(rho_hat.grid, op.physical(m * h)) for m in op.vel]
 
 
-def flux_divergence(rho: RealField, u: list) -> SpectralField:
+def flux_divergence(rho: RealField, u: list,
+                    op: SpectralOperator | None = None) -> SpectralField:
     """Coefficients of div(rho u); the product is formed after dealiasing.
 
     Both factors are dealiased (2/3 rule), multiplied pointwise, and the
     divergence output is dealiased again so the result equals the exact
-    (no-wrap) spectral convolution on the retained band.
+    (no-wrap) spectral convolution on the retained band.  Only the grid's
+    multipliers of ``op`` are used.
     """
     grid = rho.grid
-    mask = dealias_mask(grid)
-    rho_d = inverse_transform(dealias(forward_transform(rho)))
-    out = np.zeros(grid.shape, dtype=np.complex128)
-    kv = grid.wavevectors()
-    for j, uj in enumerate(u):
-        if uj.grid != grid:
-            raise SpectralError("velocity component on a different grid")
-        uj_d = inverse_transform(dealias(forward_transform(uj)))
-        prod_hat = np.fft.fftn(rho_d.values * uj_d.values) / grid.npoints
-        out += 1j * kv[..., j] * prod_hat
-    out = np.where(mask, out, 0.0)
-    out.flat[0] = 0.0  # divergence form: exact mass conservation
-    return SpectralField(grid, out)
+    if any(uj.grid != grid for uj in u):
+        raise SpectralError("velocity component on a different grid")
+    if op is None:
+        op = SpectralOperator(grid, ModelParams(alpha_minus_d=0.0, c_K=0.0))
+    div = -op.transport(op.dealias(rho.values), [op.dealias(uj.values) for uj in u])
+    return SpectralField(grid, div)
 
 
-def nonlinear_rhs(rho_hat: SpectralField, p: ModelParams) -> SpectralField:
-    """Nonlinear part of d/dt rho_hat: -(div(rho u))^; diffusion handled elsewhere."""
+def nonlinear_rhs(rho_hat: SpectralField, p: ModelParams,
+                  op: SpectralOperator | None = None) -> SpectralField:
+    """Nonlinear part of d/dt rho_hat: -(div(rho u))^; diffusion handled elsewhere.
+
+    With the run's operator ``op`` this costs 1 + 2d real FFTs.
+    """
     if not np.all(np.isfinite(rho_hat.coeffs)):
         raise SpectralError("non-finite coefficients in state")
-    rho = inverse_transform(rho_hat)
-    u = velocity(rho_hat, p)
-    div = flux_divergence(rho, u)
-    return SpectralField(rho_hat.grid, -div.coeffs)
+    if op is None:
+        op = SpectralOperator(rho_hat.grid, p)
+    h = op.half(rho_hat.coeffs)
+    rho_d = op.physical(op.mask * h)
+    u_d = [op.physical(m * h) for m in op.vel_dealiased]
+    return SpectralField(rho_hat.grid, op.transport(rho_d, u_d))
 
 
 def mollify_initial(rho0: RealField, mu: float) -> RealField:

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .diagnostics import DiagnosticsRecord, blowup_B1, blowup_B2, make_record
-from .model import ModelParams, nonlinear_rhs, velocity
+from .model import ModelParams, SpectralOperator, nonlinear_rhs, velocity
 from .spectral import RealField, SpectralField, forward_transform, inverse_transform
 
 EPS0 = 1e-12
@@ -60,17 +60,18 @@ class FinalState:
 
 
 def cfl_dt(state: SpectralField, p: ModelParams, safety: float,
-           dt_max: float = math.inf) -> float:
+           dt_max: float = math.inf, op: Optional[SpectralOperator] = None) -> float:
     """Stability surrogate: dt from the transport speed and the operator order.
 
     The nonlinearity carries 2 - 2b derivatives, giving the grid-power
     constraint dx^{max(1, 2-2b)}; diffusion is exact and imposes none.
     """
-    grid = state.grid
-    dx = grid.dx
-    u = velocity(state, p)
+    if op is None:
+        op = SpectralOperator(state.grid, p)
+    dx = state.grid.dx
+    u = velocity(state, p, op)
     umax = max(float(np.max(np.abs(c.values))) for c in u)
-    rho_max = float(np.max(np.abs(inverse_transform(state).values)))
+    rho_max = float(np.max(np.abs(op.physical(op.half(state.coeffs)))))
     expo = max(1.0, 2.0 - 2.0 * p.b)
     dt = safety * min(
         dx / (EPS0 + umax),
@@ -79,8 +80,9 @@ def cfl_dt(state: SpectralField, p: ModelParams, safety: float,
     return min(dt, dt_max)
 
 
-def _integrating_factor_rk4(state: SpectralField, dt: float, nu: float,
-                            rhs: Callable[[np.ndarray, float], np.ndarray]) -> SpectralField:
+def _integrating_factor_rk4(state: SpectralField, dt: float, p: ModelParams,
+                            rhs: Callable[[np.ndarray, float], np.ndarray],
+                            op: Optional[SpectralOperator] = None) -> SpectralField:
     """One RK4 step of d/dt c = -nu |xi|^2 c + rhs(c, tau), diffusion exact.
 
     ``rhs`` receives stage coefficients and the stage time as a fraction
@@ -88,27 +90,30 @@ def _integrating_factor_rk4(state: SpectralField, dt: float, nu: float,
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    grid = state.grid
-    mag2 = grid.wavenumber_magnitude() ** 2
-    e_full = np.exp(-nu * mag2 * dt)
-    e_half = np.exp(-nu * mag2 * (dt / 2.0))
+    if op is None:
+        op = SpectralOperator(state.grid, p)
+    e_full = np.exp(-p.nu * op.mag2 * dt)
+    e_half = np.exp(-p.nu * op.mag2 * (dt / 2.0))
     c = state.coeffs
     k1 = rhs(c, 0.0)
     k2 = rhs(e_half * (c + 0.5 * dt * k1), 0.5)
     k3 = rhs(e_half * c + 0.5 * dt * k2, 0.5)
     k4 = rhs(e_full * c + dt * e_half * k3, 1.0)
     new = e_full * c + dt / 6.0 * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
-    return SpectralField(grid, new)
+    return SpectralField(state.grid, new)
 
 
-def step(state: SpectralField, dt: float, p: ModelParams) -> SpectralField:
-    """One integrating-factor RK4 step of size dt."""
+def step(state: SpectralField, dt: float, p: ModelParams,
+         op: Optional[SpectralOperator] = None) -> SpectralField:
+    """One integrating-factor RK4 step of size dt: four RHS, 4 (1 + 2d) real FFTs."""
     grid = state.grid
+    if op is None:
+        op = SpectralOperator(grid, p)
 
     def rhs(arr, tau):
-        return nonlinear_rhs(SpectralField(grid, arr), p).coeffs
+        return nonlinear_rhs(SpectralField(grid, arr), p, op).coeffs
 
-    return _integrating_factor_rk4(state, dt, p.nu, rhs)
+    return _integrating_factor_rk4(state, dt, p, rhs, op)
 
 
 def integrate(rho0: RealField, p: ModelParams, cfg: StepperConfig,
@@ -121,6 +126,7 @@ def integrate(rho0: RealField, p: ModelParams, cfg: StepperConfig,
     step budget runs out.  The B1 and B2 time integrals are accumulated by
     the trapezoid rule over sample times.
     """
+    op = SpectralOperator(rho0.grid, p)
     state = forward_transform(rho0)
     t = 0.0
     int_B1 = 0.0
@@ -157,9 +163,9 @@ def integrate(rho0: RealField, p: ModelParams, cfg: StepperConfig,
         if cfg.dt_mode == "fixed":
             dt = cfg.dt
         else:
-            dt = cfl_dt(state, p, cfg.safety, cfg.dt_max)
+            dt = cfl_dt(state, p, cfg.safety, cfg.dt_max, op)
         dt = min(dt, cfg.t_end - t)
-        state = step(state, dt, p)
+        state = step(state, dt, p, op)
         t += dt
         n_steps += 1
         if not np.all(np.isfinite(state.coeffs)):
@@ -172,7 +178,5 @@ def integrate(rho0: RealField, p: ModelParams, cfg: StepperConfig,
                 reason = "blowup_detected"
                 break
 
-    if reason == "completed" and records[-1].t < t - EPS0:
-        sample(t, state, inverse_transform(state).values)
     return FinalState(state=state, t=t, reason=reason, n_steps=n_steps,
                       records=records, states=states)

@@ -1,5 +1,6 @@
 """Tests for configuration handling, output files, campaigns, and the CLI."""
 
+import gc
 import os
 import subprocess
 import sys
@@ -35,6 +36,9 @@ from fpmflow.spectral import (
     heat_multiplier,
     l2_norm,
 )
+
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def write_cfg(path, text):
@@ -202,6 +206,16 @@ class TestRunSimulation:
         with open(tmp_path / "bl" / "status.txt") as fh:
             assert "reason blowup_detected" in fh.read()
 
+    def test_attractive_fixed_dt_ends_in_blowup(self, tmp_path):
+        # Used to raise SymmetryError mid-run instead of reporting blow-up.
+        out = tmp_path / "attractive"
+        code = main(["simulate", "--config", os.path.join(CONFIG_DIR, "repulsive_inviscid.cfg"),
+                     "--c_K", "1", "--dt_mode", "fixed", "--dt", "0.05",
+                     "--blowup_threshold", "1e12", "--out", str(out)])
+        assert code == 2
+        with open(out / "status.txt") as fh:
+            assert "reason blowup_detected" in fh.read()
+
 
 class TestCampaigns:
     def _cfg(self, **kw):
@@ -238,6 +252,11 @@ class TestCampaigns:
         assert expected > 0.0
         assert rep["diffs"][0] == pytest.approx(expected, rel=1e-12)
         assert rep["diffs"][1] == 0.0
+
+    def test_picard_builds_one_operator_that_dies_with_it(self, built_operators):
+        picard_iteration(self._cfg(mu=0.25), 2)
+        gc.collect()
+        assert len(built_operators) == 1 and built_operators[0]() is None
 
     def test_picard_requires_mu(self):
         with pytest.raises(ConfigError):

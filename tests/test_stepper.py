@@ -1,5 +1,6 @@
 """Tests for the integrating-factor RK4 stepper and the run loop."""
 
+import gc
 import math
 
 import numpy as np
@@ -19,6 +20,24 @@ from fpmflow.stepper import StepperConfig, cfl_dt, integrate, step
 
 def cosine_data(grid, amplitude=1.0):
     return field_from_function(grid, lambda x: 1 + amplitude * np.cos(x))
+
+
+FFT_NAMES = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
+             "rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn")
+
+
+def count_ffts(monkeypatch):
+    """Count every numpy.fft transform call from now on; returns the counter."""
+    counter = {"calls": 0}
+    for name in FFT_NAMES:
+        fn = getattr(np.fft, name)
+
+        def counted(*args, fn=fn, **kwargs):
+            counter["calls"] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return counter
 
 
 class TestStep:
@@ -42,6 +61,16 @@ class TestStep:
         p = ModelParams(alpha_minus_d=-1.0, c_K=0.0)
         with pytest.raises(ValueError):
             step(forward_transform(cosine_data(g)), -0.1, p)
+
+    @pytest.mark.parametrize("d, expected", [(1, 12), (2, 20)])
+    def test_fft_count(self, monkeypatch, d, expected):
+        # four RHS, each 1 + 2d real FFTs
+        g = TorusGrid(d=d, n=32)
+        p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0, nu=0.1)
+        F = forward_transform(random_real_field(g, np.random.default_rng(3), mean=1.0))
+        counter = count_ffts(monkeypatch)
+        step(F, 1e-3, p)
+        assert counter["calls"] == expected
 
     def test_grid_refinement_agreement(self):
         # one full nonlinear step on N=32 vs N=64 restricted to the coarse band
@@ -131,6 +160,16 @@ class TestIntegrate:
         final = inverse_transform(res.state).values
         ref = 1 + math.exp(-0.8) * np.cos(g.points()[0])
         assert np.max(np.abs(final - ref)) < 1e-13
+
+    def test_one_operator_per_run_and_none_outlives_it(self, built_operators):
+        g = TorusGrid(d=2, n=16)
+        p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0, nu=0.1)
+        cfg = StepperConfig(t_end=0.05, dt_mode="adaptive", dt_max=0.01, sample_every=3)
+        rho0 = random_real_field(g, np.random.default_rng(5), mean=1.0, amplitude=0.3)
+        res = integrate(rho0, p, cfg)
+        assert res.reason == "completed" and res.n_steps > 1
+        gc.collect()
+        assert len(built_operators) == 1 and built_operators[0]() is None
 
     def test_determinism(self):
         g = TorusGrid(d=1, n=64)
