@@ -338,9 +338,9 @@ def picard_iteration(cfg: RunConfig, n_max: int) -> dict:
                    for tau, c in ((0.0, a), (0.5, mid), (1.0, bb))}
 
             def frozen_rhs(arr, tau, u_d=u_d):
-                return op.transport(op.physical(op.mask * op.half(arr)), u_d[tau])
+                return op.transport(op.dealiased_values(arr), u_d[tau])
 
-            state = _integrating_factor_rk4(state, dt, p, frozen_rhs, op)
+            state = _integrating_factor_rk4(state, dt, p.nu, frozen_rhs, op)
             traj.append(state.copy())
         d = l2_norm(SpectralField(grid, state.coeffs - prev_traj[-1].coeffs))
         diffs.append(d)

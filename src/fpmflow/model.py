@@ -14,6 +14,8 @@ Diffusion is handled exactly by the integrating factor in the stepper, so
 The fixed multipliers of a run live in one :class:`SpectralOperator`, which
 works in rfft layout; states stay full-layout :class:`SpectralField` s.  The
 functions that take an optional ``op`` build a throwaway operator without it.
+``flux_divergence`` keeps the full-layout complex-FFT product as the
+reference for the operator's divergence.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .spectral import (
     SpectralField,
     TorusGrid,
     apply_multiplier,
+    dealias,
     dealias_mask,
     forward_transform,
     fractional_power,
@@ -127,6 +130,10 @@ class SpectralOperator:
         """Physical values of the real field with rfft-layout coefficients h."""
         return np.fft.irfftn(h, s=self.grid.shape, axes=self._axes, norm="forward")
 
+    def dealiased_values(self, coeffs: np.ndarray) -> np.ndarray:
+        """Dealiased physical values of the field with full-layout coefficients."""
+        return self.physical(self.mask * self.half(coeffs))
+
     def dealias(self, values: np.ndarray) -> np.ndarray:
         """Physical values with every |xi_j| > N/3 removed."""
         return self.physical(self.mask * np.fft.rfftn(values, norm="forward"))
@@ -169,22 +176,27 @@ def velocity(rho_hat: SpectralField, p: ModelParams,
     return [RealField(rho_hat.grid, op.physical(m * h)) for m in op.vel]
 
 
-def flux_divergence(rho: RealField, u: list,
-                    op: SpectralOperator | None = None) -> SpectralField:
+def flux_divergence(rho: RealField, u: list) -> SpectralField:
     """Coefficients of div(rho u); the product is formed after dealiasing.
 
     Both factors are dealiased (2/3 rule), multiplied pointwise, and the
     divergence output is dealiased again so the result equals the exact
-    (no-wrap) spectral convolution on the retained band.  Only the grid's
-    multipliers of ``op`` are used.
+    (no-wrap) spectral convolution on the retained band.
     """
     grid = rho.grid
-    if any(uj.grid != grid for uj in u):
-        raise SpectralError("velocity component on a different grid")
-    if op is None:
-        op = SpectralOperator(grid, ModelParams(alpha_minus_d=0.0, c_K=0.0))
-    div = -op.transport(op.dealias(rho.values), [op.dealias(uj.values) for uj in u])
-    return SpectralField(grid, div)
+    mask = dealias_mask(grid)
+    rho_d = inverse_transform(dealias(forward_transform(rho)))
+    out = np.zeros(grid.shape, dtype=np.complex128)
+    kv = grid.wavevectors()
+    for j, uj in enumerate(u):
+        if uj.grid != grid:
+            raise SpectralError("velocity component on a different grid")
+        uj_d = inverse_transform(dealias(forward_transform(uj)))
+        prod_hat = np.fft.fftn(rho_d.values * uj_d.values) / grid.npoints
+        out += 1j * kv[..., j] * prod_hat
+    out = np.where(mask, out, 0.0)
+    out.flat[0] = 0.0  # divergence form: exact mass conservation
+    return SpectralField(grid, out)
 
 
 def nonlinear_rhs(rho_hat: SpectralField, p: ModelParams,
@@ -198,7 +210,7 @@ def nonlinear_rhs(rho_hat: SpectralField, p: ModelParams,
     if op is None:
         op = SpectralOperator(rho_hat.grid, p)
     h = op.half(rho_hat.coeffs)
-    rho_d = op.physical(op.mask * h)
+    rho_d = op.dealiased_values(rho_hat.coeffs)
     u_d = [op.physical(m * h) for m in op.vel_dealiased]
     return SpectralField(rho_hat.grid, op.transport(rho_d, u_d))
 

@@ -80,9 +80,9 @@ def cfl_dt(state: SpectralField, p: ModelParams, safety: float,
     return min(dt, dt_max)
 
 
-def _integrating_factor_rk4(state: SpectralField, dt: float, p: ModelParams,
+def _integrating_factor_rk4(state: SpectralField, dt: float, nu: float,
                             rhs: Callable[[np.ndarray, float], np.ndarray],
-                            op: Optional[SpectralOperator] = None) -> SpectralField:
+                            op: SpectralOperator) -> SpectralField:
     """One RK4 step of d/dt c = -nu |xi|^2 c + rhs(c, tau), diffusion exact.
 
     ``rhs`` receives stage coefficients and the stage time as a fraction
@@ -90,10 +90,8 @@ def _integrating_factor_rk4(state: SpectralField, dt: float, p: ModelParams,
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    if op is None:
-        op = SpectralOperator(state.grid, p)
-    e_full = np.exp(-p.nu * op.mag2 * dt)
-    e_half = np.exp(-p.nu * op.mag2 * (dt / 2.0))
+    e_full = np.exp(-nu * op.mag2 * dt)
+    e_half = np.exp(-nu * op.mag2 * (dt / 2.0))
     c = state.coeffs
     k1 = rhs(c, 0.0)
     k2 = rhs(e_half * (c + 0.5 * dt * k1), 0.5)
@@ -113,7 +111,7 @@ def step(state: SpectralField, dt: float, p: ModelParams,
     def rhs(arr, tau):
         return nonlinear_rhs(SpectralField(grid, arr), p, op).coeffs
 
-    return _integrating_factor_rk4(state, dt, p, rhs, op)
+    return _integrating_factor_rk4(state, dt, p.nu, rhs, op)
 
 
 def integrate(rho0: RealField, p: ModelParams, cfg: StepperConfig,
