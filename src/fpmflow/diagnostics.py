@@ -11,10 +11,16 @@ form
 
     T[G] = Re sum_xi sum_eta G(xi, eta) conj(c(xi)) c(eta) c(xi - eta)
 
-is evaluated either by the direct double lattice sum ("naive") or through
-linear convolutions ("fft") for kernels separable as sum_k a_k(xi) b_k(eta).
-Both paths treat xi - eta outside the resolved band as absent (coefficient
-zero, no periodic wrap).
+is evaluated either by the direct double lattice sum ("naive") or, for
+kernels separable as sum_k a_k(xi) b_k(eta), as a triple product in physical
+space on a 3N/2 grid per axis ("fft"; Orszag's 3/2 rule).  Both paths treat
+xi - eta outside the resolved band as absent (coefficient zero, no periodic
+wrap): with |xi_j|, |eta_j| <= N/2 - 1, no sum of three band wavenumbers
+reaches 3N/2, so the product has no aliasing.
+
+The energy identities of a nu = 0 run are checked by one
+:class:`EnergyResidualKernel` per run, which holds the factors of both
+identities in real-FFT layout on that grid.
 """
 
 from __future__ import annotations
@@ -25,14 +31,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, velocity_symbol
-from .spectral import SpectralField, fractional_power, l2_norm
+from .spectral import SpectralField, fractional_power
 
 TWO_PI = 2.0 * math.pi
 
 
 @dataclass
 class DiagnosticsRecord:
-    """One sampled row of run diagnostics."""
+    """One sampled row of run diagnostics.
+
+    The energy residuals are nan where the identity was not evaluated: on the
+    first and last rows, and in runs that do not compute them.
+    """
 
     t: float
     mass: float
@@ -42,10 +52,10 @@ class DiagnosticsRecord:
     hs: dict          # s -> (homogeneous, inhomogeneous) norm pair
     B1: float
     B2: float
-    int_B1: float     # time integral of B1 up to t
-    int_B2sq: float   # time integral of B2 (already the squared l1 norm) up to t
-    energy_residual_L2: float = 0.0
-    energy_residual_Hs: float = 0.0
+    int_B1: float = 0.0    # time integral of B1 up to t
+    int_B2sq: float = 0.0  # time integral of B2 (already the squared l1 norm) up to t
+    energy_residual_L2: float = math.nan
+    energy_residual_Hs: float = math.nan
 
 
 def mass(F: SpectralField) -> float:
@@ -53,30 +63,43 @@ def mass(F: SpectralField) -> float:
     return TWO_PI ** F.grid.d * float(F.coeffs.flat[0].real)
 
 
-def sobolev_norm(F: SpectralField, s: float, homogeneous: bool = False) -> float:
-    """H^s (or homogeneous Hdot^s) norm under the series convention."""
+def _sobolev_weight(mag2: np.ndarray, s: float, homogeneous: bool) -> np.ndarray:
+    """|xi|^{2s} (zero at xi = 0) when homogeneous, else (1 + |xi|^2)^s."""
     if s < -2.0:
         raise ValueError(f"s must be >= -2, got {s}")
-    mag2 = F.grid.wavenumber_magnitude() ** 2
-    p2 = np.abs(F.coeffs) ** 2
     if homogeneous:
         with np.errstate(divide="ignore", invalid="ignore"):
-            w = np.where(mag2 > 0.0, mag2 ** s, 0.0)
-    else:
-        w = (1.0 + mag2) ** s
-    return math.sqrt(TWO_PI ** F.grid.d * float(np.sum(w * p2)))
+            return np.where(mag2 > 0.0, mag2 ** s, 0.0)
+    return (1.0 + mag2) ** s
+
+
+def _weighted_norm(d: int, w: np.ndarray, p2: np.ndarray) -> float:
+    """sqrt((2pi)^d sum w |c|^2), given the squared moduli p2 = |c|^2."""
+    return math.sqrt(TWO_PI ** d * float(np.sum(w * p2)))
+
+
+def sobolev_norm(F: SpectralField, s: float, homogeneous: bool = False) -> float:
+    """H^s (or homogeneous Hdot^s) norm under the series convention."""
+    mag2 = F.grid.wavenumber_magnitude() ** 2
+    return _weighted_norm(F.grid.d, _sobolev_weight(mag2, s, homogeneous),
+                          np.abs(F.coeffs) ** 2)
+
+
+def _blowup_functionals(mag: np.ndarray, absc: np.ndarray) -> tuple:
+    """(B1, B2) from the lattice magnitudes |xi| and the moduli |c_xi|."""
+    b1 = float(np.sum(mag ** 2 * (1.0 + mag) * absc))
+    b2 = float(np.sum(mag * (1.0 + mag) * absc)) ** 2
+    return b1, b2
 
 
 def blowup_B1(F: SpectralField) -> float:
     """Lattice sum of |xi|^2 (1 + |xi|) |c_xi|."""
-    mag = F.grid.wavenumber_magnitude()
-    return float(np.sum(mag ** 2 * (1.0 + mag) * np.abs(F.coeffs)))
+    return _blowup_functionals(F.grid.wavenumber_magnitude(), np.abs(F.coeffs))[0]
 
 
 def blowup_B2(F: SpectralField) -> float:
     """Squared lattice sum of |xi| (1 + |xi|) |c_xi|."""
-    mag = F.grid.wavenumber_magnitude()
-    return float(np.sum(mag * (1.0 + mag) * np.abs(F.coeffs))) ** 2
+    return _blowup_functionals(F.grid.wavenumber_magnitude(), np.abs(F.coeffs))[1]
 
 
 @dataclass(frozen=True)
@@ -114,13 +137,24 @@ def _shifted(F: SpectralField) -> np.ndarray:
     return c
 
 
-def _lattice_vectors(grid) -> np.ndarray:
-    """Wavenumber vectors in shifted order, shape grid.shape + (d,)."""
-    k = np.arange(-grid.n // 2, grid.n // 2, dtype=np.float64)
-    if grid.d == 1:
-        return k[:, None]
-    kx, ky = np.meshgrid(k, k, indexing="ij")
-    return np.stack([kx, ky], axis=-1)
+def _padded(arr: np.ndarray, rfft: bool = False) -> np.ndarray:
+    """An N-grid array in FFT order placed on the 3N/2 grid, zero off the band.
+
+    Every |k_j| <= N/2 - 1 is kept; the unpaired -N/2 slice is dropped, as in
+    ``_shifted``.  With ``rfft`` only the k >= 0 half of the last axis is
+    returned (rfft layout).
+    """
+    n = arr.shape[0]
+    m = 3 * n // 2
+    k = np.arange(1 - n // 2, n // 2)
+    idx = [k] * arr.ndim
+    shape = [m] * arr.ndim
+    if rfft:
+        idx[-1] = k[n // 2 - 1:]
+        shape[-1] = m // 2 + 1
+    out = np.zeros(shape, dtype=arr.dtype)
+    out[np.ix_(*[i % m for i in idx])] = arr[np.ix_(*[i % n for i in idx])]
+    return out
 
 
 def _trilinear_naive(G, F: SpectralField, absolute: bool = False) -> float:
@@ -128,7 +162,8 @@ def _trilinear_naive(G, F: SpectralField, absolute: bool = False) -> float:
     if grid.n > 64:
         raise ValueError("naive trilinear mode requires N <= 64")
     c = _shifted(F).reshape(-1)
-    kv = _lattice_vectors(grid).reshape(-1, grid.d)
+    axes = tuple(range(grid.d))
+    kv = np.fft.fftshift(grid.wavevectors(), axes=axes).reshape(-1, grid.d)
     m = c.size
     half = grid.n // 2
     # Integer coordinates on [0, N) per axis for the xi - eta lookup.
@@ -155,19 +190,23 @@ def _trilinear_naive(G, F: SpectralField, absolute: bool = False) -> float:
 
 
 def _trilinear_fft(G: SeparableKernel, F: SpectralField) -> float:
-    """Zero-padded FFT convolutions: padding to 2N per axis leaves no wrap."""
-    grid = F.grid
-    c = _shifted(F)
-    kv = _lattice_vectors(grid)
-    pad = (2 * grid.n,) * grid.d
-    axes = tuple(range(grid.d))
-    band = tuple(slice(grid.n // 2, 3 * grid.n // 2) for _ in axes)
-    c_pad = np.fft.fftn(c, s=pad, axes=axes)
+    """Re sum over terms of mean(conj(A) B C) on the 3N/2 grid.
+
+    A, B and C are the physical fields with coefficients a c, b c and c.
+    Complex transforms, because a general kernel has no parity.
+    """
+    kv = F.grid.wavevectors()
+    c = F.coeffs
+
+    def physical(h):
+        return np.fft.ifftn(_padded(h), norm="forward")
+
+    C = physical(c)
     total = 0.0
     for a, b in G.terms:
-        w = np.asarray(b(kv)) * c
-        inner = np.fft.ifftn(np.fft.fftn(w, s=pad, axes=axes) * c_pad, axes=axes)[band]
-        total += float(np.sum((np.conj(c) * np.asarray(a(kv)) * inner).real))
+        A = physical(np.asarray(a(kv)) * c)
+        B = physical(np.asarray(b(kv)) * c)
+        total += float(np.mean(np.conj(A) * B * C).real)
     return total
 
 
@@ -211,55 +250,116 @@ def energy_kernel(s: float, p: ModelParams, grid) -> SeparableKernel:
     return SeparableKernel(terms=tuple(terms))
 
 
+def _energy(F: SpectralField, w) -> float:
+    """(1/2) (2pi)^d sum w |c|^2: w = 1 gives the L2 energy."""
+    return 0.5 * _weighted_norm(F.grid.d, w, np.abs(F.coeffs) ** 2) ** 2
+
+
+class EnergyResidualKernel:
+    """The energy identities of one nu = 0 run, evaluated from three samples.
+
+    For s = 0 and the run's Hdot^s exponent, the residual is
+
+        | centered difference of (1/2)||rho||^2  -  c_K (2pi)^d T[G_s] |
+
+    at the middle sample, with G_s the kernel of :func:`energy_kernel`.  The
+    factors live on the 3N/2 grid in rfft layout (last axis k >= 0):
+
+    b      : -i m(eta) eta_j, m the velocity symbol, shared by both identities;
+    a_L2   : -i xi_j;
+    a_Hs   : -i |xi|^{2s} xi_j;
+    weight : the Hdot^s energy weight |xi|^{2s} on the N grid, full layout.
+
+    a and b are odd and c is Hermitian, so each -i a c is Hermitian and its
+    field A is real; T = sum_j mean(A_j B_j C) then needs 1 + 3d real
+    transforms.  Build one per run: nothing outside the run keeps it alive.
+    """
+
+    def __init__(self, grid, p: ModelParams, s: float):
+        if p.nu != 0.0:
+            raise ValueError("energy residual identity requires nu = 0")
+        kv = grid.wavevectors()
+        m = velocity_symbol(kv, p)
+        w = fractional_power(2.0 * s).symbol(kv)
+        self.b = [_padded(-1j * m * kv[..., j], rfft=True) for j in range(grid.d)]
+        self.a_L2 = [_padded(-1j * kv[..., j], rfft=True) for j in range(grid.d)]
+        self.a_Hs = [_padded(-1j * w * kv[..., j], rfft=True) for j in range(grid.d)]
+        self.weight = _sobolev_weight(grid.wavenumber_magnitude() ** 2, s, True)
+        self._scale = p.c_K * TWO_PI ** grid.d
+        self._shape = (3 * grid.n // 2,) * grid.d
+        self._axes = tuple(range(grid.d))
+
+    def trilinear(self, F: SpectralField) -> tuple:
+        """(T[G_0], T[G_s]) of the state F, from 1 + 3d real transforms."""
+        c = _padded(F.coeffs, rfft=True)
+
+        def physical(h):
+            return np.fft.irfftn(h, s=self._shape, axes=self._axes, norm="forward")
+
+        C = physical(c)
+        B = [physical(b * c) for b in self.b]
+        T = []
+        for a in (self.a_L2, self.a_Hs):
+            AB = sum(physical(aj * c) * Bj for aj, Bj in zip(a, B))
+            T.append(float(np.mean(AB * C)))
+        return tuple(T)
+
+    def residuals(self, window) -> tuple:
+        """(L2 residual, Hdot^s residual) at the middle of three (t, state) samples."""
+        (t0, F0), (_, Fm), (t1, F1) = window
+        return tuple(
+            abs((_energy(F1, w) - _energy(F0, w)) / (t1 - t0) - self._scale * T)
+            for w, T in zip((1.0, self.weight), self.trilinear(Fm))
+        )
+
+
 def energy_residual_L2(samples, p: ModelParams) -> float:
     """|centered finite difference of (1/2)||rho||_{L2}^2  -  c_K (2pi)^d T[G]|.
 
     ``samples`` is a list of (t, SpectralField) with at least three entries;
     the identity is evaluated at the middle one.  Only valid for nu = 0.
     """
-    return _energy_residual(samples, p, s=0.0)
+    return _energy_residual(samples, p, s=0.0)[0]
 
 
 def energy_residual_Hs(samples, p: ModelParams, s: float) -> float:
     """Hdot^s analogue of :func:`energy_residual_L2`."""
-    return _energy_residual(samples, p, s=s)
+    return _energy_residual(samples, p, s=s)[1]
 
 
-def _energy_residual(samples, p: ModelParams, s: float) -> float:
-    if p.nu != 0.0:
-        raise ValueError("energy residual identity requires nu = 0")
+def _energy_residual(samples, p: ModelParams, s: float) -> tuple:
     if len(samples) < 3:
         raise ValueError("need at least three consecutive sampled states")
     mid = len(samples) // 2
-    (t0, F0), (tm, Fm), (t1, F1) = samples[mid - 1], samples[mid], samples[mid + 1]
-
-    def energy(F):
-        if s == 0.0:
-            return 0.5 * l2_norm(F) ** 2
-        return 0.5 * sobolev_norm(F, s, homogeneous=True) ** 2
-
-    fd = (energy(F1) - energy(F0)) / (t1 - t0)
-    G = energy_kernel(s, p, Fm.grid)
-    rhs = p.c_K * TWO_PI ** Fm.grid.d * trilinear_T(G, Fm, mode="fft")
-    return abs(fd - rhs)
+    kernel = EnergyResidualKernel(samples[mid][1].grid, p, s)
+    return kernel.residuals(samples[mid - 1:mid + 2])
 
 
-def make_record(t: float, F: SpectralField, rho_values: np.ndarray, s_list,
-                int_B1: float, int_B2sq: float) -> DiagnosticsRecord:
-    """Assemble a diagnostics row from the current state."""
+def make_record(t: float, F: SpectralField, rho_values: np.ndarray,
+                s_list) -> DiagnosticsRecord:
+    """Assemble a diagnostics row from the current state, on one lattice.
+
+    The B1 and B2 time integrals and the energy residuals are left to the
+    caller, which sees the neighbouring samples.
+    """
+    d = F.grid.d
+    mag = F.grid.wavenumber_magnitude()
+    mag2 = mag ** 2
+    absc = np.abs(F.coeffs)
+    p2 = absc ** 2
     hs = {
-        float(s): (sobolev_norm(F, s, homogeneous=True), sobolev_norm(F, s))
+        float(s): tuple(_weighted_norm(d, _sobolev_weight(mag2, s, hom), p2)
+                        for hom in (True, False))
         for s in s_list
     }
+    b1, b2 = _blowup_functionals(mag, absc)
     return DiagnosticsRecord(
         t=t,
         mass=mass(F),
         min_rho=float(np.min(rho_values)),
         max_rho=float(np.max(rho_values)),
-        l2=l2_norm(F),
+        l2=_weighted_norm(d, 1.0, p2),
         hs=hs,
-        B1=blowup_B1(F),
-        B2=blowup_B2(F),
-        int_B1=int_B1,
-        int_B2sq=int_B2sq,
+        B1=b1,
+        B2=b2,
     )

@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import diagnostics, verify
-from .diagnostics import energy_residual_Hs, energy_residual_L2
 from .model import InitialCondition, ModelParams, SpectralOperator, mollify_initial, velocity
 from .spectral import (
     RealField,
@@ -225,16 +224,6 @@ def read_snapshot(path: str) -> tuple:
     return RealField(grid, vals.reshape(grid.shape)), t
 
 
-def _fill_energy_residuals(result: FinalState, p: ModelParams, s_mid: float):
-    """Centered-difference residuals at interior samples (nu = 0 runs only)."""
-    if p.nu != 0.0 or len(result.states) < 3:
-        return
-    for i in range(1, len(result.records) - 1):
-        window = result.states[i - 1:i + 2]
-        result.records[i].energy_residual_L2 = energy_residual_L2(window, p)
-        result.records[i].energy_residual_Hs = energy_residual_Hs(window, p, s_mid)
-
-
 def _audit(records):
     """Self-check before exit: monotone time, mass constant to tolerance."""
     ts = [r.t for r in records]
@@ -254,10 +243,7 @@ def run_simulation(cfg: RunConfig, quiet: bool = False) -> int:
     if not quiet:
         print(f"regime: {regime}", file=sys.stderr)
     p = cfg.params()
-    keep = p.nu == 0.0
-    result = integrate(rho0, p, cfg.stepper(), keep_states=keep)
-    if keep:
-        _fill_energy_residuals(result, p, max(cfg.s_list))
+    result = integrate(rho0, p, cfg.stepper(), energy_residuals=p.nu == 0.0)
     _audit(result.records)
     write_series(os.path.join(cfg.out, "series.csv"), result.records, cfg.s_list)
     write_snapshot(os.path.join(cfg.out, "snapshot_initial.txt"), rho0, 0.0)

@@ -8,12 +8,13 @@ c_K = 0 the scheme reproduces the heat semigroup to round-off for any dt.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .diagnostics import DiagnosticsRecord, blowup_B1, blowup_B2, make_record
+from .diagnostics import DiagnosticsRecord, EnergyResidualKernel, make_record
 from .model import ModelParams, SpectralOperator, nonlinear_rhs, velocity
 from .spectral import RealField, SpectralField, forward_transform, inverse_transform
 
@@ -56,7 +57,8 @@ class FinalState:
     reason: str                      # "completed" | "blowup_detected" | "max_steps"
     n_steps: int
     records: list
-    states: list                     # [(t, SpectralField)] when keep_states was set
+    states: list                     # copies of every sampled (t, SpectralField) when
+                                     # keep_states was set, else empty
 
 
 def cfl_dt(state: SpectralField, p: ModelParams, safety: float,
@@ -116,40 +118,43 @@ def step(state: SpectralField, dt: float, p: ModelParams,
 
 def integrate(rho0: RealField, p: ModelParams, cfg: StepperConfig,
               on_sample: Optional[Callable[[DiagnosticsRecord], None]] = None,
-              keep_states: bool = False) -> FinalState:
+              keep_states: bool = False, energy_residuals: bool = False) -> FinalState:
     """Advance from rho0 to t_end, sampling diagnostics along the way.
 
     Aborts with reason "blowup_detected" when B1 exceeds the configured
     threshold or the state turns non-finite, and with "max_steps" when the
     step budget runs out.  The B1 and B2 time integrals are accumulated by
-    the trapezoid rule over sample times.
+    the trapezoid rule over sample times.  With ``energy_residuals`` (nu = 0
+    only) each interior record gets the L2 and Hdot^{max s_list} energy
+    residuals once the sample after it is taken; the window holds the last
+    three sampled states, so no other state is kept.
     """
     op = SpectralOperator(rho0.grid, p)
+    kernel = (EnergyResidualKernel(rho0.grid, p, max(cfg.s_list))
+              if energy_residuals else None)
+    window: deque = deque(maxlen=3)
     state = forward_transform(rho0)
     t = 0.0
-    int_B1 = 0.0
-    int_B2 = 0.0
-    prev_B1 = blowup_B1(state)
-    prev_B2 = blowup_B2(state)
-    prev_t = 0.0
     records: list = []
     states: list = []
 
     def sample(cur_t, cur_state, rho_values):
-        nonlocal int_B1, int_B2, prev_B1, prev_B2, prev_t
-        b1 = blowup_B1(cur_state)
-        b2 = blowup_B2(cur_state)
-        if cur_t > prev_t:
-            int_B1 += 0.5 * (prev_B1 + b1) * (cur_t - prev_t)
-            int_B2 += 0.5 * (prev_B2 + b2) * (cur_t - prev_t)
-        prev_B1, prev_B2, prev_t = b1, b2, cur_t
-        rec = make_record(cur_t, cur_state, rho_values, cfg.s_list, int_B1, int_B2)
+        rec = make_record(cur_t, cur_state, rho_values, cfg.s_list)
+        if records:
+            prev = records[-1]
+            rec.int_B1 = prev.int_B1 + 0.5 * (prev.B1 + rec.B1) * (cur_t - prev.t)
+            rec.int_B2sq = prev.int_B2sq + 0.5 * (prev.B2 + rec.B2) * (cur_t - prev.t)
         records.append(rec)
         if keep_states:
             states.append((cur_t, cur_state.copy()))
+        if kernel is not None:
+            window.append((cur_t, cur_state))
+            if len(window) == 3:
+                mid = records[-2]
+                mid.energy_residual_L2, mid.energy_residual_Hs = kernel.residuals(window)
         if on_sample is not None:
             on_sample(rec)
-        return b1
+        return rec.B1
 
     sample(0.0, state, rho0.values)
     n_steps = 0

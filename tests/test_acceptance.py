@@ -130,14 +130,14 @@ class TestAcceptance:
             )),
         ]
         rng = np.random.default_rng(103)
-        g = TorusGrid(d=1, n=32)
-        for _ in range(5):
-            F = forward_transform(random_real_field(g, rng, decay=2.0))
-            for K in kernels:
-                a = trilinear_T(K, F, mode="naive")
-                b = trilinear_T(K, F, mode="fft")
-                scale = trilinear_scale(K, F)
-                ok = ok and abs(a - b) <= 1e-10 * max(scale, 1.0)
+        for g in (TorusGrid(d=1, n=32), TorusGrid(d=2, n=16)):
+            for _ in range(5):
+                F = forward_transform(random_real_field(g, rng, decay=2.0))
+                for K in kernels:
+                    a = trilinear_T(K, F, mode="naive")
+                    b = trilinear_T(K, F, mode="fft")
+                    scale = trilinear_scale(K, F)
+                    ok = ok and abs(a - b) <= 1e-10 * max(scale, 1.0)
         report(4, "trilinear-antisymmetry", ok)
 
     def test_05_energy_identity_order(self):

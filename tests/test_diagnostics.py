@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from fpmflow.diagnostics import (
+    EnergyResidualKernel,
     blowup_B1,
     blowup_B2,
     energy_kernel,
+    energy_residual_Hs,
     energy_residual_L2,
     mass,
     sobolev_norm,
@@ -240,3 +242,50 @@ class TestEnergyResidual:
             errs.append(energy_residual_L2(states[i - 1:i + 2], p))
         slope = np.polyfit(np.log([4e-3, 2e-3, 1e-3]), np.log(errs), 1)[0]
         assert slope >= 2.0 - 0.1
+
+
+class TestEnergyResidualKernel:
+    @pytest.mark.parametrize("d,n", [(1, 32), (2, 16)])
+    @pytest.mark.parametrize("s", [0.0, 4.0])
+    @pytest.mark.parametrize("mu", [0.0, 0.25])
+    def test_trilinear_matches_naive(self, d, n, s, mu):
+        g = TorusGrid(d=d, n=n)
+        p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0, mu=mu)
+        F = forward_transform(random_real_field(g, np.random.default_rng(27), decay=2.0))
+        t_l2, t_hs = EnergyResidualKernel(g, p, s).trilinear(F)
+        for got, s_kernel in ((t_l2, 0.0), (t_hs, s)):
+            ref = trilinear_T(energy_kernel(s_kernel, p, g), F, mode="naive")
+            assert got == pytest.approx(ref, rel=1e-12)
+
+    def test_viscous_rejected(self):
+        with pytest.raises(ValueError):
+            EnergyResidualKernel(TorusGrid(d=1, n=16),
+                                 ModelParams(alpha_minus_d=-1.0, c_K=-1.0, nu=0.1), 4.0)
+
+    @pytest.mark.parametrize("c_K,cfg", [
+        (-1.0, StepperConfig(t_end=0.05, dt_mode="fixed", dt=5e-3, s_list=(3.0, 4.0))),
+        (1.0, StepperConfig(t_end=5.0, safety=0.4, blowup_threshold=50.0)),
+    ])
+    def test_in_run_residuals_equal_public_functions(self, c_K, cfg):
+        g = TorusGrid(d=1, n=64)
+        rho0 = field_from_function(g, lambda x: 1 + 0.5 * np.cos(x))
+        p = ModelParams(alpha_minus_d=-1.0, c_K=c_K)
+        res = integrate(rho0, p, cfg, keep_states=True, energy_residuals=True)
+        assert res.reason == ("completed" if c_K < 0 else "blowup_detected")
+        recs = res.records
+        assert len(recs) == len(res.states) >= 3
+        for rec in (recs[0], recs[-1]):
+            assert math.isnan(rec.energy_residual_L2) and math.isnan(rec.energy_residual_Hs)
+        for i in range(1, len(recs) - 1):
+            window = res.states[i - 1:i + 2]
+            assert recs[i].energy_residual_L2 == energy_residual_L2(window, p)
+            assert recs[i].energy_residual_Hs == energy_residual_Hs(window, p, 4.0)
+
+    def test_no_states_kept_without_keep_states(self):
+        g = TorusGrid(d=1, n=32)
+        rho0 = field_from_function(g, lambda x: 1 + 0.5 * np.cos(x))
+        p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0)
+        cfg = StepperConfig(t_end=0.02, dt_mode="fixed", dt=5e-3)
+        res = integrate(rho0, p, cfg, energy_residuals=True)
+        assert res.states == []
+        assert all(math.isfinite(r.energy_residual_L2) for r in res.records[1:-1])

@@ -1,6 +1,7 @@
 """Tests for configuration handling, output files, campaigns, and the CLI."""
 
 import gc
+import math
 import os
 import subprocess
 import sys
@@ -196,6 +197,24 @@ class TestRunSimulation:
         with open(tmp_path / "run" / "series.csv") as fh:
             header = fh.readline().strip().split(",")
         assert header[0] == "t" and "B1" in header and "hs_4" in header
+
+    @pytest.mark.parametrize("nu", ["0", "0.1"])
+    def test_residuals_nan_where_not_evaluated(self, tmp_path, nu):
+        cfg = load_config(None, [("modes", "32"), ("t_end", "0.02"), ("nu", nu),
+                                 ("dt_mode", "fixed"), ("dt", "0.005"),
+                                 ("out", str(tmp_path / "run"))])
+        assert run_simulation(cfg, quiet=True) == 0
+        with open(tmp_path / "run" / "series.csv") as fh:
+            header = fh.readline().strip().split(",")
+            rows = [line.strip().split(",") for line in fh]
+        cols = [header.index("energy_residual_L2"), header.index("energy_residual_Hs")]
+        assert len(rows) == 5
+        for i, row in enumerate(rows):
+            values = [row[j] for j in cols]
+            if nu == "0" and 0 < i < len(rows) - 1:
+                assert all(math.isfinite(float(v)) for v in values)
+            else:
+                assert values == ["nan", "nan"]
 
     def test_blowup_exit_code(self, tmp_path):
         cfg = load_config(None, [

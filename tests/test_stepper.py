@@ -27,13 +27,14 @@ FFT_NAMES = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
 
 
 def count_ffts(monkeypatch):
-    """Count every numpy.fft transform call from now on; returns the counter."""
+    """Count every numpy.fft transform call from now on, in total and per name."""
     counter = {"calls": 0}
     for name in FFT_NAMES:
         fn = getattr(np.fft, name)
 
-        def counted(*args, fn=fn, **kwargs):
+        def counted(*args, fn=fn, name=name, **kwargs):
             counter["calls"] += 1
+            counter[name] = counter.get(name, 0) + 1
             return fn(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
@@ -170,6 +171,33 @@ class TestIntegrate:
         assert res.reason == "completed" and res.n_steps > 1
         gc.collect()
         assert len(built_operators) == 1 and built_operators[0]() is None
+
+    def test_one_residual_kernel_per_run_and_none_outlives_it(self, built_residual_kernels):
+        g = TorusGrid(d=1, n=32)
+        cfg = StepperConfig(t_end=0.02, dt_mode="fixed", dt=5e-3)
+        integrate(cosine_data(g, 0.3), ModelParams(alpha_minus_d=-1.0, c_K=-1.0), cfg,
+                  energy_residuals=True)
+        gc.collect()
+        assert len(built_residual_kernels) == 1 and built_residual_kernels[0]() is None
+        integrate(cosine_data(g, 0.3), ModelParams(alpha_minus_d=-1.0, c_K=-1.0), cfg)
+        assert len(built_residual_kernels) == 1
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_energy_residual_fft_count(self, monkeypatch, d):
+        # 1 + 3d real inverse transforms per interior sample, nothing else
+        g = TorusGrid(d=d, n=16)
+        p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0)
+        cfg = StepperConfig(t_end=0.02, dt_mode="fixed", dt=5e-3)
+        rho0 = random_real_field(g, np.random.default_rng(6), mean=1.0, amplitude=0.3)
+        without = count_ffts(monkeypatch)
+        integrate(rho0, p, cfg)
+        without = dict(without)
+        counter = count_ffts(monkeypatch)
+        res = integrate(rho0, p, cfg, energy_residuals=True)
+        extra = (1 + 3 * d) * (len(res.records) - 2)
+        assert extra > 0
+        assert counter["calls"] - without["calls"] == extra
+        assert counter["irfftn"] - without["irfftn"] == extra
 
     def test_determinism(self):
         g = TorusGrid(d=1, n=64)
