@@ -3,7 +3,7 @@
 Library layout:
 
 - :mod:`fpmflow.spectral`    grids, transforms, Fourier multipliers, dealiasing
-- :mod:`fpmflow.model`       velocity law, flux divergence, mollified data
+- :mod:`fpmflow.model`       velocity law, transport operator, mollified data
 - :mod:`fpmflow.stepper`     integrating-factor RK4 with CFL control
 - :mod:`fpmflow.diagnostics` norms, blow-up functionals, trilinear form
 - :mod:`fpmflow.verify`      numerical checks of the analytic inequalities

@@ -88,8 +88,8 @@ def sobolev_norm(F: SpectralField, s: float, homogeneous: bool = False) -> float
 def _blowup_functionals(mag: np.ndarray, absc: np.ndarray) -> tuple:
     """(B1, B2) from the lattice magnitudes |xi| and the moduli |c_xi|."""
     b1 = float(np.sum(mag ** 2 * (1.0 + mag) * absc))
-    b2 = float(np.sum(mag * (1.0 + mag) * absc)) ** 2
-    return b1, b2
+    l1 = float(np.sum(mag * (1.0 + mag) * absc))
+    return b1, l1 * l1  # a float product overflows to inf; float ** 2 would raise
 
 
 def blowup_B1(F: SpectralField) -> float:
@@ -260,7 +260,7 @@ class EnergyResidualKernel:
 
     For s = 0 and the run's Hdot^s exponent, the residual is
 
-        | centered difference of (1/2)||rho||^2  -  c_K (2pi)^d T[G_s] |
+        | three-point derivative of (1/2)||rho||^2  -  c_K (2pi)^d T[G_s] |
 
     at the middle sample, with G_s the kernel of :func:`energy_kernel`.  The
     factors live on the 3N/2 grid in rfft layout (last axis k >= 0):
@@ -306,15 +306,19 @@ class EnergyResidualKernel:
 
     def residuals(self, window) -> tuple:
         """(L2 residual, Hdot^s residual) at the middle of three (t, state) samples."""
-        (t0, F0), (_, Fm), (t1, F1) = window
-        return tuple(
-            abs((_energy(F1, w) - _energy(F0, w)) / (t1 - t0) - self._scale * T)
-            for w, T in zip((1.0, self.weight), self.trilinear(Fm))
-        )
+        (t0, F0), (tm, Fm), (t1, F1) = window
+        h0, h1 = tm - t0, t1 - tm
+        out = []
+        for w, T in zip((1.0, self.weight), self.trilinear(Fm)):
+            e0, em, e1 = (_energy(F, w) for F in (F0, Fm, F1))
+            # three-point dE/dt at tm, exact for quadratics at any spacing
+            rate = (h0 * h0 * (e1 - em) + h1 * h1 * (em - e0)) / (h0 * h1 * (h0 + h1))
+            out.append(abs(rate - self._scale * T))
+        return tuple(out)
 
 
 def energy_residual_L2(samples, p: ModelParams) -> float:
-    """|centered finite difference of (1/2)||rho||_{L2}^2  -  c_K (2pi)^d T[G]|.
+    """|three-point derivative of (1/2)||rho||_{L2}^2  -  c_K (2pi)^d T[G]|.
 
     ``samples`` is a list of (t, SpectralField) with at least three entries;
     the identity is evaluated at the middle one.  Only valid for nu = 0.

@@ -5,8 +5,12 @@ is a flat ``key = value`` text file plus ``--key value`` overrides; unknown
 keys are errors.  All outputs are deterministic text (17 significant
 digits), so identical configs and seeds reproduce files byte-for-byte.
 
-Exit codes: 0 completed, 1 config error, 2 blow-up detected, 3 unstable
-verification ratio.
+Exit codes:
+
+    0  completed (simulate), or the campaign or verification finished
+    1  config error
+    2  simulate ended blowup_detected or max_steps; picard diverged
+    3  verify found an unstable ratio
 """
 
 from __future__ import annotations
@@ -390,17 +394,11 @@ def verify_suite(selection, seed: int = 0, n: int = 100_000) -> list:
             for b in (0.0, 0.5, 1.0):
                 for d in (1, 2):
                     reports.append(verify.sample_gdecomp(3.0, b, d, n, seed=seed))
-        elif name == "comm":
+        elif name in ("comm", "plaincomm"):
             for b in (0.25, 0.5, 0.75):
                 reports.append(
                     verify.sample_commutator(b, n_trials=min(200, max(10, n // 500)),
-                                             N=64, d=1, seed=seed)
-                )
-        elif name == "plaincomm":
-            for b in (0.25, 0.5, 0.75):
-                reports.append(
-                    verify.sample_commutator(b, n_trials=min(200, max(10, n // 500)),
-                                             N=64, d=1, seed=seed, plain=True)
+                                             N=64, d=1, seed=seed, plain=name == "plaincomm")
                 )
         elif name == "antisymmetry":
             reports.append(verify.sample_antisymmetry(n_fields=100, N=32, d=1, seed=seed))

@@ -14,8 +14,6 @@ Diffusion is handled exactly by the integrating factor in the stepper, so
 The fixed multipliers of a run live in one :class:`SpectralOperator`, which
 works in rfft layout; states stay full-layout :class:`SpectralField` s.  The
 functions that take an optional ``op`` build a throwaway operator without it.
-``flux_divergence`` keeps the full-layout complex-FFT product as the
-reference for the operator's divergence.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ from .spectral import (
     SpectralField,
     TorusGrid,
     apply_multiplier,
-    dealias,
     dealias_mask,
     forward_transform,
     fractional_power,
@@ -99,7 +96,8 @@ class SpectralOperator:
     mask          : 2/3-rule dealias mask.
     neg_div       : -i xi_j on the dealiased band, one per component.
     vel           : velocity multipliers c_K |xi|^{alpha-d} chi(mu |xi|) i xi_j,
-                    unpaired Nyquist zeroed as in ``spectral.gradient``.
+                    zero on the unpaired Nyquist mode -N/2 of axis j, where an
+                    odd derivative has no Hermitian partner.
     vel_dealiased : ``vel`` times ``mask``.
     mag2          : |xi|^2 in full layout, for the integrating factors.
     """
@@ -174,29 +172,6 @@ def velocity(rho_hat: SpectralField, p: ModelParams,
         op = SpectralOperator(rho_hat.grid, p)
     h = op.half(rho_hat.coeffs)
     return [RealField(rho_hat.grid, op.physical(m * h)) for m in op.vel]
-
-
-def flux_divergence(rho: RealField, u: list) -> SpectralField:
-    """Coefficients of div(rho u); the product is formed after dealiasing.
-
-    Both factors are dealiased (2/3 rule), multiplied pointwise, and the
-    divergence output is dealiased again so the result equals the exact
-    (no-wrap) spectral convolution on the retained band.
-    """
-    grid = rho.grid
-    mask = dealias_mask(grid)
-    rho_d = inverse_transform(dealias(forward_transform(rho)))
-    out = np.zeros(grid.shape, dtype=np.complex128)
-    kv = grid.wavevectors()
-    for j, uj in enumerate(u):
-        if uj.grid != grid:
-            raise SpectralError("velocity component on a different grid")
-        uj_d = inverse_transform(dealias(forward_transform(uj)))
-        prod_hat = np.fft.fftn(rho_d.values * uj_d.values) / grid.npoints
-        out += 1j * kv[..., j] * prod_hat
-    out = np.where(mask, out, 0.0)
-    out.flat[0] = 0.0  # divergence form: exact mass conservation
-    return SpectralField(grid, out)
 
 
 def nonlinear_rhs(rho_hat: SpectralField, p: ModelParams,

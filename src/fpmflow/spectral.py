@@ -123,10 +123,6 @@ class SpectralField:
     def copy(self) -> "SpectralField":
         return SpectralField(self.grid, self.coeffs.copy())
 
-    @property
-    def mean(self) -> float:
-        return float(self.coeffs.flat[0].real)
-
 
 @dataclass(frozen=True)
 class MultiplierSpec:
@@ -228,36 +224,6 @@ def dealias_mask(grid: TorusGrid) -> np.ndarray:
     if grid.d == 1:
         return keep1
     return keep1[:, None] & keep1[None, :]
-
-
-def dealias(F: SpectralField) -> SpectralField:
-    """Zero every coefficient with any |xi_j| > N/3."""
-    return SpectralField(F.grid, np.where(dealias_mask(F.grid), F.coeffs, 0.0))
-
-
-def gradient(F: SpectralField) -> list:
-    """Spectral gradient components i xi_j F, as spectral fields.
-
-    The unpaired Nyquist mode -N/2 is zeroed (odd derivative has no
-    Hermitian partner there).
-    """
-    kv = F.grid.wavevectors()
-    out = []
-    for j in range(F.grid.d):
-        kj = kv[..., j]
-        deriv = 1j * kj * F.coeffs
-        deriv[kj == -F.grid.n // 2] = 0.0
-        out.append(SpectralField(F.grid, deriv))
-    return out
-
-
-def dealiased_product(f: RealField, g: RealField) -> RealField:
-    """Pointwise product with both factors dealiased first (2/3 rule)."""
-    if f.grid != g.grid:
-        raise SpectralError("fields on different grids")
-    fd = inverse_transform(dealias(forward_transform(f)))
-    gd = inverse_transform(dealias(forward_transform(g)))
-    return RealField(f.grid, fd.values * gd.values)
 
 
 def l2_norm(F: SpectralField) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .diagnostics import DiagnosticsRecord, EnergyResidualKernel, make_record
 from .model import ModelParams, SpectralOperator, nonlinear_rhs, velocity
-from .spectral import RealField, SpectralField, forward_transform, inverse_transform
+from .spectral import RealField, SpectralError, SpectralField, forward_transform
 
 EPS0 = 1e-12
 
@@ -122,12 +122,12 @@ def integrate(rho0: RealField, p: ModelParams, cfg: StepperConfig,
     """Advance from rho0 to t_end, sampling diagnostics along the way.
 
     Aborts with reason "blowup_detected" when B1 exceeds the configured
-    threshold or the state turns non-finite, and with "max_steps" when the
-    step budget runs out.  The B1 and B2 time integrals are accumulated by
-    the trapezoid rule over sample times.  With ``energy_residuals`` (nu = 0
-    only) each interior record gets the L2 and Hdot^{max s_list} energy
-    residuals once the sample after it is taken; the window holds the last
-    three sampled states, so no other state is kept.
+    threshold or the state or an RK4 stage turns non-finite, and with
+    "max_steps" when the step budget runs out.  The B1 and B2 time
+    integrals are accumulated by the trapezoid rule over sample times.  With
+    ``energy_residuals`` (nu = 0 only) each interior record gets the L2 and
+    Hdot^{max s_list} energy residuals once the sample after it is taken; the
+    window holds the last three sampled states, so no other state is kept.
     """
     op = SpectralOperator(rho0.grid, p)
     kernel = (EnergyResidualKernel(rho0.grid, p, max(cfg.s_list))
@@ -159,27 +159,32 @@ def integrate(rho0: RealField, p: ModelParams, cfg: StepperConfig,
     sample(0.0, state, rho0.values)
     n_steps = 0
     reason = "max_steps"
-    while n_steps < cfg.max_steps:
-        if t >= cfg.t_end - EPS0:
-            reason = "completed"
-            break
-        if cfg.dt_mode == "fixed":
-            dt = cfg.dt
-        else:
-            dt = cfl_dt(state, p, cfg.safety, cfg.dt_max, op)
-        dt = min(dt, cfg.t_end - t)
-        state = step(state, dt, p, op)
-        t += dt
-        n_steps += 1
-        if not np.all(np.isfinite(state.coeffs)):
-            reason = "blowup_detected"
-            break
-        if n_steps % cfg.sample_every == 0 or t >= cfg.t_end - EPS0:
-            rho_values = inverse_transform(state).values
-            b1 = sample(t, state, rho_values)
-            if b1 > cfg.blowup_threshold:
+    # A state that overflows has blown up: it is classified below, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while n_steps < cfg.max_steps:
+            if t >= cfg.t_end - EPS0:
+                reason = "completed"
+                break
+            if cfg.dt_mode == "fixed":
+                dt = cfg.dt
+            else:
+                dt = cfl_dt(state, p, cfg.safety, cfg.dt_max, op)
+            dt = min(dt, cfg.t_end - t)
+            try:
+                state = step(state, dt, p, op)
+            except SpectralError:  # a stage went non-finite; the last state stays
                 reason = "blowup_detected"
                 break
+            t += dt
+            n_steps += 1
+            if not np.all(np.isfinite(state.coeffs)):
+                reason = "blowup_detected"
+                break
+            if n_steps % cfg.sample_every == 0 or t >= cfg.t_end - EPS0:
+                b1 = sample(t, state, op.physical(op.half(state.coeffs)))
+                if b1 > cfg.blowup_threshold:
+                    reason = "blowup_detected"
+                    break
 
     return FinalState(state=state, t=t, reason=reason, n_steps=n_steps,
                       records=records, states=states)

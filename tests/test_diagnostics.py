@@ -257,6 +257,20 @@ class TestEnergyResidualKernel:
             ref = trilinear_T(energy_kernel(s_kernel, p, g), F, mode="naive")
             assert got == pytest.approx(ref, rel=1e-12)
 
+    @pytest.mark.parametrize("d,n", [(1, 32), (2, 16)])
+    def test_uneven_spacing_gives_exact_rate(self, d, n):
+        # c_K = 0 and F(t) = (1 + t) F0: E(t) = (1 + t)^2 E(0) is quadratic, so
+        # the residual is exactly E'(tm) = 2 (1 + tm) E(0) at any spacing.
+        g = TorusGrid(d=d, n=n)
+        p = ModelParams(alpha_minus_d=-1.0, c_K=0.0)
+        F0 = forward_transform(random_real_field(g, np.random.default_rng(3), mean=1.0))
+        window = [(t, SpectralField(g, (1.0 + t) * F0.coeffs)) for t in (0.1, 0.13, 0.2)]
+        res_l2, res_hs = EnergyResidualKernel(g, p, 4.0).residuals(window)
+        e_l2 = 0.5 * sobolev_norm(F0, 0.0) ** 2
+        e_hs = 0.5 * sobolev_norm(F0, 4.0, homogeneous=True) ** 2
+        assert res_l2 == pytest.approx(2.0 * 1.13 * e_l2, rel=1e-12)
+        assert res_hs == pytest.approx(2.0 * 1.13 * e_hs, rel=1e-12)
+
     def test_viscous_rejected(self):
         with pytest.raises(ValueError):
             EnergyResidualKernel(TorusGrid(d=1, n=16),

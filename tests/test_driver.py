@@ -235,6 +235,19 @@ class TestRunSimulation:
         with open(out / "status.txt") as fh:
             assert "reason blowup_detected" in fh.read()
 
+    @pytest.mark.parametrize("dt", ["1.0", "3.0"])
+    def test_overflowing_run_ends_in_blowup(self, tmp_path, dt):
+        # Used to end in a traceback: at dt = 1 squaring B2's sum raised
+        # OverflowError; at dt = 3 an RK4 stage turned non-finite and
+        # nonlinear_rhs raised SpectralError.
+        out = tmp_path / "overflow"
+        code = main(["simulate", "--config", os.path.join(CONFIG_DIR, "repulsive_inviscid.cfg"),
+                     "--c_K", "1", "--dt_mode", "fixed", "--t_end", "30",
+                     "--blowup_threshold", "inf", "--dt", dt, "--out", str(out)])
+        assert code == 2
+        with open(out / "status.txt") as fh:
+            assert "reason blowup_detected" in fh.read()
+
 
 class TestCampaigns:
     def _cfg(self, **kw):

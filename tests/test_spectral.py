@@ -15,7 +15,7 @@ from fpmflow.spectral import (
     SymmetryError,
     TorusGrid,
     apply_multiplier,
-    dealias,
+    dealias_mask,
     field_from_function,
     forward_transform,
     fractional_power,
@@ -226,16 +226,16 @@ class TestDealias:
         c[5] = 1.0
         c[3] = 1.0
         c[4] = 1.0
-        out = dealias(SpectralField(g, c))
-        assert out.coeffs[5] == 0.0   # 5 > 12/3
-        assert out.coeffs[3] == 1.0
-        assert out.coeffs[4] == 1.0   # 4 <= 12/3
+        out = np.where(dealias_mask(g), c, 0.0)
+        assert out[5] == 0.0   # 5 > 12/3
+        assert out[3] == 1.0
+        assert out[4] == 1.0   # 4 <= 12/3
 
     def test_2d_any_component(self):
         g = TorusGrid(d=2, n=12)
         c = np.zeros((12, 12), dtype=complex)
         c[5, 1] = 1.0
         c[2, 2] = 1.0
-        out = dealias(SpectralField(g, c))
-        assert out.coeffs[5, 1] == 0.0
-        assert out.coeffs[2, 2] == 1.0
+        out = np.where(dealias_mask(g), c, 0.0)
+        assert out[5, 1] == 0.0
+        assert out[2, 2] == 1.0

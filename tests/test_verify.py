@@ -5,8 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from fpmflow.spectral import RealField, TorusGrid, field_from_function
+from fpmflow.spectral import (
+    RealField,
+    SpectralField,
+    TorusGrid,
+    apply_multiplier,
+    dealias_mask,
+    field_from_function,
+    forward_transform,
+    fractional_power,
+    inverse_transform,
+    l2_norm,
+)
 from fpmflow.verify import (
+    _analytic_random_field,
     _commutator_lhs,
     _ratios_to_report,
     antisymmetric_kernels,
@@ -21,6 +33,56 @@ from fpmflow.verify import (
     sample_gdecomp,
     sample_lemma1,
 )
+
+
+def reference_commutator_lhs(f, g, b, extract_symbol):
+    """One (f, g) pair through full-layout complex FFTs with Hermitian-checked inverses.
+
+    Every product dealiases both factors first; gradients zero the unpaired
+    Nyquist mode.  This is the direct form of the batched real-FFT core.
+    """
+    grid = f.grid
+    kv = grid.wavevectors()
+    mask = dealias_mask(grid)
+
+    def gradient(F):
+        out = []
+        for j in range(grid.d):
+            deriv = 1j * kv[..., j] * F.coeffs
+            deriv[kv[..., j] == -grid.n // 2] = 0.0
+            out.append(SpectralField(grid, deriv))
+        return out
+
+    def dealiased_product(u, v):
+        ud, vd = (inverse_transform(SpectralField(grid, np.where(
+            mask, forward_transform(w).coeffs, 0.0))) for w in (u, v))
+        return RealField(grid, ud.values * vd.values)
+
+    fh = forward_transform(f)
+    gh = forward_transform(g)
+    grad_g = [inverse_transform(c) for c in gradient(gh)]
+    grad_f = [inverse_transform(c) for c in gradient(fh)]
+    lam_b = fractional_power(-b)
+    total = 0.0
+    for j in range(grid.d):
+        prod = forward_transform(dealiased_product(f, grad_g[j]))
+        term1 = apply_multiplier(prod, lam_b)
+        lam_dg = inverse_transform(apply_multiplier(forward_transform(grad_g[j]), lam_b))
+        term2 = forward_transform(dealiased_product(f, lam_dg))
+        comm = term1.coeffs - term2.coeffs
+        if extract_symbol:
+            base = apply_multiplier(forward_transform(grad_g[j]), fractional_power(-b - 2.0))
+            corr = np.zeros(grid.shape, dtype=np.complex128)
+            for k, part in enumerate(gradient(base)):
+                pk = inverse_transform(part)
+                corr += forward_transform(dealiased_product(grad_f[k], pk)).coeffs
+            comm = comm - b * corr
+        total += l2_norm(SpectralField(grid, comm)) ** 2
+    return math.sqrt(total)
+
+
+def lhs_of(f, g, b, extract_symbol):
+    return float(_commutator_lhs(f.grid, f.values, g.values, b, extract_symbol))
 
 
 class TestLemma1:
@@ -124,7 +186,7 @@ class TestCommutator:
         g = TorusGrid(d=1, n=64)
         f = RealField(g, np.full(64, 2.0))
         gg = field_from_function(g, lambda x: np.cos(2 * x))
-        lhs = _commutator_lhs(f, gg, 0.5, extract_symbol=False)
+        lhs = lhs_of(f, gg, 0.5, extract_symbol=False)
         assert lhs < 1e-12
 
     def test_zero_g_degenerate(self):
@@ -145,9 +207,8 @@ class TestCommutator:
         g = TorusGrid(d=1, n=64)
         f = field_from_function(g, lambda x: 1 + 0.2 * np.cos(x) + 0.1 * np.sin(2 * x))
         gg = field_from_function(g, lambda x: np.cos(3 * x) + 0.5 * np.sin(x))
-        one = _commutator_lhs(f, gg, 0.5, extract_symbol=True)
-        two = _commutator_lhs(f, RealField(g, 2.0 * gg.values), 0.5,
-                              extract_symbol=True)
+        one = lhs_of(f, gg, 0.5, extract_symbol=True)
+        two = lhs_of(f, RealField(g, 2.0 * gg.values), 0.5, extract_symbol=True)
         assert two == pytest.approx(2.0 * one, rel=1e-12)
 
     def test_single_mode_closed_form(self):
@@ -155,7 +216,7 @@ class TestCommutator:
         g = TorusGrid(d=1, n=32)
         f = field_from_function(g, np.cos)
         gg = field_from_function(g, lambda x: np.cos(2 * x))
-        lhs = _commutator_lhs(f, gg, 0.5, extract_symbol=False)
+        lhs = lhs_of(f, gg, 0.5, extract_symbol=False)
         c3 = 1.0 / math.sqrt(2.0) - 1.0 / math.sqrt(3.0)
         c1 = 1.0 / math.sqrt(2.0) - 1.0
         ref = math.sqrt(math.pi) * math.sqrt(c3 ** 2 + c1 ** 2)
@@ -178,6 +239,30 @@ class TestCommutator:
     def test_plain_sampled_report(self):
         rep = sample_commutator(0.5, 10, N=32, seed=5, plain=True)
         assert math.isfinite(rep.sup_ratio)
+
+    @pytest.mark.parametrize("d,n", [(1, 64), (1, 128), (2, 32)])
+    @pytest.mark.parametrize("extract_symbol", [True, False])
+    def test_batched_core_matches_reference(self, d, n, extract_symbol):
+        grid = TorusGrid(d=d, n=n)
+        rng = np.random.default_rng(9)
+        pairs = []
+        for _ in range(3):
+            f = _analytic_random_field(grid, rng, rate=0.4, mean=1.0)
+            g = _analytic_random_field(grid, rng, rate=0.25, mean=0.0)
+            pairs.append((f, g - np.mean(g)))
+        f_stack = np.stack([f for f, _ in pairs])
+        g_stack = np.stack([g for _, g in pairs])
+        for b in (0.25, 0.5, 0.75):
+            got = _commutator_lhs(grid, f_stack, g_stack, b, extract_symbol)
+            for i, (f, g) in enumerate(pairs):
+                ref = reference_commutator_lhs(RealField(grid, f), RealField(grid, g), b,
+                                               extract_symbol)
+                assert got[i] == pytest.approx(ref, rel=1e-12)
+
+    def test_seed0_sup_ratio_pinned(self):
+        # Pins the draw order of the (f, g) pairs as well as the arithmetic.
+        rep = sample_commutator(0.5, 200, N=64, seed=0)
+        assert rep.sup_ratio == pytest.approx(0.004147240805007349, rel=1e-12)
 
 
 class TestAntisymmetry:
