@@ -236,7 +236,7 @@ def energy_kernel(s: float, p: ModelParams, grid) -> SeparableKernel:
     m(eta) = |eta|^{-2b} chi(mu |eta|) matches the (possibly regularized)
     velocity law of ``p``; s = 0 gives the L2 identity.
     """
-    weight = fractional_power(2.0 * s).symbol
+    weight = fractional_power(2.0 * s)
     terms = []
     for j in range(grid.d):
 
@@ -280,7 +280,7 @@ class EnergyResidualKernel:
             raise ValueError("energy residual identity requires nu = 0")
         kv = grid.wavevectors()
         m = velocity_symbol(kv, p)
-        w = fractional_power(2.0 * s).symbol(kv)
+        w = fractional_power(2.0 * s)(kv)
         self.b = [_padded(-1j * m * kv[..., j], rfft=True) for j in range(grid.d)]
         self.a_L2 = [_padded(-1j * kv[..., j], rfft=True) for j in range(grid.d)]
         self.a_Hs = [_padded(-1j * w * kv[..., j], rfft=True) for j in range(grid.d)]

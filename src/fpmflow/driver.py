@@ -8,7 +8,8 @@ digits), so identical configs and seeds reproduce files byte-for-byte.
 Exit codes:
 
     0  completed (simulate), or the campaign or verification finished
-    1  config error
+    1  config error: an unknown key or flag, a value that does not parse, or one out
+       of range (modes, dimension, c_K, nu, mu, dt, dt_max, t_end, s_list, --samples)
     2  simulate ended blowup_detected or max_steps; picard diverged
     3  verify found an unstable ratio
 """
@@ -52,7 +53,6 @@ class RunConfig:
     c_K: float = -1.0
     nu: float = 0.0
     mu: float = 0.0
-    cutoff: str = "bump"
     init: str = "cosine:mean=1,amplitude=0.5,k=1"
     t_end: float = 1.0
     dt_mode: str = "adaptive"
@@ -70,8 +70,6 @@ class RunConfig:
         return TorusGrid(d=self.dimension, n=self.modes)
 
     def params(self) -> ModelParams:
-        if self.cutoff != "bump":
-            raise ConfigError(f"unknown cutoff {self.cutoff!r}")
         return ModelParams(
             alpha_minus_d=self.alpha_minus_d, c_K=self.c_K, nu=self.nu, mu=self.mu
         )
@@ -97,7 +95,15 @@ _FLOAT_KEYS = {
     "alpha_minus_d", "c_K", "nu", "mu", "t_end", "dt", "safety", "dt_max",
     "blowup_threshold",
 }
-_STR_KEYS = {"cutoff", "init", "dt_mode", "out"}
+_STR_KEYS = {"init", "dt_mode", "out"}
+
+
+def _parse_list(text: str, convert, name: str) -> list:
+    """Comma-separated values; one that ``convert`` rejects is a config error."""
+    try:
+        return [convert(v) for v in text.split(",") if v.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"bad value in {name}: {exc}") from exc
 
 
 def _set_key(cfg_dict: dict, key: str, value: str):
@@ -108,35 +114,34 @@ def _set_key(cfg_dict: dict, key: str, value: str):
     elif key in _STR_KEYS:
         cfg_dict[key] = value
     elif key == "s_list":
-        cfg_dict[key] = tuple(float(v) for v in value.split(",") if v.strip())
+        cfg_dict[key] = tuple(_parse_list(value, float, key))
     else:
         raise ConfigError(f"unknown config key {key!r}")
 
 
 def load_config(path: str | None, overrides: list) -> RunConfig:
-    """Read a flat key = value file, then apply (key, value) overrides."""
+    """Read a key = value file, then (key, value) overrides; any bad input is a ConfigError."""
     cfg_dict: dict = {}
-    if path is not None:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key = value")
-                key, value = (part.strip() for part in line.split("=", 1))
-                _set_key(cfg_dict, key, value)
-    for key, value in overrides:
-        _set_key(cfg_dict, key, value)
     try:
+        if path is not None:
+            with open(path) as fh:
+                for lineno, line in enumerate(fh, 1):
+                    line = line.split("#", 1)[0].strip()
+                    if not line:
+                        continue
+                    if "=" not in line:
+                        raise ConfigError(f"{path}:{lineno}: expected key = value")
+                    key, value = (part.strip() for part in line.split("=", 1))
+                    _set_key(cfg_dict, key, value)
+        for key, value in overrides:
+            _set_key(cfg_dict, key, value)
         cfg = RunConfig(**cfg_dict)
+        cfg.grid()
         cfg.params()
         cfg.stepper()
         cfg.initial_condition()
-    except (ValueError, TypeError) as exc:
+    except (OSError, ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
-    if not cfg.s_list:
-        raise ConfigError("s_list must be nonempty")
     return cfg
 
 
@@ -308,9 +313,8 @@ def picard_iteration(cfg: RunConfig, n_max: int) -> dict:
     """
     if cfg.mu <= 0.0:
         raise ConfigError("picard iteration requires mu > 0")
-    p = cfg.params()
     grid = cfg.grid()
-    op = SpectralOperator(grid, p)
+    op = SpectralOperator(grid, cfg.params())
     rho0 = cfg.initial_field()
     c0 = forward_transform(rho0)
     n_steps = max(1, int(round(cfg.t_end / cfg.dt)))
@@ -324,13 +328,13 @@ def picard_iteration(cfg: RunConfig, n_max: int) -> dict:
         for k in range(n_steps):
             a, bb = prev_traj[k], prev_traj[k + 1]
             mid = SpectralField(grid, 0.5 * (a.coeffs + bb.coeffs))
-            u_d = {tau: [op.dealias(u.values) for u in velocity(c, p, op)]
+            u_d = {tau: [op.dealias(u.values) for u in velocity(c, op)]
                    for tau, c in ((0.0, a), (0.5, mid), (1.0, bb))}
 
             def frozen_rhs(arr, tau, u_d=u_d):
                 return op.transport(op.dealiased_values(arr), u_d[tau])
 
-            state = _integrating_factor_rk4(state, dt, p.nu, frozen_rhs, op)
+            state = _integrating_factor_rk4(state, dt, frozen_rhs, op)
             traj.append(state.copy())
         d = l2_norm(SpectralField(grid, state.coeffs - prev_traj[-1].coeffs))
         diffs.append(d)
@@ -353,6 +357,11 @@ def grid_refinement(cfg: RunConfig, n_list) -> list:
     n_list = list(n_list)
     if any(b != 2 * a for a, b in zip(n_list, n_list[1:])):
         raise ConfigError("N values must double")
+    try:
+        for n in n_list:
+            replace(cfg, modes=n).grid()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     finals = {}
     for n in n_list:
         res = run_to_final(replace(cfg, modes=n))
@@ -380,6 +389,8 @@ def verify_suite(selection, seed: int = 0, n: int = 100_000) -> list:
     unknown = [s for s in selection if s not in ESTIMATES]
     if unknown:
         raise ConfigError(f"unknown estimates: {unknown}")
+    if n < 1:
+        raise ConfigError(f"samples must be >= 1, got {n}")
     reports = []
     for name in selection:
         if name == "lemma1":
@@ -481,7 +492,7 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return run_simulation(cfg)
         if args.command == "mu-converge":
-            mu_list = [float(v) for v in args.mu_list.split(",") if v.strip()]
+            mu_list = _parse_list(args.mu_list, float, "--mu-list")
             rows = mu_convergence(cfg, mu_list)
             os.makedirs(cfg.out, exist_ok=True)
             path = os.path.join(cfg.out, "mu_convergence.csv")
@@ -508,7 +519,7 @@ def main(argv=None) -> int:
                 return 2
             return 0
         if args.command == "refine":
-            n_list = [int(v) for v in args.n_list.split(",") if v.strip()]
+            n_list = _parse_list(args.n_list, int, "--n-list")
             rows = grid_refinement(cfg, n_list)
             os.makedirs(cfg.out, exist_ok=True)
             with open(os.path.join(cfg.out, "refinement.csv"), "w") as fh:

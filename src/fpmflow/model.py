@@ -11,9 +11,9 @@ chi(mu |xi|) with a smooth cutoff chi supported in [0, 1].
 Diffusion is handled exactly by the integrating factor in the stepper, so
 ``nonlinear_rhs`` returns only -div(rho u) in coefficient space.
 
-The fixed multipliers of a run live in one :class:`SpectralOperator`, which
-works in rfft layout; states stay full-layout :class:`SpectralField` s.  The
-functions that take an optional ``op`` build a throwaway operator without it.
+A run builds one :class:`SpectralOperator` (its params as ``op.p``, its fixed
+multipliers in rfft layout) and passes it to ``velocity``, ``nonlinear_rhs``
+and the stepper; states stay full-layout :class:`SpectralField` s.
 """
 
 from __future__ import annotations
@@ -24,13 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import (
-    BUMP_CUTOFF,
-    CutoffSpec,
     RealField,
     SpectralError,
     SpectralField,
     TorusGrid,
     apply_multiplier,
+    bump,
     dealias_mask,
     forward_transform,
     fractional_power,
@@ -47,23 +46,23 @@ class ModelParams:
     alpha_minus_d : kernel exponent in [-2, 0].
     c_K           : interaction strength (c_K < 0 repulsive).
     nu            : diffusion coefficient, >= 0.
-    mu            : regularization scale, 0 disables the cutoff.
-    cutoff        : smooth cutoff used when mu > 0.
+    mu            : regularization scale, 0 disables the bump cutoff.
     """
 
     alpha_minus_d: float
     c_K: float
     nu: float = 0.0
     mu: float = 0.0
-    cutoff: CutoffSpec = BUMP_CUTOFF
 
     def __post_init__(self):
         if not (-2.0 <= self.alpha_minus_d <= 0.0):
             raise ValueError(f"alpha_minus_d must lie in [-2, 0], got {self.alpha_minus_d}")
-        if self.nu < 0.0:
-            raise ValueError(f"nu must be nonnegative, got {self.nu}")
-        if self.mu < 0.0:
-            raise ValueError(f"mu must be nonnegative, got {self.mu}")
+        if not math.isfinite(self.c_K):
+            raise ValueError(f"c_K must be finite, got {self.c_K}")
+        if not 0.0 <= self.nu < math.inf:
+            raise ValueError(f"nu must be finite and nonnegative, got {self.nu}")
+        if not 0.0 <= self.mu < math.inf:
+            raise ValueError(f"mu must be finite and nonnegative, got {self.mu}")
 
     @property
     def b(self) -> float:
@@ -74,16 +73,16 @@ class ModelParams:
 def velocity_symbol(kv: np.ndarray, p: ModelParams) -> np.ndarray:
     """Scalar part of the velocity multiplier on wavevectors kv of shape (..., d).
 
-    |xi|^{alpha-d} chi(mu |xi|), 0 at xi = 0; the cutoff applies only when mu > 0.
+    |xi|^{alpha-d} bump(mu |xi|), 0 at xi = 0; the cutoff applies only when mu > 0.
     """
-    sym = fractional_power(p.alpha_minus_d).symbol(kv)
+    sym = fractional_power(p.alpha_minus_d)(kv)
     if p.mu > 0.0:
-        sym = sym * p.cutoff.chi(p.mu * np.sqrt(np.sum(kv * kv, axis=-1)))
+        sym = sym * bump(p.mu * np.sqrt(np.sum(kv * kv, axis=-1)))
     return sym
 
 
 class SpectralOperator:
-    """The fixed Fourier multipliers of one run, in rfft layout.
+    """The parameters and fixed Fourier multipliers of one run, in rfft layout.
 
     rfft layout keeps the last axis at wavenumbers 0..N/2; the other half
     follows from Hermitian symmetry.  Every transform here is a real FFT with
@@ -93,6 +92,7 @@ class SpectralOperator:
 
     Attributes (rfft layout unless noted):
 
+    p             : the run's :class:`ModelParams`.
     mask          : 2/3-rule dealias mask.
     neg_div       : -i xi_j on the dealiased band, one per component.
     vel           : velocity multipliers c_K |xi|^{alpha-d} chi(mu |xi|) i xi_j,
@@ -104,6 +104,7 @@ class SpectralOperator:
 
     def __init__(self, grid: TorusGrid, p: ModelParams):
         self.grid = grid
+        self.p = p
         half = grid.n // 2 + 1
         self.mag2 = grid.wavenumber_magnitude() ** 2
         kv = grid.wavevectors()[..., :half, :]
@@ -165,25 +166,16 @@ class SpectralOperator:
         return self.full(acc)
 
 
-def velocity(rho_hat: SpectralField, p: ModelParams,
-             op: SpectralOperator | None = None) -> list:
+def velocity(rho_hat: SpectralField, op: SpectralOperator) -> list:
     """u = c_K Lambda^{alpha-d} grad rho (regularized when mu > 0), one RealField per component."""
-    if op is None:
-        op = SpectralOperator(rho_hat.grid, p)
     h = op.half(rho_hat.coeffs)
     return [RealField(rho_hat.grid, op.physical(m * h)) for m in op.vel]
 
 
-def nonlinear_rhs(rho_hat: SpectralField, p: ModelParams,
-                  op: SpectralOperator | None = None) -> SpectralField:
-    """Nonlinear part of d/dt rho_hat: -(div(rho u))^; diffusion handled elsewhere.
-
-    With the run's operator ``op`` this costs 1 + 2d real FFTs.
-    """
+def nonlinear_rhs(rho_hat: SpectralField, op: SpectralOperator) -> SpectralField:
+    """-(div(rho u))^ in 1 + 2d real FFTs; the stepper handles diffusion exactly."""
     if not np.all(np.isfinite(rho_hat.coeffs)):
         raise SpectralError("non-finite coefficients in state")
-    if op is None:
-        op = SpectralOperator(rho_hat.grid, p)
     h = op.half(rho_hat.coeffs)
     rho_d = op.dealiased_values(rho_hat.coeffs)
     u_d = [op.physical(m * h) for m in op.vel_dealiased]

@@ -9,6 +9,8 @@ i.e. c_0 is the mean of the field and the physical L2 norm equals
 (2pi)^{d/2} times the l2 norm of the coefficients.  Coefficient arrays are
 stored in numpy FFT ordering (wavenumbers 0, 1, ..., N/2-1, -N/2, ..., -1
 along each axis).
+A Fourier multiplier is its symbol, a function of the wavenumbers applied to
+every mode: its value at xi = 0 is what the multiplier does to the mean.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ class SymmetryError(SpectralError):
 
 # Relative imaginary residue tolerated when transforming back to physical space.
 HERMITIAN_RTOL = 1e-10
+
+Symbol = Callable[[np.ndarray], np.ndarray]  # of a wavenumber array of shape (..., d)
 
 
 @dataclass(frozen=True)
@@ -101,10 +105,6 @@ class RealField:
                 f"value shape {self.values.shape} does not match grid {self.grid.shape}"
             )
 
-    def check_finite(self):
-        if not np.all(np.isfinite(self.values)):
-            raise SpectralError("field contains non-finite values")
-
 
 @dataclass
 class SpectralField:
@@ -124,27 +124,8 @@ class SpectralField:
         return SpectralField(self.grid, self.coeffs.copy())
 
 
-@dataclass(frozen=True)
-class MultiplierSpec:
-    """Fourier multiplier: symbol on nonzero modes plus an explicit zero-mode value.
-
-    ``symbol`` is evaluated vectorized on a wavenumber array of shape
-    (..., d) and must return finite values at every nonzero lattice point.
-    """
-
-    symbol: Callable[[np.ndarray], np.ndarray]
-    zero_mode_rule: complex = 0.0
-
-
-@dataclass(frozen=True)
-class CutoffSpec:
-    """Smooth cutoff chi >= 0 supported in [0, 1] with chi(0) = 1."""
-
-    chi: Callable[[np.ndarray], np.ndarray]
-    name: str = "bump"
-
-
-def _bump(r: np.ndarray) -> np.ndarray:
+def bump(r: np.ndarray) -> np.ndarray:
+    """Smooth cutoff chi(r) = exp(1 - 1/(1 - r^2)) on [0, 1), zero outside; chi(0) = 1."""
     r = np.asarray(r, dtype=np.float64)
     out = np.zeros_like(r)
     inside = np.abs(r) < 1.0
@@ -153,13 +134,10 @@ def _bump(r: np.ndarray) -> np.ndarray:
     return out
 
 
-#: Default cutoff: chi(r) = exp(1 - 1/(1 - r^2)) on [0, 1), zero outside.
-BUMP_CUTOFF = CutoffSpec(chi=_bump, name="bump")
-
-
 def forward_transform(f: RealField) -> SpectralField:
     """Physical values -> Fourier coefficients (c_0 is the mean)."""
-    f.check_finite()
+    if not np.all(np.isfinite(f.values)):
+        raise SpectralError("field contains non-finite values")
     coeffs = np.fft.fftn(f.values) / f.grid.npoints
     return SpectralField(f.grid, coeffs)
 
@@ -181,39 +159,32 @@ def field_from_function(grid: TorusGrid, fn) -> RealField:
     return RealField(grid, np.asarray(fn(*grid.points()), dtype=np.float64))
 
 
-def apply_multiplier(F: SpectralField, m: MultiplierSpec) -> SpectralField:
-    """Scale coefficients pointwise by the symbol; zero mode follows the rule."""
-    kv = F.grid.wavevectors()
-    sym = np.asarray(m.symbol(kv))
-    out = F.coeffs * sym
-    zero = (0,) * F.grid.d
-    out[zero] = m.zero_mode_rule * F.coeffs[zero]
-    return SpectralField(F.grid, out)
+def apply_multiplier(F: SpectralField, symbol: Symbol) -> SpectralField:
+    """Scale every coefficient, the zero mode included, by the symbol's value."""
+    return SpectralField(F.grid, F.coeffs * symbol(F.grid.wavevectors()))
 
 
-def fractional_power(s: float) -> MultiplierSpec:
-    """Multiplier |xi|^s on nonzero modes, zero at the zero mode.
+def fractional_power(s: float) -> Symbol:
+    """Symbol |xi|^s on nonzero modes, 0 at the zero mode.
 
-    Every |xi|^s with that zero-mode rule in the package goes through ``symbol``.
+    Every |xi|^s with that zero-mode rule in the package is this symbol.
     """
 
     def symbol(kv):
         mag = np.sqrt(np.sum(kv * kv, axis=-1))
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(mag > 0.0, mag ** s, 0.0)
-        return out
+            return np.where(mag > 0.0, mag ** s, 0.0)
 
-    return MultiplierSpec(symbol=symbol, zero_mode_rule=0.0)
+    return symbol
 
 
-def heat_multiplier(t: float) -> MultiplierSpec:
-    """Multiplier exp(-t |xi|^2); zero mode 1 (mean preserved exactly)."""
+def heat_multiplier(t: float) -> Symbol:
+    """Symbol exp(-t |xi|^2); exactly 1 at the zero mode, so the mean is kept."""
 
     def symbol(kv):
-        mag2 = np.sum(kv * kv, axis=-1)
-        return np.exp(-t * mag2)
+        return np.exp(-t * np.sum(kv * kv, axis=-1))
 
-    return MultiplierSpec(symbol=symbol, zero_mode_rule=1.0)
+    return symbol
 
 
 def dealias_mask(grid: TorusGrid) -> np.ndarray:

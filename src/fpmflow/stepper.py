@@ -36,8 +36,12 @@ class StepperConfig:
     s_list: tuple = (4.0,)           # Sobolev exponents tracked per sample
 
     def __post_init__(self):
-        if self.t_end <= 0.0:
-            raise ValueError("t_end must be positive")
+        if not 0.0 < self.t_end < math.inf:
+            raise ValueError(f"t_end must be finite and positive, got {self.t_end}")
+        if not (self.dt > 0.0 and self.dt_max > 0.0):  # dt_max = inf is no cap
+            raise ValueError(f"dt and dt_max must be positive, got {self.dt}, {self.dt_max}")
+        if not (self.s_list and all(s >= -2.0 for s in self.s_list)):
+            raise ValueError(f"s_list must be nonempty with every s >= -2, got {self.s_list}")
         if not (0.0 < self.safety <= 1.0):
             raise ValueError("safety must lie in (0, 1]")
         if self.max_steps < 1:
@@ -61,39 +65,37 @@ class FinalState:
                                      # keep_states was set, else empty
 
 
-def cfl_dt(state: SpectralField, p: ModelParams, safety: float,
-           dt_max: float = math.inf, op: Optional[SpectralOperator] = None) -> float:
+def cfl_dt(state: SpectralField, op: SpectralOperator, safety: float,
+           dt_max: float = math.inf) -> float:
     """Stability surrogate: dt from the transport speed and the operator order.
 
     The nonlinearity carries 2 - 2b derivatives, giving the grid-power
     constraint dx^{max(1, 2-2b)}; diffusion is exact and imposes none.
     """
-    if op is None:
-        op = SpectralOperator(state.grid, p)
     dx = state.grid.dx
-    u = velocity(state, p, op)
+    u = velocity(state, op)
     umax = max(float(np.max(np.abs(c.values))) for c in u)
     rho_max = float(np.max(np.abs(op.physical(op.half(state.coeffs)))))
-    expo = max(1.0, 2.0 - 2.0 * p.b)
+    expo = max(1.0, 2.0 - 2.0 * op.p.b)
     dt = safety * min(
         dx / (EPS0 + umax),
-        dx ** expo / (EPS0 + abs(p.c_K) * rho_max),
+        dx ** expo / (EPS0 + abs(op.p.c_K) * rho_max),
     )
     return min(dt, dt_max)
 
 
-def _integrating_factor_rk4(state: SpectralField, dt: float, nu: float,
+def _integrating_factor_rk4(state: SpectralField, dt: float,
                             rhs: Callable[[np.ndarray, float], np.ndarray],
                             op: SpectralOperator) -> SpectralField:
     """One RK4 step of d/dt c = -nu |xi|^2 c + rhs(c, tau), diffusion exact.
 
     ``rhs`` receives stage coefficients and the stage time as a fraction
-    tau in {0, 1/2, 1} of the step.  At nu = 0 the factors are exactly 1.
+    tau in {0, 1/2, 1} of the step.  At nu = op.p.nu = 0 the factors are 1.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    e_full = np.exp(-nu * op.mag2 * dt)
-    e_half = np.exp(-nu * op.mag2 * (dt / 2.0))
+    e_full = np.exp(-op.p.nu * op.mag2 * dt)
+    e_half = np.exp(-op.p.nu * op.mag2 * (dt / 2.0))
     c = state.coeffs
     k1 = rhs(c, 0.0)
     k2 = rhs(e_half * (c + 0.5 * dt * k1), 0.5)
@@ -103,17 +105,13 @@ def _integrating_factor_rk4(state: SpectralField, dt: float, nu: float,
     return SpectralField(state.grid, new)
 
 
-def step(state: SpectralField, dt: float, p: ModelParams,
-         op: Optional[SpectralOperator] = None) -> SpectralField:
+def step(state: SpectralField, dt: float, op: SpectralOperator) -> SpectralField:
     """One integrating-factor RK4 step of size dt: four RHS, 4 (1 + 2d) real FFTs."""
-    grid = state.grid
-    if op is None:
-        op = SpectralOperator(grid, p)
 
     def rhs(arr, tau):
-        return nonlinear_rhs(SpectralField(grid, arr), p, op).coeffs
+        return nonlinear_rhs(SpectralField(state.grid, arr), op).coeffs
 
-    return _integrating_factor_rk4(state, dt, p.nu, rhs, op)
+    return _integrating_factor_rk4(state, dt, rhs, op)
 
 
 def integrate(rho0: RealField, p: ModelParams, cfg: StepperConfig,
@@ -168,10 +166,10 @@ def integrate(rho0: RealField, p: ModelParams, cfg: StepperConfig,
             if cfg.dt_mode == "fixed":
                 dt = cfg.dt
             else:
-                dt = cfl_dt(state, p, cfg.safety, cfg.dt_max, op)
+                dt = cfl_dt(state, op, cfg.safety, cfg.dt_max)
             dt = min(dt, cfg.t_end - t)
             try:
-                state = step(state, dt, p, op)
+                state = step(state, dt, op)
             except SpectralError:  # a stage went non-finite; the last state stays
                 reason = "blowup_detected"
                 break

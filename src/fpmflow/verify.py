@@ -272,8 +272,8 @@ def _commutator_lhs(grid: TorusGrid, f: np.ndarray, g: np.ndarray, b: float,
     kv = grid.wavevectors()[..., : grid.n // 2 + 1, :]
     mask = dealias_mask(grid)[..., : grid.n // 2 + 1]
     ik = [np.where(mask, 1j * kv[..., j], 0.0) for j in range(grid.d)]
-    lam = fractional_power(-b).symbol(kv)
-    lam2 = fractional_power(-b - 2.0).symbol(kv)
+    lam = fractional_power(-b)(kv)
+    lam2 = fractional_power(-b - 2.0)(kv)
 
     def spec(v):
         return np.fft.rfftn(v, axes=axes, norm="forward")

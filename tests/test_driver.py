@@ -333,6 +333,31 @@ class TestCli:
         assert rc == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--config", "heat.cfg", "--modes", "7"],
+        ["simulate", "--config", "heat.cfg", "--dimension", "3"],
+        ["simulate", "--config", "heat.cfg", "--modes", "abc"],
+        ["simulate", "--config", "heat.cfg", "--dt_mode", "fixed", "--dt", "0"],
+        ["simulate", "--config", "heat.cfg", "--dt", "-1"],
+        ["simulate", "--config", "repulsive_inviscid.cfg", "--dt_max", "0"],
+        ["simulate", "--config", "heat.cfg", "--s_list", "-3"],
+        ["simulate", "--config", "heat.cfg", "--s_list", "a"],
+        ["simulate", "--config", "heat.cfg", "--t_end", "nan", "--max_steps", "10"],
+        ["simulate", "--config", "heat.cfg", "--c_K", "nan"],
+        ["simulate", "--config", "heat.cfg", "--nu", "nan"],
+        ["simulate", "--config", "heat.cfg", "--mu", "inf"],
+        ["simulate", "--config", "heat.cfg", "--cutoff", "bump"],
+        ["simulate", "--config", "no_such.cfg"],
+        ["picard", "--config", "repulsive_inviscid.cfg", "--mu", "0.25", "--dt", "0"],
+        ["mu-converge", "--config", "heat.cfg", "--mu-list", "abc"],
+        ["refine", "--config", "heat.cfg", "--n-list", "6,12"],
+        ["verify", "--samples", "-4", "--select", "lemma1"],
+    ], ids=" ".join)
+    def test_bad_value_is_config_error(self, tmp_path, capsys, argv):
+        argv = [os.path.join(CONFIG_DIR, a) if a.endswith(".cfg") else a for a in argv]
+        assert main(argv + ["--out", str(tmp_path / "x")]) == 1
+        assert "config error" in capsys.readouterr().err
+
     def test_verify_exit_zero(self, tmp_path, capsys):
         rc = main(["verify", "--select", "antisymmetry", "--samples", "100",
                    "--out", str(tmp_path / "v")])

@@ -71,14 +71,15 @@ class TestVelocity:
         g = TorusGrid(d=1, n=32)
         p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0)
         rho = field_from_function(g, lambda x: 1 + 0.1 * np.cos(x))
-        u = velocity(forward_transform(rho), p)
+        u = velocity(forward_transform(rho), SpectralOperator(g, p))
         ref = 0.1 * np.sin(g.points()[0])
         assert np.max(np.abs(u[0].values - ref)) < 1e-14
 
     def test_constant_gives_zero(self):
         g = TorusGrid(d=1, n=16)
         p = ModelParams(alpha_minus_d=-1.0, c_K=3.0)
-        u = velocity(forward_transform(RealField(g, np.full(16, 2.0))), p)
+        F = forward_transform(RealField(g, np.full(16, 2.0)))
+        u = velocity(F, SpectralOperator(g, p))
         assert np.max(np.abs(u[0].values)) < 1e-15
 
     def test_mode_two_symbol_arithmetic(self):
@@ -86,7 +87,7 @@ class TestVelocity:
         g = TorusGrid(d=1, n=32)
         p = ModelParams(alpha_minus_d=-2.0, c_K=1.0)
         rho = field_from_function(g, lambda x: 1 + 0.1 * np.cos(2 * x))
-        u = velocity(forward_transform(rho), p)
+        u = velocity(forward_transform(rho), SpectralOperator(g, p))
         ref = -0.05 * np.sin(2 * g.points()[0])
         assert np.max(np.abs(u[0].values - ref)) < 1e-14
 
@@ -96,11 +97,11 @@ class TestVelocity:
         F = forward_transform(random_real_field(g, rng))
         p1 = ModelParams(alpha_minus_d=-1.0, c_K=-2.0)
         p2 = ModelParams(alpha_minus_d=-1.0, c_K=-1.0)
-        u1 = velocity(F, p1)[0].values
-        u2 = velocity(F, p2)[0].values
+        u1 = velocity(F, SpectralOperator(g, p1))[0].values
+        u2 = velocity(F, SpectralOperator(g, p2))[0].values
         assert np.max(np.abs(u1 - 2.0 * u2)) < 1e-13
         G = SpectralField(g, 3.0 * F.coeffs)
-        assert np.max(np.abs(velocity(G, p2)[0].values - 3.0 * u2)) < 1e-12
+        assert np.max(np.abs(velocity(G, SpectralOperator(g, p2))[0].values - 3.0 * u2)) < 1e-12
 
     def test_local_endpoint(self):
         # b = 0: u = c_K grad rho exactly
@@ -109,7 +110,7 @@ class TestVelocity:
         f = random_real_field(g, rng, decay=3.0, mean=2.0)
         p = ModelParams(alpha_minus_d=0.0, c_K=-1.5)
         F = forward_transform(f)
-        u = velocity(F, p)[0].values
+        u = velocity(F, SpectralOperator(g, p))[0].values
         k = g.axis_wavenumbers()
         deriv = np.where(k == -g.n // 2, 0.0, 1j * k * F.coeffs)
         grad = inverse_transform(SpectralField(g, deriv)).values
@@ -119,11 +120,12 @@ class TestVelocity:
         g = TorusGrid(d=1, n=64)
         rho = field_from_function(g, lambda x: 1 + 0.4 * np.cos(x) + 0.2 * np.cos(3 * x))
         F = forward_transform(rho)
-        base = velocity(F, ModelParams(alpha_minus_d=-1.0, c_K=-1.0))[0].values
+        op = SpectralOperator(g, ModelParams(alpha_minus_d=-1.0, c_K=-1.0))
+        base = velocity(F, op)[0].values
         errs = []
         for mu in (1.0, 0.5, 0.25, 0.125):
             p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0, mu=mu)
-            errs.append(np.max(np.abs(velocity(F, p)[0].values - base)))
+            errs.append(np.max(np.abs(velocity(F, SpectralOperator(g, p))[0].values - base)))
         assert all(b < a for a, b in zip(errs, errs[1:]))
 
     def test_2d_components(self):
@@ -131,7 +133,7 @@ class TestVelocity:
         p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0)
         x, y = g.points()
         rho = RealField(g, 1 + 0.1 * np.cos(x))
-        u = velocity(forward_transform(rho), p)
+        u = velocity(forward_transform(rho), SpectralOperator(g, p))
         assert len(u) == 2
         assert np.max(np.abs(u[0].values - 0.1 * np.sin(x))) < 1e-13
         assert np.max(np.abs(u[1].values)) < 1e-13
@@ -185,14 +187,16 @@ class TestNonlinearRhs:
     def test_constant_rho(self):
         g = TorusGrid(d=1, n=16)
         p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0)
-        out = nonlinear_rhs(forward_transform(RealField(g, np.full(16, 2.0))), p)
+        F = forward_transform(RealField(g, np.full(16, 2.0)))
+        out = nonlinear_rhs(F, SpectralOperator(g, p))
         assert np.max(np.abs(out.coeffs)) < 1e-14
 
     def test_zero_interaction(self):
         rng = np.random.default_rng(12)
         g = TorusGrid(d=1, n=32)
         p = ModelParams(alpha_minus_d=-1.0, c_K=0.0)
-        out = nonlinear_rhs(forward_transform(random_real_field(g, rng, mean=1.0)), p)
+        out = nonlinear_rhs(forward_transform(random_real_field(g, rng, mean=1.0)),
+                            SpectralOperator(g, p))
         assert np.max(np.abs(out.coeffs)) < 1e-14
 
     def test_single_mode_vs_oracle(self):
@@ -200,8 +204,9 @@ class TestNonlinearRhs:
         p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0)
         rho = field_from_function(g, lambda x: 1 + 0.01 * np.cos(x))
         F = forward_transform(rho)
-        out = nonlinear_rhs(F, p).coeffs
-        u_hats = [forward_transform(c).coeffs for c in velocity(F, p)]
+        op = SpectralOperator(g, p)
+        out = nonlinear_rhs(F, op).coeffs
+        u_hats = [forward_transform(c).coeffs for c in velocity(F, op)]
         ref = -naive_flux_divergence(F, u_hats, g)
         assert np.max(np.abs(out - ref)) < 1e-12
 
@@ -211,7 +216,7 @@ class TestNonlinearRhs:
         c = np.zeros(16, dtype=complex)
         c[0] = np.nan
         with pytest.raises(Exception):
-            nonlinear_rhs(SpectralField(g, c), p)
+            nonlinear_rhs(SpectralField(g, c), SpectralOperator(g, p))
 
 
 def complex_fft_rhs(F, p):
@@ -251,7 +256,7 @@ class TestSpectralOperator:
         g = TorusGrid(d=2, n=32)
         p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0, mu=mu)
         F = forward_transform(random_real_field(g, rng, mean=1.0))
-        out = nonlinear_rhs(F, p).coeffs
+        out = nonlinear_rhs(F, SpectralOperator(g, p)).coeffs
         ref = complex_fft_rhs(F, p)
         assert np.max(np.abs(out - ref)) < 1e-13 * np.max(np.abs(ref))
 
@@ -261,7 +266,7 @@ class TestSpectralOperator:
         g = TorusGrid(d=d, n=32)
         p = ModelParams(alpha_minus_d=-0.5, c_K=1.0, mu=0.1)
         F = forward_transform(random_real_field(g, rng, mean=1.0))
-        assert is_hermitian(nonlinear_rhs(F, p).coeffs)
+        assert is_hermitian(nonlinear_rhs(F, SpectralOperator(g, p)).coeffs)
 
 
 class TestMollify:

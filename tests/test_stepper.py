@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from fpmflow.model import ModelParams
+from fpmflow.model import ModelParams, SpectralOperator
 from fpmflow.spectral import (
     RealField,
     TorusGrid,
@@ -46,7 +46,7 @@ class TestStep:
         g = TorusGrid(d=1, n=32)
         p = ModelParams(alpha_minus_d=-1.0, c_K=0.0, nu=1.0)
         F = forward_transform(cosine_data(g))
-        out = step(F, 0.37, p)
+        out = step(F, 0.37, SpectralOperator(g, p))
         assert out.coeffs[1] == pytest.approx(F.coeffs[1] * math.exp(-0.37), rel=1e-14)
         assert out.coeffs[0] == pytest.approx(F.coeffs[0], rel=1e-15)
 
@@ -54,14 +54,14 @@ class TestStep:
         g = TorusGrid(d=1, n=32)
         p = ModelParams(alpha_minus_d=-1.0, c_K=0.0, nu=0.0)
         F = forward_transform(cosine_data(g))
-        out = step(F, 0.1, p)
+        out = step(F, 0.1, SpectralOperator(g, p))
         assert np.array_equal(out.coeffs, F.coeffs)
 
     def test_invalid_dt(self):
         g = TorusGrid(d=1, n=32)
         p = ModelParams(alpha_minus_d=-1.0, c_K=0.0)
         with pytest.raises(ValueError):
-            step(forward_transform(cosine_data(g)), -0.1, p)
+            step(forward_transform(cosine_data(g)), -0.1, SpectralOperator(g, p))
 
     @pytest.mark.parametrize("d, expected", [(1, 12), (2, 20)])
     def test_fft_count(self, monkeypatch, d, expected):
@@ -69,8 +69,9 @@ class TestStep:
         g = TorusGrid(d=d, n=32)
         p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0, nu=0.1)
         F = forward_transform(random_real_field(g, np.random.default_rng(3), mean=1.0))
+        op = SpectralOperator(g, p)
         counter = count_ffts(monkeypatch)
-        step(F, 1e-3, p)
+        step(F, 1e-3, op)
         assert counter["calls"] == expected
 
     def test_grid_refinement_agreement(self):
@@ -81,7 +82,7 @@ class TestStep:
             g = TorusGrid(d=1, n=n)
             F = forward_transform(field_from_function(
                 g, lambda x: 1 + 0.3 * np.cos(x) + 0.1 * np.cos(2 * x)))
-            outs[n] = np.fft.fftshift(step(F, 1e-3, p).coeffs)
+            outs[n] = np.fft.fftshift(step(F, 1e-3, SpectralOperator(g, p)).coeffs)
         coarse = outs[32]
         fine = outs[64][16:48]
         # compare inside the coarse dealias band only
@@ -95,7 +96,7 @@ class TestCflDt:
         g = TorusGrid(d=1, n=32)
         p = ModelParams(alpha_minus_d=-1.0, c_K=0.0)
         F = forward_transform(RealField(g, np.zeros(32)))
-        assert cfl_dt(F, p, safety=0.5, dt_max=0.05) == 0.05
+        assert cfl_dt(F, SpectralOperator(g, p), safety=0.5, dt_max=0.05) == 0.05
 
     def test_transport_exponent_b1(self):
         # b = 1: grid exponent max(1, 0) = 1, dt scales linearly in dx
@@ -104,7 +105,7 @@ class TestCflDt:
         for n in (32, 64):
             g = TorusGrid(d=1, n=n)
             F = forward_transform(cosine_data(g, 0.5))
-            dts[n] = cfl_dt(F, p, safety=1.0, dt_max=np.inf)
+            dts[n] = cfl_dt(F, SpectralOperator(g, p), safety=1.0, dt_max=np.inf)
         assert dts[32] / dts[64] == pytest.approx(2.0, rel=0.05)
 
     def test_diffusive_exponent_b0(self):
@@ -115,7 +116,7 @@ class TestCflDt:
             g = TorusGrid(d=1, n=n)
             # small amplitude so the rho-based constraint dominates
             F = forward_transform(cosine_data(g, 1e-6))
-            dts[n] = cfl_dt(F, p, safety=1.0, dt_max=np.inf)
+            dts[n] = cfl_dt(F, SpectralOperator(g, p), safety=1.0, dt_max=np.inf)
         assert dts[32] / dts[64] == pytest.approx(4.0, rel=0.05)
 
 
