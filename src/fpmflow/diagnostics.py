@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, velocity_symbol
-from .spectral import SpectralField, fractional_power
+from .spectral import SpectralField, fractional_power, sobolev_weight
 
 TWO_PI = 2.0 * math.pi
 
@@ -63,16 +63,6 @@ def mass(F: SpectralField) -> float:
     return TWO_PI ** F.grid.d * float(F.coeffs.flat[0].real)
 
 
-def _sobolev_weight(mag2: np.ndarray, s: float, homogeneous: bool) -> np.ndarray:
-    """|xi|^{2s} (zero at xi = 0) when homogeneous, else (1 + |xi|^2)^s."""
-    if s < -2.0:
-        raise ValueError(f"s must be >= -2, got {s}")
-    if homogeneous:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(mag2 > 0.0, mag2 ** s, 0.0)
-    return (1.0 + mag2) ** s
-
-
 def _weighted_norm(d: int, w: np.ndarray, p2: np.ndarray) -> float:
     """sqrt((2pi)^d sum w |c|^2), given the squared moduli p2 = |c|^2."""
     return math.sqrt(TWO_PI ** d * float(np.sum(w * p2)))
@@ -80,9 +70,8 @@ def _weighted_norm(d: int, w: np.ndarray, p2: np.ndarray) -> float:
 
 def sobolev_norm(F: SpectralField, s: float, homogeneous: bool = False) -> float:
     """H^s (or homogeneous Hdot^s) norm under the series convention."""
-    mag2 = F.grid.wavenumber_magnitude() ** 2
-    return _weighted_norm(F.grid.d, _sobolev_weight(mag2, s, homogeneous),
-                          np.abs(F.coeffs) ** 2)
+    w = sobolev_weight(F.grid.wavenumber_magnitude(), s, homogeneous)
+    return _weighted_norm(F.grid.d, w, np.abs(F.coeffs) ** 2)
 
 
 def _blowup_functionals(mag: np.ndarray, absc: np.ndarray) -> tuple:
@@ -280,11 +269,10 @@ class EnergyResidualKernel:
             raise ValueError("energy residual identity requires nu = 0")
         kv = grid.wavevectors()
         m = velocity_symbol(kv, p)
-        w = fractional_power(2.0 * s)(kv)
+        self.weight = w = sobolev_weight(grid.wavenumber_magnitude(), s, True)
         self.b = [_padded(-1j * m * kv[..., j], rfft=True) for j in range(grid.d)]
         self.a_L2 = [_padded(-1j * kv[..., j], rfft=True) for j in range(grid.d)]
         self.a_Hs = [_padded(-1j * w * kv[..., j], rfft=True) for j in range(grid.d)]
-        self.weight = _sobolev_weight(grid.wavenumber_magnitude() ** 2, s, True)
         self._scale = p.c_K * TWO_PI ** grid.d
         self._shape = (3 * grid.n // 2,) * grid.d
         self._axes = tuple(range(grid.d))
@@ -348,11 +336,10 @@ def make_record(t: float, F: SpectralField, rho_values: np.ndarray,
     """
     d = F.grid.d
     mag = F.grid.wavenumber_magnitude()
-    mag2 = mag ** 2
     absc = np.abs(F.coeffs)
     p2 = absc ** 2
     hs = {
-        float(s): tuple(_weighted_norm(d, _sobolev_weight(mag2, s, hom), p2)
+        float(s): tuple(_weighted_norm(d, sobolev_weight(mag, s, hom), p2)
                         for hom in (True, False))
         for s in s_list
     }

@@ -9,7 +9,8 @@ Exit codes:
 
     0  completed (simulate), or the campaign or verification finished
     1  config error: an unknown key or flag, a value that does not parse, or one out
-       of range (modes, dimension, c_K, nu, mu, dt, dt_max, t_end, s_list, --samples)
+       of range (modes, dimension, c_K, nu, mu, dt, dt_max, t_end, s_list, seed,
+       blowup_threshold, --samples, --n-max; mu-converge also max(s_list) < -1)
     2  simulate ended blowup_detected or max_steps; picard diverged
     3  verify found an unstable ratio
 """
@@ -20,7 +21,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .spectral import (
     RealField,
     SpectralField,
     TorusGrid,
+    dealias_mask,
     forward_transform,
     inverse_transform,
     l2_norm,
@@ -70,17 +72,10 @@ class RunConfig:
         return TorusGrid(d=self.dimension, n=self.modes)
 
     def params(self) -> ModelParams:
-        return ModelParams(
-            alpha_minus_d=self.alpha_minus_d, c_K=self.c_K, nu=self.nu, mu=self.mu
-        )
+        return ModelParams(**{f.name: getattr(self, f.name) for f in fields(ModelParams)})
 
     def stepper(self) -> StepperConfig:
-        return StepperConfig(
-            t_end=self.t_end, dt_mode=self.dt_mode, dt=self.dt, safety=self.safety,
-            dt_max=self.dt_max, max_steps=self.max_steps,
-            blowup_threshold=self.blowup_threshold, sample_every=self.sample_every,
-            s_list=tuple(self.s_list),
-        )
+        return StepperConfig(**{f.name: getattr(self, f.name) for f in fields(StepperConfig)})
 
     def initial_condition(self) -> InitialCondition:
         return parse_init(self.init, self.seed)
@@ -88,14 +83,6 @@ class RunConfig:
     def initial_field(self) -> RealField:
         rho0 = self.initial_condition().build(self.grid())
         return mollify_initial(rho0, self.mu)
-
-
-_INT_KEYS = {"dimension", "modes", "max_steps", "sample_every", "seed"}
-_FLOAT_KEYS = {
-    "alpha_minus_d", "c_K", "nu", "mu", "t_end", "dt", "safety", "dt_max",
-    "blowup_threshold",
-}
-_STR_KEYS = {"init", "dt_mode", "out"}
 
 
 def _parse_list(text: str, convert, name: str) -> list:
@@ -107,16 +94,11 @@ def _parse_list(text: str, convert, name: str) -> list:
 
 
 def _set_key(cfg_dict: dict, key: str, value: str):
-    if key in _INT_KEYS:
-        cfg_dict[key] = int(value)
-    elif key in _FLOAT_KEYS:
-        cfg_dict[key] = float(value)
-    elif key in _STR_KEYS:
-        cfg_dict[key] = value
-    elif key == "s_list":
-        cfg_dict[key] = tuple(_parse_list(value, float, key))
-    else:
+    """Parse value as the type of RunConfig's default for key (a tuple: floats)."""
+    kind = {f.name: type(f.default) for f in fields(RunConfig)}.get(key)
+    if kind is None:
         raise ConfigError(f"unknown config key {key!r}")
+    cfg_dict[key] = tuple(_parse_list(value, float, key)) if kind is tuple else kind(value)
 
 
 def load_config(path: str | None, overrides: list) -> RunConfig:
@@ -168,6 +150,8 @@ def parse_init(spec: str, seed: int = 0) -> InitialCondition:
             raise ConfigError(f"unknown init parameter {key!r}")
     if kind not in ("cosine", "gaussian", "random"):
         raise ConfigError(f"unknown init kind {kind!r}")
+    if kwargs["seed"] < 0:
+        raise ConfigError(f"seed must be non-negative, got {kwargs['seed']}")
     try:
         return InitialCondition(kind=kind, **kwargs)
     except ValueError as exc:
@@ -204,17 +188,22 @@ def series_header(s_list) -> list:
     return cols
 
 
-def write_series(path: str, records, s_list):
+def write_csv(path: str, header, rows):
+    """Header line, then one FMT-formatted line per row (an int prints as an int)."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as fh:
-        fh.write(",".join(series_header(s_list)) + "\n")
-        for r in records:
-            row = [r.t, r.mass, r.min_rho, r.max_rho, r.l2]
-            for s in s_list:
-                hom, inh = r.hs[float(s)]
-                row += [hom, inh]
-            row += [r.B1, r.B2, r.int_B1, r.int_B2sq,
-                    r.energy_residual_L2, r.energy_residual_Hs]
+        fh.write(",".join(header) + "\n")
+        for row in rows:
             fh.write(",".join(FMT % v for v in row) + "\n")
+
+
+def write_series(path: str, records, s_list):
+    def row(r):
+        hs = [v for s in s_list for v in r.hs[float(s)]]
+        return [r.t, r.mass, r.min_rho, r.max_rho, r.l2, *hs, r.B1, r.B2, r.int_B1,
+                r.int_B2sq, r.energy_residual_L2, r.energy_residual_Hs]
+
+    write_csv(path, series_header(s_list), map(row, records))
 
 
 def write_snapshot(path: str, f: RealField, t: float):
@@ -287,11 +276,12 @@ def mu_convergence(cfg: RunConfig, mu_list) -> list:
         raise ConfigError("mu values must be descending")
     if any(m <= 0.0 for m in mu_list):
         raise ConfigError("mu values must be positive")
-    ref_cfg = replace(cfg, mu=0.0)
-    ref = run_to_final(ref_cfg)
+    s_m1 = max(cfg.s_list) - 1.0
+    if s_m1 < -2.0:
+        raise ConfigError(f"the H^(s-1) error needs max(s_list) >= -1, got {s_m1 + 1.0}")
+    ref = run_to_final(replace(cfg, mu=0.0))
     if ref.reason != "completed":
         raise RuntimeError(f"reference run did not complete: {ref.reason}")
-    s_m1 = max(cfg.s_list) - 1.0
     rows = []
     for mu in mu_list:
         res = run_to_final(replace(cfg, mu=mu))
@@ -313,8 +303,11 @@ def picard_iteration(cfg: RunConfig, n_max: int) -> dict:
     """
     if cfg.mu <= 0.0:
         raise ConfigError("picard iteration requires mu > 0")
+    if n_max < 1:
+        raise ConfigError(f"picard iteration needs n_max >= 1, got {n_max}")
     grid = cfg.grid()
     op = SpectralOperator(grid, cfg.params())
+    mask = dealias_mask(grid)
     rho0 = cfg.initial_field()
     c0 = forward_transform(rho0)
     n_steps = max(1, int(round(cfg.t_end / cfg.dt)))
@@ -328,11 +321,11 @@ def picard_iteration(cfg: RunConfig, n_max: int) -> dict:
         for k in range(n_steps):
             a, bb = prev_traj[k], prev_traj[k + 1]
             mid = SpectralField(grid, 0.5 * (a.coeffs + bb.coeffs))
-            u_d = {tau: [op.dealias(u.values) for u in velocity(c, op)]
+            u_d = {tau: [u.values for u in velocity(SpectralField(grid, mask * c.coeffs), op)]
                    for tau, c in ((0.0, a), (0.5, mid), (1.0, bb))}
 
             def frozen_rhs(arr, tau, u_d=u_d):
-                return op.transport(op.dealiased_values(arr), u_d[tau])
+                return op.transport(op.physical(op.mask * op.half(arr)), u_d[tau])
 
             state = _integrating_factor_rk4(state, dt, frozen_rhs, op)
             traj.append(state.copy())
@@ -389,8 +382,8 @@ def verify_suite(selection, seed: int = 0, n: int = 100_000) -> list:
     unknown = [s for s in selection if s not in ESTIMATES]
     if unknown:
         raise ConfigError(f"unknown estimates: {unknown}")
-    if n < 1:
-        raise ConfigError(f"samples must be >= 1, got {n}")
+    if n < 1 or seed < 0:
+        raise ConfigError(f"need samples >= 1 and seed >= 0, got {n} and {seed}")
     reports = []
     for name in selection:
         if name == "lemma1":
@@ -494,12 +487,8 @@ def main(argv=None) -> int:
         if args.command == "mu-converge":
             mu_list = _parse_list(args.mu_list, float, "--mu-list")
             rows = mu_convergence(cfg, mu_list)
-            os.makedirs(cfg.out, exist_ok=True)
-            path = os.path.join(cfg.out, "mu_convergence.csv")
-            with open(path, "w") as fh:
-                fh.write("mu,err_L2,err_Hsm1\n")
-                for mu, e2, eh in rows:
-                    fh.write(",".join(FMT % v for v in (mu, e2, eh)) + "\n")
+            write_csv(os.path.join(cfg.out, "mu_convergence.csv"),
+                      ("mu", "err_L2", "err_Hsm1"), rows)
             for mu, e2, eh in rows:
                 print(f"mu={mu:g}  err_L2={e2:.6e}  err_Hsm1={eh:.6e}")
             monotone = all(b[1] <= a[1] for a, b in zip(rows, rows[1:]))
@@ -507,11 +496,8 @@ def main(argv=None) -> int:
             return 0
         if args.command == "picard":
             rep = picard_iteration(cfg, args.n_max)
-            os.makedirs(cfg.out, exist_ok=True)
-            with open(os.path.join(cfg.out, "picard.csv"), "w") as fh:
-                fh.write("n,d_n\n")
-                for i, d in enumerate(rep["diffs"], 1):
-                    fh.write(f"{i}," + (FMT % d) + "\n")
+            write_csv(os.path.join(cfg.out, "picard.csv"), ("n", "d_n"),
+                      enumerate(rep["diffs"], 1))
             for i, d in enumerate(rep["diffs"], 1):
                 print(f"d_{i} = {d:.6e}")
             if rep["diverged"]:
@@ -521,11 +507,8 @@ def main(argv=None) -> int:
         if args.command == "refine":
             n_list = _parse_list(args.n_list, int, "--n-list")
             rows = grid_refinement(cfg, n_list)
-            os.makedirs(cfg.out, exist_ok=True)
-            with open(os.path.join(cfg.out, "refinement.csv"), "w") as fh:
-                fh.write("N_coarse,N_fine,err_L2\n")
-                for a, b, e in rows:
-                    fh.write(f"{a},{b}," + (FMT % e) + "\n")
+            write_csv(os.path.join(cfg.out, "refinement.csv"),
+                      ("N_coarse", "N_fine", "err_L2"), rows)
             for a, b, e in rows:
                 print(f"{a} -> {b}: err = {e:.6e}")
             return 0

@@ -13,7 +13,8 @@ Diffusion is handled exactly by the integrating factor in the stepper, so
 
 A run builds one :class:`SpectralOperator` (its params as ``op.p``, its fixed
 multipliers in rfft layout) and passes it to ``velocity``, ``nonlinear_rhs``
-and the stepper; states stay full-layout :class:`SpectralField` s.
+and the stepper; states stay full-layout :class:`SpectralField` s.  Products
+are dealiased once, on the coefficients: ``op.mask * op.half(c)``.
 """
 
 from __future__ import annotations
@@ -98,7 +99,6 @@ class SpectralOperator:
     vel           : velocity multipliers c_K |xi|^{alpha-d} chi(mu |xi|) i xi_j,
                     zero on the unpaired Nyquist mode -N/2 of axis j, where an
                     odd derivative has no Hermitian partner.
-    vel_dealiased : ``vel`` times ``mask``.
     mag2          : |xi|^2 in full layout, for the integrating factors.
     """
 
@@ -116,7 +116,6 @@ class SpectralOperator:
             ik = 1j * kv[..., j]
             self.neg_div.append(np.where(self.mask, -ik, 0.0))
             self.vel.append(np.where(kv[..., j] == -(grid.n // 2), 0.0, scale * ik))
-        self.vel_dealiased = [np.where(self.mask, v, 0.0) for v in self.vel]
         self._axes = tuple(range(grid.d))
         # Row of -xi_0 for each row xi_0, for the conjugate mirror in 2-D.
         self._neg_rows = (-np.arange(grid.n)) % grid.n
@@ -128,14 +127,6 @@ class SpectralOperator:
     def physical(self, h: np.ndarray) -> np.ndarray:
         """Physical values of the real field with rfft-layout coefficients h."""
         return np.fft.irfftn(h, s=self.grid.shape, axes=self._axes, norm="forward")
-
-    def dealiased_values(self, coeffs: np.ndarray) -> np.ndarray:
-        """Dealiased physical values of the field with full-layout coefficients."""
-        return self.physical(self.mask * self.half(coeffs))
-
-    def dealias(self, values: np.ndarray) -> np.ndarray:
-        """Physical values with every |xi_j| > N/3 removed."""
-        return self.physical(self.mask * np.fft.rfftn(values, norm="forward"))
 
     def full(self, h: np.ndarray) -> np.ndarray:
         """Full-layout coefficients from rfft-layout ones, Hermitian bit for bit.
@@ -176,9 +167,10 @@ def nonlinear_rhs(rho_hat: SpectralField, op: SpectralOperator) -> SpectralField
     """-(div(rho u))^ in 1 + 2d real FFTs; the stepper handles diffusion exactly."""
     if not np.all(np.isfinite(rho_hat.coeffs)):
         raise SpectralError("non-finite coefficients in state")
-    h = op.half(rho_hat.coeffs)
-    rho_d = op.dealiased_values(rho_hat.coeffs)
-    u_d = [op.physical(m * h) for m in op.vel_dealiased]
+    h = op.mask * op.half(rho_hat.coeffs)
+    rho_d = op.physical(h)
+    u_d = [op.physical(m * h) for m in op.vel]
+    del h  # transport does not need it; freeing it first keeps the peak memory down
     return SpectralField(rho_hat.grid, op.transport(rho_d, u_d))
 
 

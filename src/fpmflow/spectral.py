@@ -11,6 +11,7 @@ stored in numpy FFT ordering (wavenumbers 0, 1, ..., N/2-1, -N/2, ..., -1
 along each axis).
 A Fourier multiplier is its symbol, a function of the wavenumbers applied to
 every mode: its value at xi = 0 is what the multiplier does to the mean.
+Every |xi|^s of the package that is 0 at xi = 0 comes from :func:`radial_power`.
 """
 
 from __future__ import annotations
@@ -164,18 +165,28 @@ def apply_multiplier(F: SpectralField, symbol: Symbol) -> SpectralField:
     return SpectralField(F.grid, F.coeffs * symbol(F.grid.wavevectors()))
 
 
-def fractional_power(s: float) -> Symbol:
-    """Symbol |xi|^s on nonzero modes, 0 at the zero mode.
+def radial_power(mag: np.ndarray, s: float) -> np.ndarray:
+    """mag^s where mag > 0, else 0: every |xi|^s with that zero-mode rule in the package."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(mag > 0.0, mag ** s, 0.0)
 
-    Every |xi|^s with that zero-mode rule in the package is this symbol.
-    """
+
+def fractional_power(s: float) -> Symbol:
+    """Symbol |xi|^s on nonzero modes, 0 at the zero mode."""
 
     def symbol(kv):
-        mag = np.sqrt(np.sum(kv * kv, axis=-1))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(mag > 0.0, mag ** s, 0.0)
+        return radial_power(np.sqrt(np.sum(kv * kv, axis=-1)), s)
 
     return symbol
+
+
+def sobolev_weight(mag: np.ndarray, s: float, homogeneous: bool) -> np.ndarray:
+    """H^s weight of |c_xi|^2 from mag = |xi|: |xi|^{2s} if homogeneous, else (1 + |xi|^2)^s."""
+    if s < -2.0:
+        raise ValueError(f"s must be >= -2, got {s}")
+    if homogeneous:
+        return radial_power(mag, 2.0 * s)
+    return (1.0 + mag ** 2) ** s
 
 
 def heat_multiplier(t: float) -> Symbol:
@@ -202,14 +213,16 @@ def l2_norm(F: SpectralField) -> float:
     return math.sqrt((2.0 * math.pi) ** F.grid.d * float(np.sum(np.abs(F.coeffs) ** 2)))
 
 
+def random_series(grid: TorusGrid, rng, envelope) -> np.ndarray:
+    """Values of Re sum_xi g_xi envelope(|xi|) exp(i xi . x), g_xi complex Gaussian."""
+    raw = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    return np.fft.ifftn(raw * envelope(grid.wavenumber_magnitude()) * grid.npoints).real
+
+
 def random_real_field(grid: TorusGrid, rng, decay: float = 2.0, amplitude: float = 1.0,
                       mean: float = 0.0) -> RealField:
     """Smooth random real field with coefficient magnitudes ~ (1+|xi|)^{-decay}."""
-    mag = grid.wavenumber_magnitude()
-    raw = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    coeffs = raw * (1.0 + mag) ** (-decay)
-    # Hermitian-symmetrize by transforming through physical space.
-    vals = np.fft.ifftn(coeffs * grid.npoints).real
+    vals = random_series(grid, rng, lambda mag: (1.0 + mag) ** (-decay))
     peak = np.max(np.abs(vals))
     if peak > 0:
         vals = vals * (amplitude / peak)

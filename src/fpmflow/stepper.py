@@ -10,11 +10,11 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .diagnostics import DiagnosticsRecord, EnergyResidualKernel, make_record
+from .diagnostics import EnergyResidualKernel, make_record
 from .model import ModelParams, SpectralOperator, nonlinear_rhs, velocity
 from .spectral import RealField, SpectralError, SpectralField, forward_transform
 
@@ -50,6 +50,8 @@ class StepperConfig:
             raise ValueError(f"unknown dt_mode {self.dt_mode!r}")
         if self.sample_every < 1:
             raise ValueError("sample_every must be >= 1")
+        if not self.blowup_threshold > 0.0:  # B1 > nan never holds; inf disables the check
+            raise ValueError(f"blowup_threshold must be positive, got {self.blowup_threshold}")
 
 
 @dataclass
@@ -115,7 +117,6 @@ def step(state: SpectralField, dt: float, op: SpectralOperator) -> SpectralField
 
 
 def integrate(rho0: RealField, p: ModelParams, cfg: StepperConfig,
-              on_sample: Optional[Callable[[DiagnosticsRecord], None]] = None,
               keep_states: bool = False, energy_residuals: bool = False) -> FinalState:
     """Advance from rho0 to t_end, sampling diagnostics along the way.
 
@@ -150,8 +151,6 @@ def integrate(rho0: RealField, p: ModelParams, cfg: StepperConfig,
             if len(window) == 3:
                 mid = records[-2]
                 mid.energy_residual_L2, mid.energy_residual_Hs = kernel.residuals(window)
-        if on_sample is not None:
-            on_sample(rec)
         return rec.B1
 
     sample(0.0, state, rho0.values)

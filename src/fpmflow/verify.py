@@ -20,7 +20,10 @@ from .spectral import (
     dealias_mask,
     forward_transform,
     fractional_power,
+    radial_power,
     random_real_field,
+    random_series,
+    sobolev_weight,
 )
 
 
@@ -105,9 +108,8 @@ def lemma1_gap(xi, eta, s: float) -> RatioSample:
 def _lemma1_sides(xi, eta, s):
     diff = xi - eta
     axi, aeta, adiff = _norm(xi), _norm(eta), _norm(diff)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        eta_sm2 = np.where(aeta > 0.0, aeta ** (s - 2.0), 0.0)
-        diff_sm1 = np.where(adiff > 0.0, adiff ** (s - 1.0), 0.0)
+    eta_sm2 = radial_power(aeta, s - 2.0)
+    diff_sm1 = radial_power(adiff, s - 1.0)
     dot = np.sum(eta * diff, axis=-1)
     lhs = np.abs(axi ** s - adiff ** s - aeta ** s - s * dot * eta_sm2)
     rhs = adiff ** 2 * eta_sm2 + aeta * diff_sm1
@@ -166,10 +168,9 @@ def _gdecomp_sides(xi, eta, s, b):
     axi, aeta, adiff = _norm(xi), _norm(eta), _norm(diff)
     dot = np.sum(xi * eta, axis=-1)
     eta_dot_diff = np.sum(eta * diff, axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        eta_m2b = np.where(aeta > 0.0, aeta ** (-2.0 * b), 0.0)
-        eta_sm2m2b = np.where(aeta > 0.0, aeta ** (s - 2.0 - 2.0 * b), 0.0)
-        diff_sm1 = np.where(adiff > 0.0, adiff ** (s - 1.0), 0.0)
+    eta_m2b = radial_power(aeta, -2.0 * b)
+    eta_sm2m2b = radial_power(aeta, s - 2.0 - 2.0 * b)
+    diff_sm1 = radial_power(adiff, s - 1.0)
     G = axi ** (2.0 * s) * dot * eta_m2b
     Gs = axi ** s * adiff ** s * dot * eta_m2b
     G0 = axi ** s * aeta ** s * dot * eta_m2b
@@ -216,43 +217,33 @@ def _sample_pairs(d: int, n: int, rng) -> tuple:
     return xi, eta
 
 
+def _sample_pointwise(name: str, d: int, n: int, seed: int, sides, keep=None) -> VerifyReport:
+    """Report of lhs/rhs = sides(xi, eta) over the sampled pairs for which keep holds."""
+    xi, eta = _sample_pairs(d, n, np.random.default_rng(seed))
+    if keep is not None:
+        ok = keep(xi, eta)
+        xi, eta = xi[ok], eta[ok]
+    ratio, deg = _safe_ratio(*sides(xi, eta))
+    return _ratios_to_report(name, ratio, deg,
+                             lambda i: {"xi": xi[i].tolist(), "eta": eta[i].tolist()})
+
+
 def sample_lemma1(s: float, d: int, n: int, seed: int = 0) -> VerifyReport:
     """Empirical sup ratio for the elementary inequality (s >= 3)."""
-    rng = np.random.default_rng(seed)
-    xi, eta = _sample_pairs(d, n, rng)
-    lhs, rhs = _lemma1_sides(xi, eta, s)
-    ratio, deg = _safe_ratio(lhs, rhs)
-    deg = deg | (_norm(eta) == 0.0)
-    return _ratios_to_report(
-        f"lemma1(s={s}, d={d})", ratio, deg,
-        lambda i: {"xi": xi[i].tolist(), "eta": eta[i].tolist()},
-    )
+    return _sample_pointwise(f"lemma1(s={s}, d={d})", d, n, seed,
+                             lambda xi, eta: _lemma1_sides(xi, eta, s))
 
 
 def sample_bdiff(b: float, d: int, n: int, seed: int = 0) -> VerifyReport:
-    rng = np.random.default_rng(seed)
-    xi, eta = _sample_pairs(d, n, rng)
-    ok = (_norm(xi) > 0.0) & (_norm(eta) > 0.0)
-    xi, eta = xi[ok], eta[ok]
-    lhs, rhs = _bdiff_sides(xi, eta, b)
-    ratio, deg = _safe_ratio(lhs, rhs)
-    return _ratios_to_report(
-        f"bdiff(b={b}, d={d})", ratio, deg,
-        lambda i: {"xi": xi[i].tolist(), "eta": eta[i].tolist()},
-    )
+    return _sample_pointwise(f"bdiff(b={b}, d={d})", d, n, seed,
+                             lambda xi, eta: _bdiff_sides(xi, eta, b),
+                             keep=lambda xi, eta: (_norm(xi) > 0.0) & (_norm(eta) > 0.0))
 
 
 def sample_gdecomp(s: float, b: float, d: int, n: int, seed: int = 0) -> VerifyReport:
-    rng = np.random.default_rng(seed)
-    xi, eta = _sample_pairs(d, n, rng)
-    ok = _norm(eta) > 0.0
-    xi, eta = xi[ok], eta[ok]
-    lhs, rhs = _gdecomp_sides(xi, eta, s, b)
-    ratio, deg = _safe_ratio(lhs, rhs)
-    return _ratios_to_report(
-        f"gdecomp(s={s}, b={b}, d={d})", ratio, deg,
-        lambda i: {"xi": xi[i].tolist(), "eta": eta[i].tolist()},
-    )
+    return _sample_pointwise(f"gdecomp(s={s}, b={b}, d={d})", d, n, seed,
+                             lambda xi, eta: _gdecomp_sides(xi, eta, s, b),
+                             keep=lambda xi, eta: _norm(eta) > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -318,11 +309,11 @@ def _commutator_sides(grid: TorusGrid, f: np.ndarray, g: np.ndarray, b: float,
     d = grid.d
     s_f, s_g = (d / 2.0 + 1.0 - b + eps, -b) if plain else (d / 2.0 + 3.0 + eps, -b - 1.0)
     lhs = _commutator_lhs(grid, f, g, b, extract_symbol=not plain)
-    bracket = 1.0 + grid.wavenumber_magnitude()[..., : grid.n // 2 + 1] ** 2
+    mag = grid.wavenumber_magnitude()[..., : grid.n // 2 + 1]
 
     def sobolev(v, s):
         h = np.fft.rfftn(v, axes=tuple(range(-d, 0)), norm="forward")
-        return np.sqrt((2.0 * math.pi) ** d * _half_sq_sum(grid, h, bracket ** s))
+        return np.sqrt((2.0 * math.pi) ** d * _half_sq_sum(grid, h, sobolev_weight(mag, s, False)))
 
     return lhs, sobolev(f, s_f) * sobolev(g, s_g)
 
@@ -342,9 +333,7 @@ def plain_commutator_ratio(f: RealField, g: RealField, b: float,
 
 def _analytic_random_field(grid: TorusGrid, rng, rate: float, mean: float) -> np.ndarray:
     """Values of a random field with exponentially decaying spectrum (norms N-independent)."""
-    mag = grid.wavenumber_magnitude()
-    raw = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    vals = np.fft.ifftn(raw * np.exp(-rate * mag) * grid.npoints).real
+    vals = random_series(grid, rng, lambda mag: np.exp(-rate * mag))
     peak = np.max(np.abs(vals))
     if peak > 0:
         vals /= peak

@@ -11,6 +11,7 @@ import pytest
 
 import fpmflow
 from fpmflow.driver import (
+    FMT,
     ConfigError,
     RunConfig,
     _audit,
@@ -27,6 +28,7 @@ from fpmflow.driver import (
     verify_suite,
     write_snapshot,
 )
+from fpmflow.model import velocity
 from fpmflow.spectral import (
     RealField,
     SpectralField,
@@ -290,6 +292,29 @@ class TestCampaigns:
         gc.collect()
         assert len(built_operators) == 1 and built_operators[0]() is None
 
+    @pytest.mark.parametrize("d,ffts", [(1, 11), (2, 18)])
+    def test_picard_transport_step_costs(self, monkeypatch, d, ffts):
+        # 3 velocities of d irfftn each, then 4 stages of 1 irfftn + d rfftn.
+        counts = {"fft": 0, "velocity": 0}
+
+        def counted(fn, key):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
+            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name), "fft"))
+        monkeypatch.setattr("fpmflow.driver.velocity", counted(velocity, "velocity"))
+        cfg = self._cfg(dimension=d, modes=16, mu=0.25, dt=0.0125)
+        seen = []
+        for n_max in (1, 2):  # the second iterate adds 4 transport steps and nothing else
+            counts.update(fft=0, velocity=0)
+            picard_iteration(cfg, n_max)
+            seen.append(dict(counts))
+        assert seen[1]["fft"] - seen[0]["fft"] == 4 * ffts
+        assert seen[1]["velocity"] - seen[0]["velocity"] == 4 * 3
+
     def test_picard_requires_mu(self):
         with pytest.raises(ConfigError):
             picard_iteration(self._cfg(), 3)
@@ -352,11 +377,40 @@ class TestCli:
         ["mu-converge", "--config", "heat.cfg", "--mu-list", "abc"],
         ["refine", "--config", "heat.cfg", "--n-list", "6,12"],
         ["verify", "--samples", "-4", "--select", "lemma1"],
+        ["simulate", "--config", "heat.cfg", "--init", "random:mean=1", "--seed", "-1"],
+        ["verify", "--seed", "-1", "--select", "lemma1"],
+        ["simulate", "--config", "heat.cfg", "--blowup_threshold", "nan"],
+        ["simulate", "--config", "heat.cfg", "--blowup_threshold", "0"],
+        ["picard", "--config", "repulsive_inviscid.cfg", "--mu", "0.25", "--n-max", "0"],
+        ["mu-converge", "--config", "heat.cfg", "--s_list", "-1.5", "--mu-list", "0.5"],
     ], ids=" ".join)
     def test_bad_value_is_config_error(self, tmp_path, capsys, argv):
         argv = [os.path.join(CONFIG_DIR, a) if a.endswith(".cfg") else a for a in argv]
         assert main(argv + ["--out", str(tmp_path / "x")]) == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_campaign_csvs_are_fmt_rows_of_campaign_results(self, tmp_path, capsys):
+        path = write_cfg(tmp_path / "c.cfg", BASIC + "mu = 0.25\n")
+        out = tmp_path / "out"
+        cfg = load_config(path, [])
+        cases = [
+            (["mu-converge", "--mu-list", "0.5,0.25"], "mu_convergence.csv",
+             "mu,err_L2,err_Hsm1", mu_convergence(cfg, [0.5, 0.25])),
+            (["picard", "--n-max", "2"], "picard.csv",
+             "n,d_n", list(enumerate(picard_iteration(cfg, 2)["diffs"], 1))),
+            (["refine", "--n-list", "16,32"], "refinement.csv",
+             "N_coarse,N_fine,err_L2", grid_refinement(cfg, [16, 32])),
+        ]
+        for argv, name, header, rows in cases:
+            assert main(argv + ["--config", path, "--out", str(out)]) == 0
+            with open(out / name) as fh:
+                lines = fh.read().splitlines()
+            assert lines == [header] + [",".join(FMT % v for v in row) for row in rows]
+            assert len(lines) == len(rows) + 1 > 1
+        with open(out / "picard.csv") as fh:
+            assert fh.read().splitlines()[1:] == [f"{i},{FMT % d}" for i, d in cases[1][3]]
+        with open(out / "refinement.csv") as fh:
+            assert fh.read().splitlines()[1].startswith("16,32,")
 
     def test_verify_exit_zero(self, tmp_path, capsys):
         rc = main(["verify", "--select", "antisymmetry", "--samples", "100",

@@ -20,7 +20,9 @@ from fpmflow.spectral import (
     fractional_power,
     inverse_transform,
     l2_norm,
+    radial_power,
     random_real_field,
+    sobolev_weight,
 )
 
 
@@ -110,6 +112,17 @@ class TestTransforms:
 
 
 class TestMultipliers:
+    def test_radial_power_zero_mode(self):
+        out = radial_power(np.array([0.0, 2.0, 4.0]), -0.5)
+        assert np.array_equal(out, [0.0, 2.0 ** -0.5, 0.5])
+
+    @pytest.mark.parametrize("d,n", [(1, 64), (2, 32)])
+    def test_homogeneous_sobolev_weight_is_fractional_power(self, d, n):
+        g = TorusGrid(d=d, n=n)
+        for s in (-2.0, -0.75, 0.5, 3.0, 4.0):
+            w = sobolev_weight(g.wavenumber_magnitude(), s, True)
+            assert np.array_equal(w, fractional_power(2.0 * s)(g.wavevectors()))
+
     def test_fractional_eigenfunction(self):
         g = TorusGrid(d=1, n=32)
         F = forward_transform(field_from_function(g, lambda x: np.cos(3 * x)))

@@ -232,11 +232,10 @@ class TestIntegrate:
         g = TorusGrid(d=1, n=32)
         p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0)
         cfg = StepperConfig(t_end=0.1, dt_mode="fixed", dt=5e-3, sample_every=2)
-        seen = []
-        integrate(cosine_data(g, 0.3), p, cfg, on_sample=seen.append)
-        ts = [r.t for r in seen]
+        res = integrate(cosine_data(g, 0.3), p, cfg)
+        ts = [r.t for r in res.records]
         assert ts == sorted(ts)
-        ib1 = [r.int_B1 for r in seen]
+        ib1 = [r.int_B1 for r in res.records]
         assert all(b >= a for a, b in zip(ib1, ib1[1:]))
 
     def test_invalid_config(self):
