@@ -146,7 +146,8 @@ def _padded(arr: np.ndarray, rfft: bool = False) -> np.ndarray:
     return out
 
 
-def _trilinear_naive(G, F: SpectralField, absolute: bool = False) -> float:
+def _trilinear_naive(G, F: SpectralField) -> tuple:
+    """(T[G], sum |G| |c(xi)| |c(eta)| |c(xi-eta)|) from one pass over the lattice pairs."""
     grid = F.grid
     if grid.n > 64:
         raise ValueError("naive trilinear mode requires N <= 64")
@@ -157,7 +158,7 @@ def _trilinear_naive(G, F: SpectralField, absolute: bool = False) -> float:
     half = grid.n // 2
     # Integer coordinates on [0, N) per axis for the xi - eta lookup.
     coords = (kv + half).astype(np.int64)
-    total = 0.0
+    total = scale = 0.0
     chunk = max(1, 10_000_000 // m)
     for start in range(0, m, chunk):
         stop = min(m, start + chunk)
@@ -171,11 +172,9 @@ def _trilinear_naive(G, F: SpectralField, absolute: bool = False) -> float:
             flat = flat * grid.n + np.clip(diff[..., ax], 0, grid.n - 1)
         c_diff = np.where(inside, c[flat], 0.0)
         block = gval * np.conj(c[start:stop])[:, None] * c[None, :] * c_diff
-        if absolute:
-            total += float(np.sum(np.abs(block)))
-        else:
-            total += float(np.sum(block.real))
-    return total
+        total += float(np.sum(block.real))
+        scale += float(np.sum(np.abs(block)))
+    return total, scale
 
 
 def _trilinear_fft(G: SeparableKernel, F: SpectralField) -> float:
@@ -206,7 +205,7 @@ def trilinear_T(G, F: SpectralField, mode: str = "naive") -> float:
     requires a :class:`SeparableKernel`.
     """
     if mode == "naive":
-        return _trilinear_naive(G, F)
+        return _trilinear_naive(G, F)[0]
     if mode == "fft":
         if not isinstance(G, SeparableKernel):
             raise TypeError("fft mode requires a SeparableKernel")
@@ -216,7 +215,7 @@ def trilinear_T(G, F: SpectralField, mode: str = "naive") -> float:
 
 def trilinear_scale(G, F: SpectralField) -> float:
     """Magnitude scale sum |G| |c(xi)| |c(eta)| |c(xi-eta)| (naive path)."""
-    return _trilinear_naive(G, F, absolute=True)
+    return _trilinear_naive(G, F)[1]
 
 
 def energy_kernel(s: float, p: ModelParams, grid) -> SeparableKernel:

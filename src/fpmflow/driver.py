@@ -11,7 +11,9 @@ Exit codes:
     1  config error: an unknown key or flag, a value that does not parse, or one out
        of range (modes, dimension, c_K, nu, mu, dt, dt_max, t_end, s_list, seed,
        blowup_threshold, --samples, --n-max; mu-converge also max(s_list) < -1)
-    2  simulate ended blowup_detected or max_steps; picard diverged
+    2  simulate ended blowup_detected or max_steps; picard diverged; a refine or
+       mu-converge run (also the mu = 0 reference) did not complete, reported as
+       one ``campaign stopped: ...`` line on stderr with its reason
     3  verify found an unstable ratio
 """
 
@@ -43,6 +45,10 @@ FMT = "%.17g"
 
 class ConfigError(ValueError):
     pass
+
+
+class IncompleteRun(RuntimeError):
+    """A campaign run ended without completing, so the campaign stops (exit code 2)."""
 
 
 @dataclass
@@ -266,10 +272,20 @@ def run_to_final(cfg: RunConfig) -> FinalState:
     return integrate(cfg.initial_field(), cfg.params(), cfg.stepper())
 
 
+def _completed_run(cfg: RunConfig) -> FinalState:
+    """run_to_final of a campaign run; one that did not complete raises IncompleteRun."""
+    res = run_to_final(cfg)
+    if res.reason != "completed":
+        raise IncompleteRun(f"the run with modes={cfg.modes}, mu={cfg.mu:g} ended "
+                            f"{res.reason} at t = {res.t:.6g} ({res.n_steps} steps)")
+    return res
+
+
 def mu_convergence(cfg: RunConfig, mu_list) -> list:
     """Errors of regularized runs against the mu = 0 reference at t_end.
 
     Returns rows (mu, err_L2, err_Hsm1); expectation: nonincreasing in mu.
+    A run that does not complete, the reference included, raises IncompleteRun.
     """
     mu_list = list(mu_list)
     if any(m2 >= m1 for m1, m2 in zip(mu_list, mu_list[1:])):
@@ -279,12 +295,10 @@ def mu_convergence(cfg: RunConfig, mu_list) -> list:
     s_m1 = max(cfg.s_list) - 1.0
     if s_m1 < -2.0:
         raise ConfigError(f"the H^(s-1) error needs max(s_list) >= -1, got {s_m1 + 1.0}")
-    ref = run_to_final(replace(cfg, mu=0.0))
-    if ref.reason != "completed":
-        raise RuntimeError(f"reference run did not complete: {ref.reason}")
+    ref = _completed_run(replace(cfg, mu=0.0))
     rows = []
     for mu in mu_list:
-        res = run_to_final(replace(cfg, mu=mu))
+        res = _completed_run(replace(cfg, mu=mu))
         diff = SpectralField(ref.state.grid, res.state.coeffs - ref.state.coeffs)
         err_l2 = l2_norm(diff)
         err_hs = diagnostics.sobolev_norm(diff, s_m1)
@@ -345,7 +359,8 @@ def picard_iteration(cfg: RunConfig, n_max: int) -> dict:
 def grid_refinement(cfg: RunConfig, n_list) -> list:
     """Successive-resolution errors at t_end, restricted to the coarse band.
 
-    Returns rows (N_coarse, N_fine, err_L2).
+    Returns rows (N_coarse, N_fine, err_L2).  A run that does not complete
+    raises IncompleteRun.
     """
     n_list = list(n_list)
     if any(b != 2 * a for a, b in zip(n_list, n_list[1:])):
@@ -355,10 +370,7 @@ def grid_refinement(cfg: RunConfig, n_list) -> list:
             replace(cfg, modes=n).grid()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    finals = {}
-    for n in n_list:
-        res = run_to_final(replace(cfg, modes=n))
-        finals[n] = res.state
+    finals = {n: _completed_run(replace(cfg, modes=n)).state for n in n_list}
     rows = []
     for a, b in zip(n_list, n_list[1:]):
         ca = np.fft.fftshift(finals[a].coeffs)
@@ -384,29 +396,26 @@ def verify_suite(selection, seed: int = 0, n: int = 100_000) -> list:
         raise ConfigError(f"unknown estimates: {unknown}")
     if n < 1 or seed < 0:
         raise ConfigError(f"need samples >= 1 and seed >= 0, got {n} and {seed}")
-    reports = []
-    for name in selection:
-        if name == "lemma1":
-            for s in (3.0, 4.0, 6.0):
-                for d in (1, 2):
-                    reports.append(verify.sample_lemma1(s, d, n, seed=seed))
-        elif name == "bdiff":
-            for b in (0.25, 0.5, 0.75, 1.0):
-                for d in (1, 2):
-                    reports.append(verify.sample_bdiff(b, d, n, seed=seed))
-        elif name == "gdecomp":
-            for b in (0.0, 0.5, 1.0):
-                for d in (1, 2):
-                    reports.append(verify.sample_gdecomp(3.0, b, d, n, seed=seed))
-        elif name in ("comm", "plaincomm"):
-            for b in (0.25, 0.5, 0.75):
-                reports.append(
-                    verify.sample_commutator(b, n_trials=min(200, max(10, n // 500)),
-                                             N=64, d=1, seed=seed, plain=name == "plaincomm")
-                )
-        elif name == "antisymmetry":
-            reports.append(verify.sample_antisymmetry(n_fields=100, N=32, d=1, seed=seed))
-    return reports
+    chosen = set(selection)
+    # Each population is drawn once for every report that uses it; the
+    # reports are then listed in the order of the selection.
+    got = {}
+    pointwise = {"lemma1": (3.0, 4.0, 6.0), "gdecomp": ((3.0, 0.0), (3.0, 0.5), (3.0, 1.0)),
+                 "bdiff": (0.25, 0.5, 0.75, 1.0)}
+    pointwise = {name: params for name, params in pointwise.items() if name in chosen}
+    if pointwise:
+        d1, d2 = (verify.pointwise_reports(d, n, seed, **pointwise) for d in (1, 2))
+        for name in pointwise:
+            got[name] = [r for pair in zip(d1[name], d2[name]) for r in pair]
+    comm = {name: name == "plaincomm" for name in ("comm", "plaincomm") if name in chosen}
+    if comm:
+        reps = verify.commutator_reports((0.25, 0.5, 0.75), comm.values(),
+                                         n_trials=min(200, max(10, n // 500)), N=64, d=1,
+                                         seed=seed)
+        got.update((name, reps[plain]) for name, plain in comm.items())
+    if "antisymmetry" in chosen:
+        got["antisymmetry"] = [verify.sample_antisymmetry(n_fields=100, N=32, d=1, seed=seed)]
+    return [r for name in selection for r in got[name]]
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +525,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    except IncompleteRun as exc:
+        print(f"campaign stopped: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

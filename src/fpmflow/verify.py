@@ -4,6 +4,12 @@ Each estimate is probed as a ratio lhs/rhs over a deterministic sample of
 inputs; the implicit constants are reported as empirical sup ratios.  A
 report passes when the sup ratio is finite and refinement-stable (the sup
 over the second half of the samples is within 2x of the first half).
+
+Each population is drawn once and every report that uses it is evaluated
+from that draw: :func:`pointwise_reports` gives every pointwise estimate of
+one dimension the same (xi, eta) pairs, and :func:`commutator_reports` gives
+every commutator report the same (f, g) trials.  The ``sample_*`` functions
+draw with the same seed and call these evaluators for one report.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import trilinear_T, trilinear_scale
+from . import diagnostics
 from .spectral import (
     RealField,
     TorusGrid,
@@ -81,7 +87,7 @@ def _ratios_to_report(name: str, ratios: np.ndarray, degenerate: np.ndarray,
     s1 = float(np.max(live[:half])) if half else 0.0
     s2 = float(np.max(live[half:])) if n - half else 0.0
     passed = bool(np.isfinite(sup)) and (s1 == 0.0 or s2 <= 2.0 * s1)
-    qs = {p: float(np.quantile(live, p / 100.0)) for p in (50, 90, 99)}
+    qs = dict(zip((50, 90, 99), np.quantile(live, [0.5, 0.9, 0.99]).tolist()))
     return VerifyReport(
         name=name, n=n, sup_ratio=sup, argmax=argmax_inputs(imax),
         quantiles=qs, passed=passed, first_half_sup=s1, second_half_sup=s2,
@@ -217,33 +223,46 @@ def _sample_pairs(d: int, n: int, rng) -> tuple:
     return xi, eta
 
 
-def _sample_pointwise(name: str, d: int, n: int, seed: int, sides, keep=None) -> VerifyReport:
-    """Report of lhs/rhs = sides(xi, eta) over the sampled pairs for which keep holds."""
-    xi, eta = _sample_pairs(d, n, np.random.default_rng(seed))
-    if keep is not None:
-        ok = keep(xi, eta)
-        xi, eta = xi[ok], eta[ok]
-    ratio, deg = _safe_ratio(*sides(xi, eta))
+def _pointwise_report(name: str, xi, eta, sides) -> VerifyReport:
+    ratio, deg = _safe_ratio(*sides)
     return _ratios_to_report(name, ratio, deg,
                              lambda i: {"xi": xi[i].tolist(), "eta": eta[i].tolist()})
 
 
+def pointwise_reports(d: int, n: int, seed: int = 0, lemma1=(), gdecomp=(), bdiff=()) -> dict:
+    """Reports of the pointwise estimates over one draw of n (xi, eta) pairs in dimension d.
+
+    ``lemma1`` lists values of s, ``gdecomp`` (s, b) pairs and ``bdiff``
+    values of b; the result maps each of the three names to its reports in
+    that order.  lemma1 sees every pair, gdecomp the pairs with eta != 0 and
+    bdiff those with xi != 0 as well.  Each filter replaces the pairs it
+    narrows, so one copy of them is alive at a time.
+    """
+    xi, eta = _sample_pairs(d, n, np.random.default_rng(seed))
+    out = {"lemma1": [_pointwise_report(f"lemma1(s={s}, d={d})", xi, eta,
+                                        _lemma1_sides(xi, eta, s)) for s in lemma1]}
+    ok = _norm(eta) > 0.0
+    xi, eta = xi[ok], eta[ok]
+    out["gdecomp"] = [_pointwise_report(f"gdecomp(s={s}, b={b}, d={d})", xi, eta,
+                                        _gdecomp_sides(xi, eta, s, b)) for s, b in gdecomp]
+    ok = _norm(xi) > 0.0
+    xi, eta = xi[ok], eta[ok]
+    out["bdiff"] = [_pointwise_report(f"bdiff(b={b}, d={d})", xi, eta,
+                                      _bdiff_sides(xi, eta, b)) for b in bdiff]
+    return out
+
+
 def sample_lemma1(s: float, d: int, n: int, seed: int = 0) -> VerifyReport:
     """Empirical sup ratio for the elementary inequality (s >= 3)."""
-    return _sample_pointwise(f"lemma1(s={s}, d={d})", d, n, seed,
-                             lambda xi, eta: _lemma1_sides(xi, eta, s))
+    return pointwise_reports(d, n, seed, lemma1=(s,))["lemma1"][0]
 
 
 def sample_bdiff(b: float, d: int, n: int, seed: int = 0) -> VerifyReport:
-    return _sample_pointwise(f"bdiff(b={b}, d={d})", d, n, seed,
-                             lambda xi, eta: _bdiff_sides(xi, eta, b),
-                             keep=lambda xi, eta: (_norm(xi) > 0.0) & (_norm(eta) > 0.0))
+    return pointwise_reports(d, n, seed, bdiff=(b,))["bdiff"][0]
 
 
 def sample_gdecomp(s: float, b: float, d: int, n: int, seed: int = 0) -> VerifyReport:
-    return _sample_pointwise(f"gdecomp(s={s}, b={b}, d={d})", d, n, seed,
-                             lambda xi, eta: _gdecomp_sides(xi, eta, s, b),
-                             keep=lambda xi, eta: _norm(eta) > 0.0)
+    return pointwise_reports(d, n, seed, gdecomp=((s, b),))["gdecomp"][0]
 
 
 # ---------------------------------------------------------------------------
@@ -340,14 +359,15 @@ def _analytic_random_field(grid: TorusGrid, rng, rate: float, mean: float) -> np
     return vals + mean
 
 
-def sample_commutator(b: float, n_trials: int, N: int = 64, d: int = 1,
-                      eps: float = 0.5, seed: int = 0,
-                      plain: bool = False) -> VerifyReport:
-    """Sup ratio of the commutator estimate over random smooth (f, g) pairs.
+def commutator_reports(b_list, plains, n_trials: int, N: int = 64, d: int = 1,
+                       eps: float = 0.5, seed: int = 0) -> dict:
+    """Commutator reports over one stack of random smooth (f, g) pairs.
 
-    The fields have exponentially decaying spectra so refining N leaves
-    both sides of the estimate essentially unchanged.  The pairs are drawn
-    in turn and evaluated as one stack.
+    Maps each flag of ``plains`` (True: the plain bound, False: the
+    symbol-extracted one) to its reports, one per b of ``b_list``.  The
+    fields have exponentially decaying spectra so refining N leaves both
+    sides of the estimate essentially unchanged.  The pairs are drawn in
+    turn and evaluated as one stack.
     """
     rng = np.random.default_rng(seed)
     grid = TorusGrid(d=d, n=N)
@@ -357,17 +377,31 @@ def sample_commutator(b: float, n_trials: int, N: int = 64, d: int = 1,
         f[i] = _analytic_random_field(grid, rng, rate=0.4, mean=1.0)
         g[i] = _analytic_random_field(grid, rng, rate=0.25, mean=0.0)
         g[i] -= np.mean(g[i])
-    ratios, deg = _safe_ratio(*_commutator_sides(grid, f, g, b, eps, plain))
-    tag = "plain_commutator" if plain else "commutator"
-    return _ratios_to_report(
-        f"{tag}(b={b}, N={N}, d={d}, eps={eps})", ratios, deg,
-        lambda i: {"trial": i},
-    )
+    out = {}
+    for plain in plains:
+        tag = "plain_commutator" if plain else "commutator"
+        out[plain] = [
+            _ratios_to_report(f"{tag}(b={b}, N={N}, d={d}, eps={eps})",
+                              *_safe_ratio(*_commutator_sides(grid, f, g, b, eps, plain)),
+                              lambda i: {"trial": i})
+            for b in b_list
+        ]
+    return out
+
+
+def sample_commutator(b: float, n_trials: int, N: int = 64, d: int = 1,
+                      eps: float = 0.5, seed: int = 0,
+                      plain: bool = False) -> VerifyReport:
+    """Sup ratio of the commutator estimate over random smooth (f, g) pairs."""
+    return commutator_reports((b,), (plain,), n_trials, N, d, eps, seed)[plain][0]
 
 
 def sample_antisymmetry(n_fields: int = 100, N: int = 32, d: int = 1,
                         seed: int = 0, tol: float = 1e-10) -> VerifyReport:
-    """|T[G]| / magnitude scale for anti-symmetric kernels; passes when below tol."""
+    """|T[G]| / magnitude scale for anti-symmetric kernels; passes when below tol.
+
+    One lattice pass per (field, kernel) gives both T[G] and its scale.
+    """
     rng = np.random.default_rng(seed)
     grid = TorusGrid(d=d, n=N)
     kernels = antisymmetric_kernels()
@@ -375,9 +409,8 @@ def sample_antisymmetry(n_fields: int = 100, N: int = 32, d: int = 1,
     for i in range(n_fields):
         F = forward_transform(random_real_field(grid, rng, decay=2.0))
         for G in kernels:
-            scale = trilinear_scale(G, F)
-            val = abs(trilinear_T(G, F, mode="naive"))
-            ratios.append(val / scale if scale > 0.0 else 0.0)
+            val, scale = diagnostics._trilinear_naive(G, F)
+            ratios.append(abs(val) / scale if scale > 0.0 else 0.0)
     ratios = np.array(ratios)
     deg = np.zeros_like(ratios, dtype=bool)
     rep = _ratios_to_report(

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import fpmflow
 from fpmflow.driver import (
     FMT,
     ConfigError,
+    IncompleteRun,
     RunConfig,
     _audit,
     _parse_overrides,
@@ -324,6 +326,17 @@ class TestCampaigns:
         assert rows[0][:2] == (32, 64)
         assert rows[0][2] < 1e-6
 
+    def test_mu_convergence_stops_at_an_incomplete_mu_run(self, monkeypatch):
+        run_to_final = fpmflow.driver.run_to_final
+
+        def budget_spent_at_mu_quarter(cfg):
+            res = run_to_final(cfg)
+            return replace(res, reason="max_steps") if cfg.mu == 0.25 else res
+
+        monkeypatch.setattr("fpmflow.driver.run_to_final", budget_spent_at_mu_quarter)
+        with pytest.raises(IncompleteRun, match="mu=0.25 ended max_steps"):
+            mu_convergence(self._cfg(), [0.5, 0.25])
+
     def test_refinement_requires_doubling(self):
         with pytest.raises(ConfigError):
             grid_refinement(self._cfg(), [32, 48])
@@ -411,6 +424,21 @@ class TestCli:
             assert fh.read().splitlines()[1:] == [f"{i},{FMT % d}" for i, d in cases[1][3]]
         with open(out / "refinement.csv") as fh:
             assert fh.read().splitlines()[1].startswith("16,32,")
+
+    @pytest.mark.parametrize("argv", [
+        ["refine", "--n-list", "32,64"],
+        ["mu-converge", "--mu-list", "0.5"],
+    ])
+    def test_campaign_with_blown_up_run_exits_two(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        path = os.path.join(CONFIG_DIR, "repulsive_inviscid.cfg")
+        rc = main(argv + ["--config", path, "--c_K", "1", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("campaign stopped: ")
+        assert captured.err.count("\n") == 1 and "ended blowup_detected" in captured.err
+        assert "err" not in captured.out
+        assert not out.exists()
 
     def test_verify_exit_zero(self, tmp_path, capsys):
         rc = main(["verify", "--select", "antisymmetry", "--samples", "100",

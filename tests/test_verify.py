@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from fpmflow import diagnostics
+from fpmflow.driver import ESTIMATES, verify_suite
 from fpmflow.spectral import (
     RealField,
     SpectralField,
@@ -19,8 +21,13 @@ from fpmflow.spectral import (
 )
 from fpmflow.verify import (
     _analytic_random_field,
+    _bdiff_sides,
     _commutator_lhs,
+    _gdecomp_sides,
+    _norm,
     _ratios_to_report,
+    _safe_ratio,
+    _sample_pairs,
     antisymmetric_kernels,
     bdiff_check,
     commutator_ratio,
@@ -292,7 +299,78 @@ class TestReportLogic:
         rep = _ratios_to_report("t", ratios, deg, lambda i: {"i": i})
         assert not rep.passed
 
+    @pytest.mark.parametrize("n", [7, 1000, 99_999, 100_000])
+    def test_quantiles_match_one_call_per_level(self, n):
+        ratios = np.random.default_rng(n).lognormal(size=n)
+        rep = _ratios_to_report("t", ratios, np.zeros(n, dtype=bool), lambda i: {"i": i})
+        assert rep.quantiles == {p: float(np.quantile(ratios, p / 100.0)) for p in (50, 90, 99)}
+
     def test_format_contains_fields(self):
         rep = sample_lemma1(3.0, 1, 200, seed=7)
         text = rep.format()
         assert "sup_ratio:" in text and "pass:" in text and "q99:" in text
+
+
+def one_report_at_a_time(seed, n):
+    """The suite's reports from the public samplers, each making its own draw."""
+    reps = [sample_lemma1(s, d, n, seed=seed) for s in (3.0, 4.0, 6.0) for d in (1, 2)]
+    reps += [sample_bdiff(b, d, n, seed=seed) for b in (0.25, 0.5, 0.75, 1.0) for d in (1, 2)]
+    reps += [sample_gdecomp(3.0, b, d, n, seed=seed) for b in (0.0, 0.5, 1.0) for d in (1, 2)]
+    n_trials = min(200, max(10, n // 500))
+    reps += [sample_commutator(b, n_trials, N=64, d=1, seed=seed, plain=plain)
+             for plain in (False, True) for b in (0.25, 0.5, 0.75)]
+    reps.append(sample_antisymmetry(n_fields=100, N=32, d=1, seed=seed))
+    return reps
+
+
+class TestSharedDraws:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_suite_equals_one_report_at_a_time(self, seed):
+        suite = verify_suite(ESTIMATES, seed=seed, n=2000)
+        alone = one_report_at_a_time(seed, 2000)
+        assert len(suite) == len(alone) == 27
+        for got, want in zip(suite, alone):
+            assert got.format() == want.format()
+            assert got.sup_ratio == want.sup_ratio
+            assert got.quantiles == want.quantiles
+            assert got.argmax == want.argmax
+
+    def test_nested_filters_keep_the_nonzero_pairs(self):
+        # Seed 0, d = 1 draws two pairs with xi = 0 and one with eta = 0.
+        xi, eta = _sample_pairs(1, 2000, np.random.default_rng(0))
+        for rep, keep, sides in (
+            (sample_gdecomp(3.0, 0.5, 1, 2000, seed=0), _norm(eta) > 0.0,
+             lambda x, e: _gdecomp_sides(x, e, 3.0, 0.5)),
+            (sample_bdiff(0.5, 1, 2000, seed=0), (_norm(xi) > 0.0) & (_norm(eta) > 0.0),
+             lambda x, e: _bdiff_sides(x, e, 0.5)),
+        ):
+            x, e = xi[keep], eta[keep]
+            assert x.shape[0] < xi.shape[0]
+            want = _ratios_to_report(rep.name, *_safe_ratio(*sides(x, e)),
+                                     lambda i: {"xi": x[i].tolist(), "eta": e[i].tolist()})
+            assert rep.format() == want.format()
+
+    def test_one_generator_per_population(self, monkeypatch):
+        made = []
+        default_rng = np.random.default_rng
+
+        def counted(*args, **kwargs):
+            made.append(args)
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        verify_suite(ESTIMATES, n=2000)
+        # (xi, eta) pairs for d = 1 and d = 2, the (f, g) stack, the antisymmetry fields.
+        assert len(made) == 4
+
+    def test_one_lattice_pass_per_field_and_kernel(self, monkeypatch):
+        passes = []
+        naive = diagnostics._trilinear_naive
+
+        def counted(G, F):
+            passes.append(1)
+            return naive(G, F)
+
+        monkeypatch.setattr(diagnostics, "_trilinear_naive", counted)
+        sample_antisymmetry(100)
+        assert len(passes) == 100 * len(antisymmetric_kernels())
