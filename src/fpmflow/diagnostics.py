@@ -20,18 +20,20 @@ reaches 3N/2, so the product has no aliasing.
 
 The energy identities of a nu = 0 run are checked by one
 :class:`EnergyResidualKernel` per run, which holds the factors of both
-identities in real-FFT layout on that grid.
+identities in real-FFT layout on that grid.  A run's states are rfft-layout
+coefficient arrays, summed over with :func:`fpmflow.spectral.half_sum`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import ModelParams, velocity_symbol
-from .spectral import SpectralField, fractional_power, sobolev_weight
+from .spectral import SpectralField, fractional_power, half_sum, sobolev_weight
 
 TWO_PI = 2.0 * math.pi
 
@@ -63,32 +65,38 @@ def mass(F: SpectralField) -> float:
     return TWO_PI ** F.grid.d * float(F.coeffs.flat[0].real)
 
 
-def _weighted_norm(d: int, w: np.ndarray, p2: np.ndarray) -> float:
-    """sqrt((2pi)^d sum w |c|^2), given the squared moduli p2 = |c|^2."""
-    return math.sqrt(TWO_PI ** d * float(np.sum(w * p2)))
-
-
 def sobolev_norm(F: SpectralField, s: float, homogeneous: bool = False) -> float:
     """H^s (or homogeneous Hdot^s) norm under the series convention."""
     w = sobolev_weight(F.grid.wavenumber_magnitude(), s, homogeneous)
-    return _weighted_norm(F.grid.d, w, np.abs(F.coeffs) ** 2)
+    return math.sqrt(TWO_PI ** F.grid.d * float(np.sum(w * np.abs(F.coeffs) ** 2)))
 
 
-def _blowup_functionals(mag: np.ndarray, absc: np.ndarray) -> tuple:
-    """(B1, B2) from the lattice magnitudes |xi| and the moduli |c_xi|."""
-    b1 = float(np.sum(mag ** 2 * (1.0 + mag) * absc))
-    l1 = float(np.sum(mag * (1.0 + mag) * absc))
+def _half_norm(grid, w, p2: np.ndarray) -> float:
+    """sqrt((2pi)^d sum w |c|^2) over a real field's spectrum, from p2 = |h|^2 in rfft layout."""
+    return math.sqrt(TWO_PI ** grid.d * float(half_sum(grid, w * p2)))
+
+
+def _blowup_functionals(grid, mag: np.ndarray, absc: np.ndarray) -> tuple:
+    """(B1, B2) from |xi| and the moduli |c_xi| of a real field, both in rfft layout."""
+    b1 = float(half_sum(grid, mag ** 2 * (1.0 + mag) * absc))
+    l1 = float(half_sum(grid, mag * (1.0 + mag) * absc))
     return b1, l1 * l1  # a float product overflows to inf; float ** 2 would raise
 
 
+def _field_blowup(F: SpectralField) -> tuple:
+    half = F.grid.n // 2 + 1
+    mag = F.grid.wavenumber_magnitude()[..., :half]
+    return _blowup_functionals(F.grid, mag, np.abs(F.coeffs[..., :half]))
+
+
 def blowup_B1(F: SpectralField) -> float:
-    """Lattice sum of |xi|^2 (1 + |xi|) |c_xi|."""
-    return _blowup_functionals(F.grid.wavenumber_magnitude(), np.abs(F.coeffs))[0]
+    """Lattice sum of |xi|^2 (1 + |xi|) |c_xi| over the spectrum of the real field F."""
+    return _field_blowup(F)[0]
 
 
 def blowup_B2(F: SpectralField) -> float:
-    """Squared lattice sum of |xi| (1 + |xi|) |c_xi|."""
-    return _blowup_functionals(F.grid.wavenumber_magnitude(), np.abs(F.coeffs))[1]
+    """Squared lattice sum of |xi| (1 + |xi|) |c_xi| over the spectrum of the real field F."""
+    return _field_blowup(F)[1]
 
 
 @dataclass(frozen=True)
@@ -126,23 +134,22 @@ def _shifted(F: SpectralField) -> np.ndarray:
     return c
 
 
-def _padded(arr: np.ndarray, rfft: bool = False) -> np.ndarray:
+def _padded(arr: np.ndarray, n: int, rfft: bool = False) -> np.ndarray:
     """An N-grid array in FFT order placed on the 3N/2 grid, zero off the band.
 
     Every |k_j| <= N/2 - 1 is kept; the unpaired -N/2 slice is dropped, as in
     ``_shifted``.  With ``rfft`` only the k >= 0 half of the last axis is
-    returned (rfft layout).
+    read and returned (rfft layout), so arr may be in rfft layout too.
     """
-    n = arr.shape[0]
-    m = 3 * n // 2
-    k = np.arange(1 - n // 2, n // 2)
-    idx = [k] * arr.ndim
+    m, h = 3 * n // 2, n // 2
+    # per axis, (source, target) of k = 0..N/2-1 and of k = 1-N/2..-1
+    blocks = [((slice(0, h), slice(0, h)), (slice(h + 1, n), slice(m - h + 1, m)))] * arr.ndim
     shape = [m] * arr.ndim
     if rfft:
-        idx[-1] = k[n // 2 - 1:]
-        shape[-1] = m // 2 + 1
+        blocks[-1], shape[-1] = blocks[-1][:1], m // 2 + 1
     out = np.zeros(shape, dtype=arr.dtype)
-    out[np.ix_(*[i % m for i in idx])] = arr[np.ix_(*[i % n for i in idx])]
+    for block in itertools.product(*blocks):
+        out[tuple(dst for _, dst in block)] = arr[tuple(src for src, _ in block)]
     return out
 
 
@@ -187,7 +194,7 @@ def _trilinear_fft(G: SeparableKernel, F: SpectralField) -> float:
     c = F.coeffs
 
     def physical(h):
-        return np.fft.ifftn(_padded(h), norm="forward")
+        return np.fft.ifftn(_padded(h, F.grid.n), norm="forward")
 
     C = physical(c)
     total = 0.0
@@ -238,11 +245,6 @@ def energy_kernel(s: float, p: ModelParams, grid) -> SeparableKernel:
     return SeparableKernel(terms=tuple(terms))
 
 
-def _energy(F: SpectralField, w) -> float:
-    """(1/2) (2pi)^d sum w |c|^2: w = 1 gives the L2 energy."""
-    return 0.5 * _weighted_norm(F.grid.d, w, np.abs(F.coeffs) ** 2) ** 2
-
-
 class EnergyResidualKernel:
     """The energy identities of one nu = 0 run, evaluated from three samples.
 
@@ -251,12 +253,13 @@ class EnergyResidualKernel:
         | three-point derivative of (1/2)||rho||^2  -  c_K (2pi)^d T[G_s] |
 
     at the middle sample, with G_s the kernel of :func:`energy_kernel`.  The
+    energies are (1/2) l2^2 and (1/2) hsdot_s^2 of the samples' records.  The
     factors live on the 3N/2 grid in rfft layout (last axis k >= 0):
 
     b      : -i m(eta) eta_j, m the velocity symbol, shared by both identities;
     a_L2   : -i xi_j;
     a_Hs   : -i |xi|^{2s} xi_j;
-    weight : the Hdot^s energy weight |xi|^{2s} on the N grid, full layout.
+    weight : the Hdot^s energy weight |xi|^{2s} on the N grid, rfft layout.
 
     a and b are odd and c is Hermitian, so each -i a c is Hermitian and its
     field A is real; T = sum_j mean(A_j B_j C) then needs 1 + 3d real
@@ -266,22 +269,24 @@ class EnergyResidualKernel:
     def __init__(self, grid, p: ModelParams, s: float):
         if p.nu != 0.0:
             raise ValueError("energy residual identity requires nu = 0")
-        kv = grid.wavevectors()
+        n = grid.n
+        kv = grid.wavevectors()[..., : n // 2 + 1, :]
         m = velocity_symbol(kv, p)
-        self.weight = w = sobolev_weight(grid.wavenumber_magnitude(), s, True)
-        self.b = [_padded(-1j * m * kv[..., j], rfft=True) for j in range(grid.d)]
-        self.a_L2 = [_padded(-1j * kv[..., j], rfft=True) for j in range(grid.d)]
-        self.a_Hs = [_padded(-1j * w * kv[..., j], rfft=True) for j in range(grid.d)]
+        self.weight = w = sobolev_weight(np.sqrt(np.sum(kv * kv, axis=-1)), s, True)
+        self.b = [_padded(-1j * m * kv[..., j], n, rfft=True) for j in range(grid.d)]
+        self.a_L2 = [_padded(-1j * kv[..., j], n, rfft=True) for j in range(grid.d)]
+        self.a_Hs = [_padded(-1j * w * kv[..., j], n, rfft=True) for j in range(grid.d)]
         self._scale = p.c_K * TWO_PI ** grid.d
-        self._shape = (3 * grid.n // 2,) * grid.d
+        self._grid = grid
+        self._shape = (3 * n // 2,) * grid.d
         self._axes = tuple(range(grid.d))
 
-    def trilinear(self, F: SpectralField) -> tuple:
-        """(T[G_0], T[G_s]) of the state F, from 1 + 3d real transforms."""
-        c = _padded(F.coeffs, rfft=True)
+    def trilinear(self, h: np.ndarray) -> tuple:
+        """(T[G_0], T[G_s]) of the state with rfft-layout coefficients h (1 + 3d real FFTs)."""
+        c = _padded(h, self._grid.n, rfft=True)
 
-        def physical(h):
-            return np.fft.irfftn(h, s=self._shape, axes=self._axes, norm="forward")
+        def physical(x):
+            return np.fft.irfftn(x, s=self._shape, axes=self._axes, norm="forward")
 
         C = physical(c)
         B = [physical(b * c) for b in self.b]
@@ -292,12 +297,12 @@ class EnergyResidualKernel:
         return tuple(T)
 
     def residuals(self, window) -> tuple:
-        """(L2 residual, Hdot^s residual) at the middle of three (t, state) samples."""
-        (t0, F0), (tm, Fm), (t1, F1) = window
+        """(L2 residual, Hdot^s residual) at the middle of three (t, h, l2, hsdot_s) samples."""
+        (t0, _, *n0), (tm, hm, *nm), (t1, _, *n1) = window
         h0, h1 = tm - t0, t1 - tm
         out = []
-        for w, T in zip((1.0, self.weight), self.trilinear(Fm)):
-            e0, em, e1 = (_energy(F, w) for F in (F0, Fm, F1))
+        for i, T in enumerate(self.trilinear(hm)):
+            e0, em, e1 = (0.5 * norms[i] ** 2 for norms in (n0, nm, n1))
             # three-point dE/dt at tm, exact for quadratics at any spacing
             rate = (h0 * h0 * (e1 - em) + h1 * h1 * (em - e0)) / (h0 * h1 * (h0 + h1))
             out.append(abs(rate - self._scale * T))
@@ -322,33 +327,39 @@ def _energy_residual(samples, p: ModelParams, s: float) -> tuple:
     if len(samples) < 3:
         raise ValueError("need at least three consecutive sampled states")
     mid = len(samples) // 2
-    kernel = EnergyResidualKernel(samples[mid][1].grid, p, s)
-    return kernel.residuals(samples[mid - 1:mid + 2])
+    grid = samples[mid][1].grid
+    kernel = EnergyResidualKernel(grid, p, s)
+    window = []
+    for t, F in samples[mid - 1:mid + 2]:  # the norms as make_record computes them
+        h = F.coeffs[..., : grid.n // 2 + 1]
+        p2 = np.abs(h) ** 2
+        window.append((t, h, _half_norm(grid, 1.0, p2), _half_norm(grid, kernel.weight, p2)))
+    return kernel.residuals(window)
 
 
-def make_record(t: float, F: SpectralField, rho_values: np.ndarray,
-                s_list) -> DiagnosticsRecord:
-    """Assemble a diagnostics row from the current state, on one lattice.
+def make_record(t: float, h: np.ndarray, rho_values: np.ndarray, s_list,
+                op) -> DiagnosticsRecord:
+    """Assemble a diagnostics row from the state with rfft-layout coefficients h.
 
-    The B1 and B2 time integrals and the energy residuals are left to the
-    caller, which sees the neighbouring samples.
+    ``op`` is the run's :class:`fpmflow.model.SpectralOperator`, whose |xi|
+    every sum reads.  The B1 and B2 time integrals and the energy residuals
+    are left to the caller, which sees the neighbouring samples.
     """
-    d = F.grid.d
-    mag = F.grid.wavenumber_magnitude()
-    absc = np.abs(F.coeffs)
+    grid = op.grid
+    absc = np.abs(h)
     p2 = absc ** 2
     hs = {
-        float(s): tuple(_weighted_norm(d, sobolev_weight(mag, s, hom), p2)
+        float(s): tuple(_half_norm(grid, sobolev_weight(op.mag, s, hom), p2)
                         for hom in (True, False))
         for s in s_list
     }
-    b1, b2 = _blowup_functionals(mag, absc)
+    b1, b2 = _blowup_functionals(grid, op.mag, absc)
     return DiagnosticsRecord(
         t=t,
-        mass=mass(F),
+        mass=TWO_PI ** grid.d * float(h.flat[0].real),
         min_rho=float(np.min(rho_values)),
         max_rho=float(np.max(rho_values)),
-        l2=_weighted_norm(d, 1.0, p2),
+        l2=_half_norm(grid, 1.0, p2),
         hs=hs,
         B1=b1,
         B2=b2,

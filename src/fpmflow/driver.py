@@ -33,8 +33,7 @@ from .spectral import (
     RealField,
     SpectralField,
     TorusGrid,
-    dealias_mask,
-    forward_transform,
+    half_sum,
     inverse_transform,
     l2_norm,
 )
@@ -254,10 +253,8 @@ def run_simulation(cfg: RunConfig, quiet: bool = False) -> int:
     final = inverse_transform(result.state)
     write_snapshot(os.path.join(cfg.out, "snapshot_final.txt"), final, result.t)
     with open(os.path.join(cfg.out, "status.txt"), "w") as fh:
-        fh.write(f"reason {result.reason}\n")
-        fh.write(f"t_final {FMT % result.t}\n")
-        fh.write(f"n_steps {result.n_steps}\n")
-        fh.write(f"regime {regime}\n")
+        fh.write(f"reason {result.reason}\nt_final {FMT % result.t}\n"
+                 f"n_steps {result.n_steps}\nregime {regime}\n")
     if not quiet:
         print(f"finished: {result.reason} at t = {result.t:.6g} "
               f"({result.n_steps} steps)", file=sys.stderr)
@@ -321,38 +318,30 @@ def picard_iteration(cfg: RunConfig, n_max: int) -> dict:
         raise ConfigError(f"picard iteration needs n_max >= 1, got {n_max}")
     grid = cfg.grid()
     op = SpectralOperator(grid, cfg.params())
-    mask = dealias_mask(grid)
-    rho0 = cfg.initial_field()
-    c0 = forward_transform(rho0)
+    c0 = op.coefficients(cfg.initial_field())
     n_steps = max(1, int(round(cfg.t_end / cfg.dt)))
     dt = cfg.t_end / n_steps
-    # Iterate 0 is constant in time.
-    prev_traj = [c0.copy() for _ in range(n_steps + 1)]
+    # Trajectories hold rfft-layout states by reference: no step updates one in place.
+    prev_traj = [c0] * (n_steps + 1)  # iterate 0 is constant in time
     diffs = []
     for _ in range(n_max):
-        state = c0.copy()
-        traj = [state.copy()]
+        state = c0
+        traj = [state]
         for k in range(n_steps):
             a, bb = prev_traj[k], prev_traj[k + 1]
-            mid = SpectralField(grid, 0.5 * (a.coeffs + bb.coeffs))
-            u_d = {tau: [u.values for u in velocity(SpectralField(grid, mask * c.coeffs), op)]
-                   for tau, c in ((0.0, a), (0.5, mid), (1.0, bb))}
+            u_d = {tau: [u.values for u in velocity(op.mask * c, op)]
+                   for tau, c in ((0.0, a), (0.5, 0.5 * (a + bb)), (1.0, bb))}
 
             def frozen_rhs(arr, tau, u_d=u_d):
-                return op.transport(op.physical(op.mask * op.half(arr)), u_d[tau])
+                return op.transport(op.physical(op.mask * arr), u_d[tau])
 
             state = _integrating_factor_rk4(state, dt, frozen_rhs, op)
-            traj.append(state.copy())
-        d = l2_norm(SpectralField(grid, state.coeffs - prev_traj[-1].coeffs))
-        diffs.append(d)
+            traj.append(state)
+        diffs.append(math.sqrt((2.0 * math.pi) ** grid.d
+                               * float(half_sum(grid, np.abs(state - prev_traj[-1]) ** 2))))
         prev_traj = traj
-    diverged = False
-    run = 0
-    for a, bb in zip(diffs, diffs[1:]):
-        run = run + 1 if bb > a else 0
-        if run >= 3:
-            diverged = True
-            break
+    rises = [bb > a for a, bb in zip(diffs, diffs[1:])]
+    diverged = any(all(rises[i:i + 3]) for i in range(len(rises) - 2))
     return {"diffs": diffs, "diverged": diverged, "dt": dt}
 
 

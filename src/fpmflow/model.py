@@ -13,8 +13,9 @@ Diffusion is handled exactly by the integrating factor in the stepper, so
 
 A run builds one :class:`SpectralOperator` (its params as ``op.p``, its fixed
 multipliers in rfft layout) and passes it to ``velocity``, ``nonlinear_rhs``
-and the stepper; states stay full-layout :class:`SpectralField` s.  Products
-are dealiased once, on the coefficients: ``op.mask * op.half(c)``.
+and the stepper.  States are rfft-layout coefficient arrays h from the run's
+first transform (``op.coefficients``) on; ``op.full`` builds full layout for
+what a run hands out.  Products are dealiased once: ``op.mask * h``.
 """
 
 from __future__ import annotations
@@ -91,24 +92,23 @@ class SpectralOperator:
     (c_0 is the mean).  Build one per run and pass it down: it holds a few
     arrays of the grid's size, and nothing outside the run keeps it alive.
 
-    Attributes (rfft layout unless noted):
+    Attributes (all in rfft layout):
 
     p             : the run's :class:`ModelParams`.
+    mag           : |xi|, for the integrating factors and the diagnostics.
     mask          : 2/3-rule dealias mask.
     neg_div       : -i xi_j on the dealiased band, one per component.
     vel           : velocity multipliers c_K |xi|^{alpha-d} chi(mu |xi|) i xi_j,
                     zero on the unpaired Nyquist mode -N/2 of axis j, where an
                     odd derivative has no Hermitian partner.
-    mag2          : |xi|^2 in full layout, for the integrating factors.
     """
 
     def __init__(self, grid: TorusGrid, p: ModelParams):
         self.grid = grid
         self.p = p
-        half = grid.n // 2 + 1
-        self.mag2 = grid.wavenumber_magnitude() ** 2
-        kv = grid.wavevectors()[..., :half, :]
-        self.mask = dealias_mask(grid)[..., :half]
+        self.mag = self.half(grid.wavenumber_magnitude())
+        kv = grid.wavevectors()[..., : grid.n // 2 + 1, :]
+        self.mask = self.half(dealias_mask(grid))
         scale = p.c_K * velocity_symbol(kv, p)
         self.neg_div = []
         self.vel = []
@@ -117,35 +117,36 @@ class SpectralOperator:
             self.neg_div.append(np.where(self.mask, -ik, 0.0))
             self.vel.append(np.where(kv[..., j] == -(grid.n // 2), 0.0, scale * ik))
         self._axes = tuple(range(grid.d))
-        # Row of -xi_0 for each row xi_0, for the conjugate mirror in 2-D.
-        self._neg_rows = (-np.arange(grid.n)) % grid.n
 
     def half(self, coeffs: np.ndarray) -> np.ndarray:
         """The rfft-layout part of full-layout coefficients (a view)."""
         return coeffs[..., : self.grid.n // 2 + 1]
 
+    def coefficients(self, rho: RealField) -> np.ndarray:
+        """rfft-layout coefficients of rho, a run's first state, with the columns k = 0 and
+        N/2 made Hermitian bit for bit: rows -1..1-N/2 from 1..N/2-1, rows 0 and N/2 real."""
+        n = self.grid.n
+        h = self.half(forward_transform(rho).coeffs).copy()
+        ends = h[..., [0, n // 2]].reshape(-1, 2)  # a single row in 1-D
+        ends[n // 2 + 1:] = np.conj(ends[n // 2 - 1:0:-1])
+        ends[::n // 2] = ends[::n // 2].real
+        h[..., [0, n // 2]] = ends
+        return h
+
+    def full(self, h: np.ndarray) -> SpectralField:
+        """The full-layout field whose rfft-layout part is h bit for bit; the other
+        columns mirror h, so it is Hermitian bit for bit when h is a run's state."""
+        n = self.grid.n
+        rows = (-np.arange(n)) % n if self.grid.d == 2 else Ellipsis
+        mirror = np.conj(h[rows, n // 2 - 1:0:-1])
+        return SpectralField(self.grid, np.concatenate([h, mirror], axis=-1))
+
     def physical(self, h: np.ndarray) -> np.ndarray:
         """Physical values of the real field with rfft-layout coefficients h."""
         return np.fft.irfftn(h, s=self.grid.shape, axes=self._axes, norm="forward")
 
-    def full(self, h: np.ndarray) -> np.ndarray:
-        """Full-layout coefficients from rfft-layout ones, Hermitian bit for bit.
-
-        The last axis is completed by the conjugate mirror of h.  In 2-D the
-        xi_1 = 0 column is made Hermitian as well, from its xi_0 > 0 half.
-        """
-        n = self.grid.n
-        out = np.empty(self.grid.shape, dtype=np.complex128)
-        out[..., : n // 2 + 1] = h
-        if self.grid.d == 1:
-            np.conjugate(h[n // 2 - 1:0:-1], out=out[n // 2 + 1:])
-        else:
-            np.conjugate(h[self._neg_rows, n // 2 - 1:0:-1], out=out[:, n // 2 + 1:])
-            np.conjugate(h[n // 2 - 1:0:-1, 0], out=out[n // 2 + 1:, 0])
-        return out
-
     def transport(self, rho_d: np.ndarray, u_d: list) -> np.ndarray:
-        """Full-layout coefficients of -div(rho_d u_d) on the dealiased band.
+        """rfft-layout coefficients of -div(rho_d u_d) on the dealiased band.
 
         rho_d and the components u_d are dealiased physical values, so the
         product is the exact (no-wrap) convolution on the retained band.
@@ -154,24 +155,25 @@ class SpectralOperator:
         for m, uj in zip(self.neg_div, u_d):
             acc += m * np.fft.rfftn(rho_d * uj, norm="forward")
         acc[(0,) * self.grid.d] = 0.0  # divergence form: exact mass conservation
-        return self.full(acc)
+        if self.grid.d == 2:  # column 0 mirrors itself (column N/2 is masked): keep it Hermitian
+            acc[self.grid.n // 2 + 1:, 0] = np.conj(acc[self.grid.n // 2 - 1:0:-1, 0])
+        return acc
 
 
-def velocity(rho_hat: SpectralField, op: SpectralOperator) -> list:
-    """u = c_K Lambda^{alpha-d} grad rho (regularized when mu > 0), one RealField per component."""
-    h = op.half(rho_hat.coeffs)
-    return [RealField(rho_hat.grid, op.physical(m * h)) for m in op.vel]
+def velocity(h: np.ndarray, op: SpectralOperator) -> list:
+    """u = c_K Lambda^{alpha-d} grad rho (regularized when mu > 0) of rfft-layout h, per axis."""
+    return [RealField(op.grid, op.physical(m * h)) for m in op.vel]
 
 
-def nonlinear_rhs(rho_hat: SpectralField, op: SpectralOperator) -> SpectralField:
-    """-(div(rho u))^ in 1 + 2d real FFTs; the stepper handles diffusion exactly."""
-    if not np.all(np.isfinite(rho_hat.coeffs)):
+def nonlinear_rhs(h: np.ndarray, op: SpectralOperator) -> np.ndarray:
+    """rfft-layout -(div(rho u))^ in 1 + 2d real FFTs; the stepper handles diffusion exactly."""
+    if not np.all(np.isfinite(h)):
         raise SpectralError("non-finite coefficients in state")
-    h = op.mask * op.half(rho_hat.coeffs)
-    rho_d = op.physical(h)
-    u_d = [op.physical(m * h) for m in op.vel]
-    del h  # transport does not need it; freeing it first keeps the peak memory down
-    return SpectralField(rho_hat.grid, op.transport(rho_d, u_d))
+    hm = op.mask * h
+    rho_d = op.physical(hm)
+    u_d = [op.physical(m * hm) for m in op.vel]
+    del hm  # transport does not need it; freeing it first keeps the peak memory down
+    return op.transport(rho_d, u_d)
 
 
 def mollify_initial(rho0: RealField, mu: float) -> RealField:

@@ -8,7 +8,9 @@ integer vectors.  Coefficients follow the convention
 i.e. c_0 is the mean of the field and the physical L2 norm equals
 (2pi)^{d/2} times the l2 norm of the coefficients.  Coefficient arrays are
 stored in numpy FFT ordering (wavenumbers 0, 1, ..., N/2-1, -N/2, ..., -1
-along each axis).
+along each axis); rfft layout keeps only wavenumbers 0..N/2 of the last
+axis, the rest following from Hermitian symmetry, and :func:`half_sum` sums
+over it.
 A Fourier multiplier is its symbol, a function of the wavenumbers applied to
 every mode: its value at xi = 0 is what the multiplier does to the mean.
 Every |xi|^s of the package that is 0 at xi = 0 comes from :func:`radial_power`.
@@ -92,6 +94,13 @@ class TorusGrid:
         return list(np.meshgrid(x, x, indexing="ij"))
 
 
+def _on_grid(grid: TorusGrid, arr, dtype, what: str) -> np.ndarray:
+    arr = np.asarray(arr, dtype=dtype)
+    if arr.shape != grid.shape:
+        raise SpectralError(f"{what} shape {arr.shape} does not match grid {grid.shape}")
+    return arr
+
+
 @dataclass
 class RealField:
     """Physical-space field: real values on the grid points."""
@@ -100,29 +109,18 @@ class RealField:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != self.grid.shape:
-            raise SpectralError(
-                f"value shape {self.values.shape} does not match grid {self.grid.shape}"
-            )
+        self.values = _on_grid(self.grid, self.values, np.float64, "value")
 
 
 @dataclass
 class SpectralField:
-    """Coefficient-space field in FFT ordering."""
+    """Coefficient-space field in FFT ordering (full layout)."""
 
     grid: TorusGrid
     coeffs: np.ndarray
 
     def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=np.complex128)
-        if self.coeffs.shape != self.grid.shape:
-            raise SpectralError(
-                f"coeff shape {self.coeffs.shape} does not match grid {self.grid.shape}"
-            )
-
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs.copy())
+        self.coeffs = _on_grid(self.grid, self.coeffs, np.complex128, "coeff")
 
 
 def bump(r: np.ndarray) -> np.ndarray:
@@ -211,6 +209,14 @@ def dealias_mask(grid: TorusGrid) -> np.ndarray:
 def l2_norm(F: SpectralField) -> float:
     """Physical L2 norm: (2pi)^{d/2} times the l2 norm of the coefficients."""
     return math.sqrt((2.0 * math.pi) ** F.grid.d * float(np.sum(np.abs(F.coeffs) ** 2)))
+
+
+def half_sum(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
+    """Sum over the last d axes of rfft-layout values, each column counted for the modes it
+    stands for in a real field's spectrum: columns 0 and N/2 once, the others twice."""
+    col = np.full(grid.n // 2 + 1, 2.0)
+    col[[0, -1]] = 1.0
+    return np.sum(col * values, axis=tuple(range(-grid.d, 0)))
 
 
 def random_series(grid: TorusGrid, rng, envelope) -> np.ndarray:

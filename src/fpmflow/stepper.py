@@ -3,6 +3,7 @@
 Diffusion is absorbed exactly into the exponential factor e^{-nu |xi|^2 dt},
 so the explicit RK4 stages only see the nonlinear transport term.  With
 c_K = 0 the scheme reproduces the heat semigroup to round-off for any dt.
+States are rfft-layout coefficient arrays that no step updates in place.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .diagnostics import EnergyResidualKernel, make_record
 from .model import ModelParams, SpectralOperator, nonlinear_rhs, velocity
-from .spectral import RealField, SpectralError, SpectralField, forward_transform
+from .spectral import RealField, SpectralError, SpectralField
 
 EPS0 = 1e-12
 
@@ -58,27 +59,25 @@ class StepperConfig:
 class FinalState:
     """Outcome of a run: final state, termination reason, collected diagnostics."""
 
-    state: SpectralField
+    state: SpectralField             # full layout, built from the run's last state
     t: float
     reason: str                      # "completed" | "blowup_detected" | "max_steps"
     n_steps: int
     records: list
-    states: list                     # copies of every sampled (t, SpectralField) when
-                                     # keep_states was set, else empty
+    states: list                     # full-layout (t, SpectralField) per sample if keep_states
 
 
-def cfl_dt(state: SpectralField, op: SpectralOperator, safety: float,
+def cfl_dt(state: np.ndarray, op: SpectralOperator, safety: float,
            dt_max: float = math.inf) -> float:
     """Stability surrogate: dt from the transport speed and the operator order.
 
     The nonlinearity carries 2 - 2b derivatives, giving the grid-power
     constraint dx^{max(1, 2-2b)}; diffusion is exact and imposes none.
     """
-    dx = state.grid.dx
     u = velocity(state, op)
     umax = max(float(np.max(np.abs(c.values))) for c in u)
-    rho_max = float(np.max(np.abs(op.physical(op.half(state.coeffs)))))
-    expo = max(1.0, 2.0 - 2.0 * op.p.b)
+    rho_max = float(np.max(np.abs(op.physical(state))))
+    dx, expo = op.grid.dx, max(1.0, 2.0 - 2.0 * op.p.b)
     dt = safety * min(
         dx / (EPS0 + umax),
         dx ** expo / (EPS0 + abs(op.p.c_K) * rho_max),
@@ -86,34 +85,31 @@ def cfl_dt(state: SpectralField, op: SpectralOperator, safety: float,
     return min(dt, dt_max)
 
 
-def _integrating_factor_rk4(state: SpectralField, dt: float,
+def _integrating_factor_rk4(c: np.ndarray, dt: float,
                             rhs: Callable[[np.ndarray, float], np.ndarray],
-                            op: SpectralOperator) -> SpectralField:
+                            op: SpectralOperator) -> np.ndarray:
     """One RK4 step of d/dt c = -nu |xi|^2 c + rhs(c, tau), diffusion exact.
 
-    ``rhs`` receives stage coefficients and the stage time as a fraction
-    tau in {0, 1/2, 1} of the step.  At nu = op.p.nu = 0 the factors are 1.
+    ``rhs`` maps rfft-layout stage coefficients and the stage time, as a
+    fraction tau in {0, 1/2, 1} of the step, to rfft-layout coefficients.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    e_full = np.exp(-op.p.nu * op.mag2 * dt)
-    e_half = np.exp(-op.p.nu * op.mag2 * (dt / 2.0))
-    c = state.coeffs
+    e_full = e_half = 1.0  # exactly the factors at nu = 0
+    if op.p.nu > 0.0:
+        mag2 = op.mag ** 2
+        e_full = np.exp(-op.p.nu * mag2 * dt)
+        e_half = np.exp(-op.p.nu * mag2 * (dt / 2.0))
     k1 = rhs(c, 0.0)
     k2 = rhs(e_half * (c + 0.5 * dt * k1), 0.5)
     k3 = rhs(e_half * c + 0.5 * dt * k2, 0.5)
     k4 = rhs(e_full * c + dt * e_half * k3, 1.0)
-    new = e_full * c + dt / 6.0 * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
-    return SpectralField(state.grid, new)
+    return e_full * c + dt / 6.0 * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
 
 
-def step(state: SpectralField, dt: float, op: SpectralOperator) -> SpectralField:
+def step(state: np.ndarray, dt: float, op: SpectralOperator) -> np.ndarray:
     """One integrating-factor RK4 step of size dt: four RHS, 4 (1 + 2d) real FFTs."""
-
-    def rhs(arr, tau):
-        return nonlinear_rhs(SpectralField(state.grid, arr), op).coeffs
-
-    return _integrating_factor_rk4(state, dt, rhs, op)
+    return _integrating_factor_rk4(state, dt, lambda arr, tau: nonlinear_rhs(arr, op), op)
 
 
 def integrate(rho0: RealField, p: ModelParams, cfg: StepperConfig,
@@ -126,28 +122,29 @@ def integrate(rho0: RealField, p: ModelParams, cfg: StepperConfig,
     integrals are accumulated by the trapezoid rule over sample times.  With
     ``energy_residuals`` (nu = 0 only) each interior record gets the L2 and
     Hdot^{max s_list} energy residuals once the sample after it is taken; the
-    window holds the last three sampled states, so no other state is kept.
+    window holds the last three sampled states (by reference) and their
+    records' norms.  Full layout is built only for the states handed out.
     """
     op = SpectralOperator(rho0.grid, p)
-    kernel = (EnergyResidualKernel(rho0.grid, p, max(cfg.s_list))
-              if energy_residuals else None)
+    s_max = float(max(cfg.s_list))
+    kernel = EnergyResidualKernel(rho0.grid, p, s_max) if energy_residuals else None
     window: deque = deque(maxlen=3)
-    state = forward_transform(rho0)
+    state = op.coefficients(rho0)
     t = 0.0
     records: list = []
     states: list = []
 
     def sample(cur_t, cur_state, rho_values):
-        rec = make_record(cur_t, cur_state, rho_values, cfg.s_list)
+        rec = make_record(cur_t, cur_state, rho_values, cfg.s_list, op)
         if records:
             prev = records[-1]
             rec.int_B1 = prev.int_B1 + 0.5 * (prev.B1 + rec.B1) * (cur_t - prev.t)
             rec.int_B2sq = prev.int_B2sq + 0.5 * (prev.B2 + rec.B2) * (cur_t - prev.t)
         records.append(rec)
         if keep_states:
-            states.append((cur_t, cur_state.copy()))
+            states.append((cur_t, op.full(cur_state)))
         if kernel is not None:
-            window.append((cur_t, cur_state))
+            window.append((cur_t, cur_state, rec.l2, rec.hs[s_max][0]))
             if len(window) == 3:
                 mid = records[-2]
                 mid.energy_residual_L2, mid.energy_residual_Hs = kernel.residuals(window)
@@ -174,14 +171,14 @@ def integrate(rho0: RealField, p: ModelParams, cfg: StepperConfig,
                 break
             t += dt
             n_steps += 1
-            if not np.all(np.isfinite(state.coeffs)):
+            if not np.all(np.isfinite(state)):
                 reason = "blowup_detected"
                 break
             if n_steps % cfg.sample_every == 0 or t >= cfg.t_end - EPS0:
-                b1 = sample(t, state, op.physical(op.half(state.coeffs)))
+                b1 = sample(t, state, op.physical(state))
                 if b1 > cfg.blowup_threshold:
                     reason = "blowup_detected"
                     break
 
-    return FinalState(state=state, t=t, reason=reason, n_steps=n_steps,
+    return FinalState(state=op.full(state), t=t, reason=reason, n_steps=n_steps,
                       records=records, states=states)

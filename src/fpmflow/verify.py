@@ -26,6 +26,7 @@ from .spectral import (
     dealias_mask,
     forward_transform,
     fractional_power,
+    half_sum,
     radial_power,
     random_real_field,
     random_series,
@@ -304,16 +305,8 @@ def _commutator_lhs(grid: TorusGrid, f: np.ndarray, g: np.ndarray, b: float,
         rest = f_d * phys(lam * dg)
         for dfk, m_k in zip(df, ik):
             rest = rest + b * dfk * phys(m_k * lam2 * dg)
-        total = total + _half_sq_sum(grid, lam * spec(f_d * phys(dg)) - spec(rest))
+        total = total + half_sum(grid, np.abs(lam * spec(f_d * phys(dg)) - spec(rest)) ** 2)
     return np.sqrt((2.0 * math.pi) ** grid.d * total)
-
-
-def _half_sq_sum(grid: TorusGrid, h: np.ndarray, weight=1.0) -> np.ndarray:
-    """sum weight |c|^2 over the full spectrum of real fields with rfft-layout h:
-    columns 0 and N/2 of the last axis stand for one mode, the others for two."""
-    col = np.full(grid.n // 2 + 1, 2.0)
-    col[[0, -1]] = 1.0
-    return np.sum(col * weight * np.abs(h) ** 2, axis=tuple(range(-grid.d, 0)))
 
 
 def _commutator_sides(grid: TorusGrid, f: np.ndarray, g: np.ndarray, b: float,
@@ -332,7 +325,8 @@ def _commutator_sides(grid: TorusGrid, f: np.ndarray, g: np.ndarray, b: float,
 
     def sobolev(v, s):
         h = np.fft.rfftn(v, axes=tuple(range(-d, 0)), norm="forward")
-        return np.sqrt((2.0 * math.pi) ** d * _half_sq_sum(grid, h, sobolev_weight(mag, s, False)))
+        return np.sqrt((2.0 * math.pi) ** d * half_sum(grid, sobolev_weight(mag, s, False)
+                                                        * np.abs(h) ** 2))
 
     return lhs, sobolev(f, s_f) * sobolev(g, s_g)
 

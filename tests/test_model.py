@@ -24,6 +24,7 @@ from fpmflow.spectral import (
     inverse_transform,
     random_real_field,
 )
+from fpmflow.stepper import StepperConfig, integrate, step
 
 
 def naive_flux_divergence(rho_hat, u_hats, grid):
@@ -71,15 +72,16 @@ class TestVelocity:
         g = TorusGrid(d=1, n=32)
         p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0)
         rho = field_from_function(g, lambda x: 1 + 0.1 * np.cos(x))
-        u = velocity(forward_transform(rho), SpectralOperator(g, p))
+        op = SpectralOperator(g, p)
+        u = velocity(op.coefficients(rho), op)
         ref = 0.1 * np.sin(g.points()[0])
         assert np.max(np.abs(u[0].values - ref)) < 1e-14
 
     def test_constant_gives_zero(self):
         g = TorusGrid(d=1, n=16)
         p = ModelParams(alpha_minus_d=-1.0, c_K=3.0)
-        F = forward_transform(RealField(g, np.full(16, 2.0)))
-        u = velocity(F, SpectralOperator(g, p))
+        op = SpectralOperator(g, p)
+        u = velocity(op.coefficients(RealField(g, np.full(16, 2.0))), op)
         assert np.max(np.abs(u[0].values)) < 1e-15
 
     def test_mode_two_symbol_arithmetic(self):
@@ -87,21 +89,22 @@ class TestVelocity:
         g = TorusGrid(d=1, n=32)
         p = ModelParams(alpha_minus_d=-2.0, c_K=1.0)
         rho = field_from_function(g, lambda x: 1 + 0.1 * np.cos(2 * x))
-        u = velocity(forward_transform(rho), SpectralOperator(g, p))
+        op = SpectralOperator(g, p)
+        u = velocity(op.coefficients(rho), op)
         ref = -0.05 * np.sin(2 * g.points()[0])
         assert np.max(np.abs(u[0].values - ref)) < 1e-14
 
     def test_linearity_and_homogeneity(self):
         rng = np.random.default_rng(4)
         g = TorusGrid(d=1, n=32)
-        F = forward_transform(random_real_field(g, rng))
         p1 = ModelParams(alpha_minus_d=-1.0, c_K=-2.0)
         p2 = ModelParams(alpha_minus_d=-1.0, c_K=-1.0)
-        u1 = velocity(F, SpectralOperator(g, p1))[0].values
-        u2 = velocity(F, SpectralOperator(g, p2))[0].values
+        op1, op2 = SpectralOperator(g, p1), SpectralOperator(g, p2)
+        h = op1.coefficients(random_real_field(g, rng))
+        u1 = velocity(h, op1)[0].values
+        u2 = velocity(h, op2)[0].values
         assert np.max(np.abs(u1 - 2.0 * u2)) < 1e-13
-        G = SpectralField(g, 3.0 * F.coeffs)
-        assert np.max(np.abs(velocity(G, SpectralOperator(g, p2))[0].values - 3.0 * u2)) < 1e-12
+        assert np.max(np.abs(velocity(3.0 * h, op2)[0].values - 3.0 * u2)) < 1e-12
 
     def test_local_endpoint(self):
         # b = 0: u = c_K grad rho exactly
@@ -110,7 +113,8 @@ class TestVelocity:
         f = random_real_field(g, rng, decay=3.0, mean=2.0)
         p = ModelParams(alpha_minus_d=0.0, c_K=-1.5)
         F = forward_transform(f)
-        u = velocity(F, SpectralOperator(g, p))[0].values
+        op = SpectralOperator(g, p)
+        u = velocity(op.half(F.coeffs), op)[0].values
         k = g.axis_wavenumbers()
         deriv = np.where(k == -g.n // 2, 0.0, 1j * k * F.coeffs)
         grad = inverse_transform(SpectralField(g, deriv)).values
@@ -119,13 +123,13 @@ class TestVelocity:
     def test_regularized_converges_monotonically(self):
         g = TorusGrid(d=1, n=64)
         rho = field_from_function(g, lambda x: 1 + 0.4 * np.cos(x) + 0.2 * np.cos(3 * x))
-        F = forward_transform(rho)
         op = SpectralOperator(g, ModelParams(alpha_minus_d=-1.0, c_K=-1.0))
-        base = velocity(F, op)[0].values
+        h = op.coefficients(rho)
+        base = velocity(h, op)[0].values
         errs = []
         for mu in (1.0, 0.5, 0.25, 0.125):
             p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0, mu=mu)
-            errs.append(np.max(np.abs(velocity(F, SpectralOperator(g, p))[0].values - base)))
+            errs.append(np.max(np.abs(velocity(h, SpectralOperator(g, p))[0].values - base)))
         assert all(b < a for a, b in zip(errs, errs[1:]))
 
     def test_2d_components(self):
@@ -133,7 +137,8 @@ class TestVelocity:
         p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0)
         x, y = g.points()
         rho = RealField(g, 1 + 0.1 * np.cos(x))
-        u = velocity(forward_transform(rho), SpectralOperator(g, p))
+        op = SpectralOperator(g, p)
+        u = velocity(op.coefficients(rho), op)
         assert len(u) == 2
         assert np.max(np.abs(u[0].values - 0.1 * np.sin(x))) < 1e-13
         assert np.max(np.abs(u[1].values)) < 1e-13
@@ -146,8 +151,7 @@ def flux_divergence(rho, u):
     def dealias(values):
         return op.physical(op.mask * np.fft.rfftn(values, norm="forward"))
 
-    return SpectralField(rho.grid, -op.transport(dealias(rho.values),
-                                                 [dealias(c.values) for c in u]))
+    return op.full(-op.transport(dealias(rho.values), [dealias(c.values) for c in u]))
 
 
 class TestFluxDivergence:
@@ -191,17 +195,17 @@ class TestNonlinearRhs:
     def test_constant_rho(self):
         g = TorusGrid(d=1, n=16)
         p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0)
-        F = forward_transform(RealField(g, np.full(16, 2.0)))
-        out = nonlinear_rhs(F, SpectralOperator(g, p))
-        assert np.max(np.abs(out.coeffs)) < 1e-14
+        op = SpectralOperator(g, p)
+        out = nonlinear_rhs(op.coefficients(RealField(g, np.full(16, 2.0))), op)
+        assert np.max(np.abs(out)) < 1e-14
 
     def test_zero_interaction(self):
         rng = np.random.default_rng(12)
         g = TorusGrid(d=1, n=32)
         p = ModelParams(alpha_minus_d=-1.0, c_K=0.0)
-        out = nonlinear_rhs(forward_transform(random_real_field(g, rng, mean=1.0)),
-                            SpectralOperator(g, p))
-        assert np.max(np.abs(out.coeffs)) < 1e-14
+        op = SpectralOperator(g, p)
+        out = nonlinear_rhs(op.coefficients(random_real_field(g, rng, mean=1.0)), op)
+        assert np.max(np.abs(out)) < 1e-14
 
     def test_single_mode_vs_oracle(self):
         g = TorusGrid(d=1, n=16)
@@ -209,18 +213,18 @@ class TestNonlinearRhs:
         rho = field_from_function(g, lambda x: 1 + 0.01 * np.cos(x))
         F = forward_transform(rho)
         op = SpectralOperator(g, p)
-        out = nonlinear_rhs(F, op).coeffs
-        u_hats = [forward_transform(c).coeffs for c in velocity(F, op)]
+        out = op.full(nonlinear_rhs(op.half(F.coeffs), op)).coeffs
+        u_hats = [forward_transform(c).coeffs for c in velocity(op.half(F.coeffs), op)]
         ref = -naive_flux_divergence(F, u_hats, g)
         assert np.max(np.abs(out - ref)) < 1e-12
 
     def test_nan_rejected(self):
         g = TorusGrid(d=1, n=16)
         p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0)
-        c = np.zeros(16, dtype=complex)
+        c = np.zeros(9, dtype=complex)
         c[0] = np.nan
         with pytest.raises(Exception):
-            nonlinear_rhs(SpectralField(g, c), SpectralOperator(g, p))
+            nonlinear_rhs(c, SpectralOperator(g, p))
 
 
 def complex_fft_rhs(F, p):
@@ -260,24 +264,38 @@ class TestSpectralOperator:
         g = TorusGrid(d=2, n=32)
         p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0, mu=mu)
         F = forward_transform(random_real_field(g, rng, mean=1.0))
-        out = nonlinear_rhs(F, SpectralOperator(g, p)).coeffs
+        op = SpectralOperator(g, p)
+        out = op.full(nonlinear_rhs(op.half(F.coeffs), op)).coeffs
         ref = complex_fft_rhs(F, p)
         assert np.max(np.abs(out - ref)) < 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("d", [1, 2])
-    def test_rhs_is_bitwise_hermitian(self, d):
+    def test_final_state_is_bitwise_hermitian(self, d):
+        # states stay in rfft layout; the full layout a run hands out is Hermitian
+        # bit for bit and keeps the rfft-layout half bit for bit.  At N = 48 the
+        # 2-D fftn of rho0 has non-real self-conjugate modes and a non-Hermitian
+        # column 0, so the first state has to be made Hermitian.
         rng = np.random.default_rng(16)
-        g = TorusGrid(d=d, n=32)
-        p = ModelParams(alpha_minus_d=-0.5, c_K=1.0, mu=0.1)
-        F = forward_transform(random_real_field(g, rng, mean=1.0))
-        assert is_hermitian(nonlinear_rhs(F, SpectralOperator(g, p)).coeffs)
+        g = TorusGrid(d=d, n=48)
+        p = ModelParams(alpha_minus_d=-0.5, c_K=1.0, mu=0.1, nu=0.05)
+        rho0 = random_real_field(g, rng, mean=1.0)
+        cfg = StepperConfig(t_end=0.02, dt_mode="fixed", dt=5e-3)
+        res = integrate(rho0, p, cfg, keep_states=True)
+        assert res.reason == "completed" and res.n_steps == 4
+        assert is_hermitian(res.state.coeffs)
+        assert all(is_hermitian(F.coeffs) for _, F in res.states)
+        op = SpectralOperator(g, p)
+        h = step(step(op.coefficients(rho0), 5e-3, op), 5e-3, op)
+        full = op.full(h).coeffs
+        assert is_hermitian(full) and np.array_equal(op.half(full), h)
+        assert np.array_equal(res.states[2][1].coeffs, full)
 
     def test_velocity_of_masked_state_is_dealiased_velocity(self):
         rng = np.random.default_rng(17)
         g = TorusGrid(d=2, n=32)
         op = SpectralOperator(g, ModelParams(alpha_minus_d=-1.0, c_K=-1.0, mu=0.25))
         c = forward_transform(random_real_field(g, rng, mean=1.0)).coeffs
-        u = velocity(SpectralField(g, dealias_mask(g) * c), op)
+        u = velocity(op.half(dealias_mask(g) * c), op)
         for m, uj in zip(op.vel, u):
             assert np.array_equal(uj.values, op.physical(m * op.mask * op.half(c)))
             # Dealiasing the physical velocity: rfftn, mask, irfftn.

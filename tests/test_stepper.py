@@ -6,12 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from fpmflow.model import ModelParams, SpectralOperator
+from fpmflow.model import ModelParams, SpectralOperator, velocity_symbol
 from fpmflow.spectral import (
     RealField,
+    SpectralField,
     TorusGrid,
+    dealias_mask,
     field_from_function,
-    forward_transform,
     inverse_transform,
     random_real_field,
 )
@@ -41,37 +42,93 @@ def count_ffts(monkeypatch):
     return counter
 
 
+def reference_full_layout_step(F, dt, p):
+    """One integrating-factor RK4 step on full-layout coefficients through complex FFTs.
+
+    The right-hand side dealiases rho and every velocity component on the
+    coefficients, multiplies them in physical space, and takes -i xi_j of each
+    product on the dealiased band; gradients zero the unpaired Nyquist mode.
+    This is the direct form of the rfft-layout step.
+    """
+    g = F.grid
+    n = g.npoints
+    kv = g.wavevectors()
+    mask = dealias_mask(g)
+    mag2 = np.sum(kv * kv, axis=-1)
+
+    def physical(c):
+        return (np.fft.ifftn(c) * n).real
+
+    def rhs(c):
+        cm = np.where(mask, c, 0.0)
+        rho_d = physical(cm)
+        scaled = p.c_K * velocity_symbol(kv, p) * cm
+        out = np.zeros(g.shape, dtype=complex)
+        for j in range(g.d):
+            kj = kv[..., j]
+            u_d = physical(np.where(kj == -(g.n // 2), 0.0, 1j * kj * scaled))
+            out -= np.where(mask, 1j * kj, 0.0) * np.fft.fftn(rho_d * u_d) / n
+        out.flat[0] = 0.0
+        return out
+
+    e_full = np.exp(-p.nu * mag2 * dt)
+    e_half = np.exp(-p.nu * mag2 * dt / 2.0)
+    c = F.coeffs
+    k1 = rhs(c)
+    k2 = rhs(e_half * (c + 0.5 * dt * k1))
+    k3 = rhs(e_half * c + 0.5 * dt * k2)
+    k4 = rhs(e_full * c + dt * e_half * k3)
+    return SpectralField(g, e_full * c + dt / 6.0 * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4))
+
+
 class TestStep:
+    @pytest.mark.parametrize("mu", [0.0, 0.25])
+    @pytest.mark.parametrize("nu", [0.0, 0.05])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_matches_full_layout_reference(self, d, nu, mu):
+        g = TorusGrid(d=d, n=32)
+        p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0, nu=nu, mu=mu)
+        op = SpectralOperator(g, p)
+        h = op.coefficients(random_real_field(g, np.random.default_rng(18), mean=1.0))
+        out = op.full(step(h, 0.01, op)).coeffs
+        ref = reference_full_layout_step(op.full(h), 0.01, p).coeffs
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.max(np.abs(out - op.full(h).coeffs)) > 1e-6  # the step moved the state
+
+
     def test_heat_factor_exact(self):
         g = TorusGrid(d=1, n=32)
         p = ModelParams(alpha_minus_d=-1.0, c_K=0.0, nu=1.0)
-        F = forward_transform(cosine_data(g))
-        out = step(F, 0.37, SpectralOperator(g, p))
-        assert out.coeffs[1] == pytest.approx(F.coeffs[1] * math.exp(-0.37), rel=1e-14)
-        assert out.coeffs[0] == pytest.approx(F.coeffs[0], rel=1e-15)
+        op = SpectralOperator(g, p)
+        h = op.coefficients(cosine_data(g))
+        out = step(h, 0.37, op)
+        assert out[1] == pytest.approx(h[1] * math.exp(-0.37), rel=1e-14)
+        assert out[0] == pytest.approx(h[0], rel=1e-15)
 
     def test_no_dynamics_is_identity(self):
         g = TorusGrid(d=1, n=32)
         p = ModelParams(alpha_minus_d=-1.0, c_K=0.0, nu=0.0)
-        F = forward_transform(cosine_data(g))
-        out = step(F, 0.1, SpectralOperator(g, p))
-        assert np.array_equal(out.coeffs, F.coeffs)
+        op = SpectralOperator(g, p)
+        h = op.coefficients(cosine_data(g))
+        out = step(h, 0.1, op)
+        assert np.array_equal(out, h)
 
     def test_invalid_dt(self):
         g = TorusGrid(d=1, n=32)
         p = ModelParams(alpha_minus_d=-1.0, c_K=0.0)
         with pytest.raises(ValueError):
-            step(forward_transform(cosine_data(g)), -0.1, SpectralOperator(g, p))
+            op = SpectralOperator(g, p)
+            step(op.coefficients(cosine_data(g)), -0.1, op)
 
     @pytest.mark.parametrize("d, expected", [(1, 12), (2, 20)])
     def test_fft_count(self, monkeypatch, d, expected):
         # four RHS, each 1 + 2d real FFTs
         g = TorusGrid(d=d, n=32)
         p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0, nu=0.1)
-        F = forward_transform(random_real_field(g, np.random.default_rng(3), mean=1.0))
         op = SpectralOperator(g, p)
+        h = op.coefficients(random_real_field(g, np.random.default_rng(3), mean=1.0))
         counter = count_ffts(monkeypatch)
-        step(F, 1e-3, op)
+        step(h, 1e-3, op)
         assert counter["calls"] == expected
 
     def test_grid_refinement_agreement(self):
@@ -80,9 +137,10 @@ class TestStep:
         outs = {}
         for n in (32, 64):
             g = TorusGrid(d=1, n=n)
-            F = forward_transform(field_from_function(
+            op = SpectralOperator(g, p)
+            h = op.coefficients(field_from_function(
                 g, lambda x: 1 + 0.3 * np.cos(x) + 0.1 * np.cos(2 * x)))
-            outs[n] = np.fft.fftshift(step(F, 1e-3, SpectralOperator(g, p)).coeffs)
+            outs[n] = np.fft.fftshift(op.full(step(h, 1e-3, op)).coeffs)
         coarse = outs[32]
         fine = outs[64][16:48]
         # compare inside the coarse dealias band only
@@ -95,8 +153,9 @@ class TestCflDt:
     def test_zero_velocity_capped(self):
         g = TorusGrid(d=1, n=32)
         p = ModelParams(alpha_minus_d=-1.0, c_K=0.0)
-        F = forward_transform(RealField(g, np.zeros(32)))
-        assert cfl_dt(F, SpectralOperator(g, p), safety=0.5, dt_max=0.05) == 0.05
+        op = SpectralOperator(g, p)
+        h = op.coefficients(RealField(g, np.zeros(32)))
+        assert cfl_dt(h, op, safety=0.5, dt_max=0.05) == 0.05
 
     def test_transport_exponent_b1(self):
         # b = 1: grid exponent max(1, 0) = 1, dt scales linearly in dx
@@ -104,8 +163,8 @@ class TestCflDt:
         dts = {}
         for n in (32, 64):
             g = TorusGrid(d=1, n=n)
-            F = forward_transform(cosine_data(g, 0.5))
-            dts[n] = cfl_dt(F, SpectralOperator(g, p), safety=1.0, dt_max=np.inf)
+            op = SpectralOperator(g, p)
+            dts[n] = cfl_dt(op.coefficients(cosine_data(g, 0.5)), op, safety=1.0, dt_max=np.inf)
         assert dts[32] / dts[64] == pytest.approx(2.0, rel=0.05)
 
     def test_diffusive_exponent_b0(self):
@@ -115,8 +174,9 @@ class TestCflDt:
         for n in (32, 64):
             g = TorusGrid(d=1, n=n)
             # small amplitude so the rho-based constraint dominates
-            F = forward_transform(cosine_data(g, 1e-6))
-            dts[n] = cfl_dt(F, SpectralOperator(g, p), safety=1.0, dt_max=np.inf)
+            op = SpectralOperator(g, p)
+            dts[n] = cfl_dt(op.coefficients(cosine_data(g, 1e-6)), op, safety=1.0,
+                            dt_max=np.inf)
         assert dts[32] / dts[64] == pytest.approx(4.0, rel=0.05)
 
 
@@ -199,6 +259,26 @@ class TestIntegrate:
         assert extra > 0
         assert counter["calls"] - without["calls"] == extra
         assert counter["irfftn"] - without["irfftn"] == extra
+
+    @pytest.mark.parametrize("nu", [0.0, 0.05])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_run_fft_count(self, monkeypatch, d, nu):
+        # after the initial forward transform only real FFTs: 4 (1 + 2d) per step,
+        # 1 + d per cfl_dt, 1 per sample after a step, 1 + 3d per evaluated residual
+        g = TorusGrid(d=d, n=16)
+        p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0, nu=nu)
+        cfg = StepperConfig(t_end=0.02, dt_mode="adaptive", dt_max=5e-3)
+        rho0 = random_real_field(g, np.random.default_rng(7), mean=1.0, amplitude=0.3)
+        counter = count_ffts(monkeypatch)
+        res = integrate(rho0, p, cfg, energy_residuals=nu == 0.0)
+        assert res.reason == "completed" and res.n_steps >= 4
+        complex_calls = sum(counter.get(name, 0) for name in FFT_NAMES if "r" not in name)
+        assert complex_calls == counter.get("fftn") == 1
+        samples = len(res.records) - 1
+        residuals = sum(math.isfinite(r.energy_residual_L2) for r in res.records)
+        assert residuals == (samples - 1 if nu == 0.0 else 0)
+        assert counter["calls"] - complex_calls == (
+            res.n_steps * (4 * (1 + 2 * d) + 1 + d) + samples + (1 + 3 * d) * residuals)
 
     def test_determinism(self):
         g = TorusGrid(d=1, n=64)
