@@ -2,7 +2,8 @@
 
 Library layout:
 
-- :mod:`fpmflow.spectral`    grids, transforms, Fourier multipliers, dealiasing
+- :mod:`fpmflow.spectral`    grids, transforms, Fourier multipliers, dealiasing,
+                             and the rfft layout of real fields' spectra
 - :mod:`fpmflow.model`       velocity law, transport operator, mollified data
 - :mod:`fpmflow.stepper`     integrating-factor RK4 with CFL control
 - :mod:`fpmflow.diagnostics` norms, blow-up functionals, trilinear form

@@ -19,9 +19,11 @@ wrap): with |xi_j|, |eta_j| <= N/2 - 1, no sum of three band wavenumbers
 reaches 3N/2, so the product has no aliasing.
 
 The energy identities of a nu = 0 run are checked by one
-:class:`EnergyResidualKernel` per run, which holds the factors of both
-identities in real-FFT layout on that grid.  A run's states are rfft-layout
-coefficient arrays, summed over with :func:`fpmflow.spectral.half_sum`.
+:class:`EnergyResidualKernel` per run, built from the run's operator, which
+holds the factors of both identities in rfft layout on the 3N/2 grid.  A
+run's states are rfft-layout coefficient arrays; their norms are
+:func:`fpmflow.spectral.half_norm` and the B1/B2 sums
+:func:`fpmflow.spectral.half_sum`.
 """
 
 from __future__ import annotations
@@ -32,8 +34,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, velocity_symbol
-from .spectral import SpectralField, fractional_power, half_sum, sobolev_weight
+from .model import ModelParams, SpectralOperator, velocity_symbol
+from .spectral import (
+    SpectralField,
+    fractional_power,
+    half,
+    half_inverse,
+    half_norm,
+    half_sum,
+    sobolev_weight,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -71,11 +81,6 @@ def sobolev_norm(F: SpectralField, s: float, homogeneous: bool = False) -> float
     return math.sqrt(TWO_PI ** F.grid.d * float(np.sum(w * np.abs(F.coeffs) ** 2)))
 
 
-def _half_norm(grid, w, p2: np.ndarray) -> float:
-    """sqrt((2pi)^d sum w |c|^2) over a real field's spectrum, from p2 = |h|^2 in rfft layout."""
-    return math.sqrt(TWO_PI ** grid.d * float(half_sum(grid, w * p2)))
-
-
 def _blowup_functionals(grid, mag: np.ndarray, absc: np.ndarray) -> tuple:
     """(B1, B2) from |xi| and the moduli |c_xi| of a real field, both in rfft layout."""
     b1 = float(half_sum(grid, mag ** 2 * (1.0 + mag) * absc))
@@ -84,9 +89,9 @@ def _blowup_functionals(grid, mag: np.ndarray, absc: np.ndarray) -> tuple:
 
 
 def _field_blowup(F: SpectralField) -> tuple:
-    half = F.grid.n // 2 + 1
-    mag = F.grid.wavenumber_magnitude()[..., :half]
-    return _blowup_functionals(F.grid, mag, np.abs(F.coeffs[..., :half]))
+    grid = F.grid
+    return _blowup_functionals(grid, half(grid, grid.wavenumber_magnitude()),
+                               np.abs(half(grid, F.coeffs)))
 
 
 def blowup_B1(F: SpectralField) -> float:
@@ -254,6 +259,7 @@ class EnergyResidualKernel:
 
     at the middle sample, with G_s the kernel of :func:`energy_kernel`.  The
     energies are (1/2) l2^2 and (1/2) hsdot_s^2 of the samples' records.  The
+    kernel reads the grid, the params and |xi| of the run's operator, and its
     factors live on the 3N/2 grid in rfft layout (last axis k >= 0):
 
     b      : -i m(eta) eta_j, m the velocity symbol, shared by both identities;
@@ -266,33 +272,29 @@ class EnergyResidualKernel:
     transforms.  Build one per run: nothing outside the run keeps it alive.
     """
 
-    def __init__(self, grid, p: ModelParams, s: float):
+    def __init__(self, op: SpectralOperator, s: float):
+        grid, p = op.grid, op.p
         if p.nu != 0.0:
             raise ValueError("energy residual identity requires nu = 0")
         n = grid.n
-        kv = grid.wavevectors()[..., : n // 2 + 1, :]
+        kv = half(grid, grid.wavevectors())
         m = velocity_symbol(kv, p)
-        self.weight = w = sobolev_weight(np.sqrt(np.sum(kv * kv, axis=-1)), s, True)
+        self.weight = w = sobolev_weight(op.mag, s, True)
         self.b = [_padded(-1j * m * kv[..., j], n, rfft=True) for j in range(grid.d)]
         self.a_L2 = [_padded(-1j * kv[..., j], n, rfft=True) for j in range(grid.d)]
         self.a_Hs = [_padded(-1j * w * kv[..., j], n, rfft=True) for j in range(grid.d)]
         self._scale = p.c_K * TWO_PI ** grid.d
         self._grid = grid
         self._shape = (3 * n // 2,) * grid.d
-        self._axes = tuple(range(grid.d))
 
     def trilinear(self, h: np.ndarray) -> tuple:
         """(T[G_0], T[G_s]) of the state with rfft-layout coefficients h (1 + 3d real FFTs)."""
         c = _padded(h, self._grid.n, rfft=True)
-
-        def physical(x):
-            return np.fft.irfftn(x, s=self._shape, axes=self._axes, norm="forward")
-
-        C = physical(c)
-        B = [physical(b * c) for b in self.b]
+        C = half_inverse(c, self._shape)
+        B = [half_inverse(b * c, self._shape) for b in self.b]
         T = []
         for a in (self.a_L2, self.a_Hs):
-            AB = sum(physical(aj * c) * Bj for aj, Bj in zip(a, B))
+            AB = sum(half_inverse(aj * c, self._shape) * Bj for aj, Bj in zip(a, B))
             T.append(float(np.mean(AB * C)))
         return tuple(T)
 
@@ -328,12 +330,12 @@ def _energy_residual(samples, p: ModelParams, s: float) -> tuple:
         raise ValueError("need at least three consecutive sampled states")
     mid = len(samples) // 2
     grid = samples[mid][1].grid
-    kernel = EnergyResidualKernel(grid, p, s)
+    kernel = EnergyResidualKernel(SpectralOperator(grid, p), s)
     window = []
     for t, F in samples[mid - 1:mid + 2]:  # the norms as make_record computes them
-        h = F.coeffs[..., : grid.n // 2 + 1]
+        h = half(grid, F.coeffs)
         p2 = np.abs(h) ** 2
-        window.append((t, h, _half_norm(grid, 1.0, p2), _half_norm(grid, kernel.weight, p2)))
+        window.append((t, h, half_norm(grid, p2), half_norm(grid, p2, kernel.weight)))
     return kernel.residuals(window)
 
 
@@ -349,7 +351,7 @@ def make_record(t: float, h: np.ndarray, rho_values: np.ndarray, s_list,
     absc = np.abs(h)
     p2 = absc ** 2
     hs = {
-        float(s): tuple(_half_norm(grid, sobolev_weight(op.mag, s, hom), p2)
+        float(s): tuple(half_norm(grid, p2, sobolev_weight(op.mag, s, hom))
                         for hom in (True, False))
         for s in s_list
     }
@@ -359,7 +361,7 @@ def make_record(t: float, h: np.ndarray, rho_values: np.ndarray, s_list,
         mass=TWO_PI ** grid.d * float(h.flat[0].real),
         min_rho=float(np.min(rho_values)),
         max_rho=float(np.max(rho_values)),
-        l2=_half_norm(grid, 1.0, p2),
+        l2=half_norm(grid, p2),
         hs=hs,
         B1=b1,
         B2=b2,

@@ -10,7 +10,11 @@ Exit codes:
     0  completed (simulate), or the campaign or verification finished
     1  config error: an unknown key or flag, a value that does not parse, or one out
        of range (modes, dimension, c_K, nu, mu, dt, dt_max, t_end, s_list, seed,
-       blowup_threshold, --samples, --n-max; mu-converge also max(s_list) < -1)
+       blowup_threshold, --samples, --n-max; mu-converge also max(s_list) < -1);
+       bad init data (an unknown kind, a non-finite value, cosine without
+       mean >= amplitude >= 0, gaussian mass <= 0, k or center with neither 1 nor
+       `dimension` entries); a refine --n-list of fewer than two N or an empty
+       mu-converge --mu-list.  All are found before any run starts.
     2  simulate ended blowup_detected or max_steps; picard diverged; a refine or
        mu-converge run (also the mu = 0 reference) did not complete, reported as
        one ``campaign stopped: ...`` line on stderr with its reason
@@ -27,15 +31,16 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import diagnostics, verify
+from . import verify
 from .model import InitialCondition, ModelParams, SpectralOperator, mollify_initial, velocity
 from .spectral import (
     RealField,
-    SpectralField,
     TorusGrid,
-    half_sum,
+    half,
+    half_coefficients,
+    half_norm,
     inverse_transform,
-    l2_norm,
+    sobolev_weight,
 )
 from .stepper import FinalState, StepperConfig, _integrating_factor_rk4, integrate
 
@@ -126,7 +131,7 @@ def load_config(path: str | None, overrides: list) -> RunConfig:
         cfg.grid()
         cfg.params()
         cfg.stepper()
-        cfg.initial_condition()
+        cfg.initial_condition().vectors(cfg.dimension)
     except (OSError, ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
     return cfg
@@ -153,8 +158,6 @@ def parse_init(spec: str, seed: int = 0) -> InitialCondition:
             kwargs[key] = int(value)
         else:
             raise ConfigError(f"unknown init parameter {key!r}")
-    if kind not in ("cosine", "gaussian", "random"):
-        raise ConfigError(f"unknown init kind {kind!r}")
     if kwargs["seed"] < 0:
         raise ConfigError(f"seed must be non-negative, got {kwargs['seed']}")
     try:
@@ -285,6 +288,8 @@ def mu_convergence(cfg: RunConfig, mu_list) -> list:
     A run that does not complete, the reference included, raises IncompleteRun.
     """
     mu_list = list(mu_list)
+    if not mu_list:
+        raise ConfigError("empty mu list")
     if any(m2 >= m1 for m1, m2 in zip(mu_list, mu_list[1:])):
         raise ConfigError("mu values must be descending")
     if any(m <= 0.0 for m in mu_list):
@@ -293,13 +298,13 @@ def mu_convergence(cfg: RunConfig, mu_list) -> list:
     if s_m1 < -2.0:
         raise ConfigError(f"the H^(s-1) error needs max(s_list) >= -1, got {s_m1 + 1.0}")
     ref = _completed_run(replace(cfg, mu=0.0))
+    grid = ref.state.grid
+    w = sobolev_weight(half(grid, grid.wavenumber_magnitude()), s_m1, False)
     rows = []
     for mu in mu_list:
         res = _completed_run(replace(cfg, mu=mu))
-        diff = SpectralField(ref.state.grid, res.state.coeffs - ref.state.coeffs)
-        err_l2 = l2_norm(diff)
-        err_hs = diagnostics.sobolev_norm(diff, s_m1)
-        rows.append((mu, err_l2, err_hs))
+        p2 = np.abs(half(grid, res.state.coeffs - ref.state.coeffs)) ** 2
+        rows.append((mu, half_norm(grid, p2), half_norm(grid, p2, w)))
     return rows
 
 
@@ -316,9 +321,8 @@ def picard_iteration(cfg: RunConfig, n_max: int) -> dict:
         raise ConfigError("picard iteration requires mu > 0")
     if n_max < 1:
         raise ConfigError(f"picard iteration needs n_max >= 1, got {n_max}")
-    grid = cfg.grid()
-    op = SpectralOperator(grid, cfg.params())
-    c0 = op.coefficients(cfg.initial_field())
+    op = SpectralOperator(cfg.grid(), cfg.params())
+    c0 = half_coefficients(cfg.initial_field())
     n_steps = max(1, int(round(cfg.t_end / cfg.dt)))
     dt = cfg.t_end / n_steps
     # Trajectories hold rfft-layout states by reference: no step updates one in place.
@@ -337,8 +341,7 @@ def picard_iteration(cfg: RunConfig, n_max: int) -> dict:
 
             state = _integrating_factor_rk4(state, dt, frozen_rhs, op)
             traj.append(state)
-        diffs.append(math.sqrt((2.0 * math.pi) ** grid.d
-                               * float(half_sum(grid, np.abs(state - prev_traj[-1]) ** 2))))
+        diffs.append(half_norm(op.grid, np.abs(state - prev_traj[-1]) ** 2))
         prev_traj = traj
     rises = [bb > a for a, bb in zip(diffs, diffs[1:])]
     diverged = any(all(rises[i:i + 3]) for i in range(len(rises) - 2))
@@ -352,6 +355,8 @@ def grid_refinement(cfg: RunConfig, n_list) -> list:
     raises IncompleteRun.
     """
     n_list = list(n_list)
+    if len(n_list) < 2:
+        raise ConfigError(f"refinement needs at least two N values, got {n_list}")
     if any(b != 2 * a for a, b in zip(n_list, n_list[1:])):
         raise ConfigError("N values must double")
     try:

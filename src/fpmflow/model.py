@@ -14,8 +14,10 @@ Diffusion is handled exactly by the integrating factor in the stepper, so
 A run builds one :class:`SpectralOperator` (its params as ``op.p``, its fixed
 multipliers in rfft layout) and passes it to ``velocity``, ``nonlinear_rhs``
 and the stepper.  States are rfft-layout coefficient arrays h from the run's
-first transform (``op.coefficients``) on; ``op.full`` builds full layout for
-what a run hands out.  Products are dealiased once: ``op.mask * h``.
+first transform (:func:`fpmflow.spectral.half_coefficients`) on; the layout
+itself, its transforms and its full-layout mirror belong to
+:mod:`fpmflow.spectral`.  Products are dealiased once: ``op.mask * h``.  The
+initial data are built and mollified in rfft layout too.
 """
 
 from __future__ import annotations
@@ -28,15 +30,15 @@ import numpy as np
 from .spectral import (
     RealField,
     SpectralError,
-    SpectralField,
     TorusGrid,
-    apply_multiplier,
     bump,
     dealias_mask,
-    forward_transform,
     fractional_power,
+    half,
+    half_inverse,
+    half_transform,
     heat_multiplier,
-    inverse_transform,
+    mirror_rows,
     random_real_field,
 )
 
@@ -86,10 +88,8 @@ def velocity_symbol(kv: np.ndarray, p: ModelParams) -> np.ndarray:
 class SpectralOperator:
     """The parameters and fixed Fourier multipliers of one run, in rfft layout.
 
-    rfft layout keeps the last axis at wavenumbers 0..N/2; the other half
-    follows from Hermitian symmetry.  Every transform here is a real FFT with
-    ``norm="forward"``, so coefficients scale as in :mod:`fpmflow.spectral`
-    (c_0 is the mean).  Build one per run and pass it down: it holds a few
+    rfft layout is :mod:`fpmflow.spectral`'s: the last axis at wavenumbers
+    0..N/2, c_0 the mean.  Build one per run and pass it down: it holds a few
     arrays of the grid's size, and nothing outside the run keeps it alive.
 
     Attributes (all in rfft layout):
@@ -106,9 +106,9 @@ class SpectralOperator:
     def __init__(self, grid: TorusGrid, p: ModelParams):
         self.grid = grid
         self.p = p
-        self.mag = self.half(grid.wavenumber_magnitude())
-        kv = grid.wavevectors()[..., : grid.n // 2 + 1, :]
-        self.mask = self.half(dealias_mask(grid))
+        self.mag = half(grid, grid.wavenumber_magnitude())
+        kv = half(grid, grid.wavevectors())
+        self.mask = half(grid, dealias_mask(grid))
         scale = p.c_K * velocity_symbol(kv, p)
         self.neg_div = []
         self.vel = []
@@ -116,34 +116,10 @@ class SpectralOperator:
             ik = 1j * kv[..., j]
             self.neg_div.append(np.where(self.mask, -ik, 0.0))
             self.vel.append(np.where(kv[..., j] == -(grid.n // 2), 0.0, scale * ik))
-        self._axes = tuple(range(grid.d))
-
-    def half(self, coeffs: np.ndarray) -> np.ndarray:
-        """The rfft-layout part of full-layout coefficients (a view)."""
-        return coeffs[..., : self.grid.n // 2 + 1]
-
-    def coefficients(self, rho: RealField) -> np.ndarray:
-        """rfft-layout coefficients of rho, a run's first state, with the columns k = 0 and
-        N/2 made Hermitian bit for bit: rows -1..1-N/2 from 1..N/2-1, rows 0 and N/2 real."""
-        n = self.grid.n
-        h = self.half(forward_transform(rho).coeffs).copy()
-        ends = h[..., [0, n // 2]].reshape(-1, 2)  # a single row in 1-D
-        ends[n // 2 + 1:] = np.conj(ends[n // 2 - 1:0:-1])
-        ends[::n // 2] = ends[::n // 2].real
-        h[..., [0, n // 2]] = ends
-        return h
-
-    def full(self, h: np.ndarray) -> SpectralField:
-        """The full-layout field whose rfft-layout part is h bit for bit; the other
-        columns mirror h, so it is Hermitian bit for bit when h is a run's state."""
-        n = self.grid.n
-        rows = (-np.arange(n)) % n if self.grid.d == 2 else Ellipsis
-        mirror = np.conj(h[rows, n // 2 - 1:0:-1])
-        return SpectralField(self.grid, np.concatenate([h, mirror], axis=-1))
 
     def physical(self, h: np.ndarray) -> np.ndarray:
         """Physical values of the real field with rfft-layout coefficients h."""
-        return np.fft.irfftn(h, s=self.grid.shape, axes=self._axes, norm="forward")
+        return half_inverse(h, self.grid.shape)
 
     def transport(self, rho_d: np.ndarray, u_d: list) -> np.ndarray:
         """rfft-layout coefficients of -div(rho_d u_d) on the dealiased band.
@@ -153,10 +129,10 @@ class SpectralOperator:
         """
         acc = np.zeros(self.mask.shape, dtype=np.complex128)
         for m, uj in zip(self.neg_div, u_d):
-            acc += m * np.fft.rfftn(rho_d * uj, norm="forward")
+            acc += m * half_transform(rho_d * uj, self.grid.shape)
         acc[(0,) * self.grid.d] = 0.0  # divergence form: exact mass conservation
         if self.grid.d == 2:  # column 0 mirrors itself (column N/2 is masked): keep it Hermitian
-            acc[self.grid.n // 2 + 1:, 0] = np.conj(acc[self.grid.n // 2 - 1:0:-1, 0])
+            mirror_rows(self.grid, acc[:, 0])
         return acc
 
 
@@ -182,21 +158,24 @@ def mollify_initial(rho0: RealField, mu: float) -> RealField:
         raise ValueError(f"mu must be nonnegative, got {mu}")
     if mu == 0.0:
         return RealField(rho0.grid, rho0.values.copy())
-    F = forward_transform(rho0)
-    return inverse_transform(apply_multiplier(F, heat_multiplier(mu * mu / 2.0)))
+    grid = rho0.grid
+    h = half_transform(rho0.values, grid.shape)
+    heat = heat_multiplier(mu * mu / 2.0)(half(grid, grid.wavevectors()))
+    return RealField(grid, half_inverse(heat * h, grid.shape))
 
 
 @dataclass(frozen=True)
 class InitialCondition:
-    """Initial data specification.
+    """Initial data specification; a bad kind or value raises ValueError when it is built.
 
     kind is one of:
       - "cosine":   mean + amplitude * cos(k . x)   (requires mean >= amplitude >= 0
                     for nonnegative data)
-      - "gaussian": periodized Gaussian with total mass ``mass`` and width ``sigma``,
-                    centered at ``center``
+      - "gaussian": periodized Gaussian with total mass ``mass`` > 0 and width
+                    ``sigma``, centered at ``center``
       - "random":   smooth random field, coefficient decay exponent ``decay``,
                     shifted by ``mean``
+    k and center hold one entry per axis, or one entry for every axis.
     """
 
     kind: str
@@ -209,33 +188,41 @@ class InitialCondition:
     decay: float = 3.0
     seed: int = 0
 
+    def __post_init__(self):
+        if self.kind not in ("cosine", "gaussian", "random"):
+            raise ValueError(f"unknown initial condition kind {self.kind!r}")
+        values = (self.mean, self.amplitude, self.mass, self.sigma, self.decay, *self.center)
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"initial data values must be finite, got {values}")
+        if self.kind == "cosine" and not self.mean >= self.amplitude >= 0.0:
+            raise ValueError("cosine data needs mean >= amplitude >= 0")
+        if self.kind == "gaussian" and not self.mass > 0.0:
+            raise ValueError("gaussian data needs positive mass")
+
+    def vectors(self, d: int) -> tuple:
+        """(k, center) with d entries each; ValueError unless each has 1 or d entries."""
+        out = []
+        for name, v in (("k", self.k), ("center", self.center)):
+            if len(v) not in (1, d):
+                raise ValueError(f"init {name} has {len(v)} entries; "
+                                 f"it takes 1, or 1 per axis ({d})")
+            out.append(v if len(v) == d else v * d)
+        return tuple(out)
+
     def build(self, grid: TorusGrid) -> RealField:
+        k, center = self.vectors(grid.d)
         if self.kind == "cosine":
-            if not (self.mean >= self.amplitude >= 0.0):
-                raise ValueError("cosine data needs mean >= amplitude >= 0")
-            kvec = self.k if len(self.k) == grid.d else self.k * grid.d
-            xs = grid.points()
-            phase = sum(kj * xj for kj, xj in zip(kvec, xs))
+            phase = sum(kj * xj for kj, xj in zip(k, grid.points()))
             return RealField(grid, self.mean + self.amplitude * np.cos(phase))
         if self.kind == "gaussian":
-            if self.mass <= 0.0:
-                raise ValueError("gaussian data needs positive mass")
-            center = self.center if len(self.center) == grid.d else self.center * grid.d
-            # Periodized Gaussian assembled in coefficient space:
+            # Periodized Gaussian, the heat kernel at time sigma^2 / 2, assembled in rfft layout:
             # c_xi = mass / (2pi)^d * exp(-sigma^2 |xi|^2 / 2 - i xi.center).
-            kv = grid.wavevectors()
-            mag2 = np.sum(kv * kv, axis=-1)
+            kv = half(grid, grid.wavevectors())
             phase = sum(kv[..., j] * center[j] for j in range(grid.d))
-            coeffs = (
-                self.mass
-                / (2.0 * math.pi) ** grid.d
-                * np.exp(-self.sigma ** 2 * mag2 / 2.0)
-                * np.exp(-1j * phase)
-            )
-            return inverse_transform(SpectralField(grid, coeffs))
-        if self.kind == "random":
-            rng = np.random.default_rng(self.seed)
-            return random_real_field(
-                grid, rng, decay=self.decay, amplitude=self.amplitude, mean=self.mean
-            )
-        raise ValueError(f"unknown initial condition kind {self.kind!r}")
+            coeffs = (self.mass / (2.0 * math.pi) ** grid.d
+                      * heat_multiplier(self.sigma ** 2 / 2.0)(kv) * np.exp(-1j * phase))
+            return RealField(grid, half_inverse(coeffs, grid.shape))
+        rng = np.random.default_rng(self.seed)
+        return random_real_field(
+            grid, rng, decay=self.decay, amplitude=self.amplitude, mean=self.mean
+        )

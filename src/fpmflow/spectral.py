@@ -8,9 +8,14 @@ integer vectors.  Coefficients follow the convention
 i.e. c_0 is the mean of the field and the physical L2 norm equals
 (2pi)^{d/2} times the l2 norm of the coefficients.  Coefficient arrays are
 stored in numpy FFT ordering (wavenumbers 0, 1, ..., N/2-1, -N/2, ..., -1
-along each axis); rfft layout keeps only wavenumbers 0..N/2 of the last
-axis, the rest following from Hermitian symmetry, and :func:`half_sum` sums
-over it.
+along each axis).  Full layout (:class:`SpectralField`) holds every mode.
+rfft layout keeps only wavenumbers 0..N/2 of the last axis, the rest
+following from Hermitian symmetry; this module is the only one that knows
+it: the view :func:`half`, the real transform pair :func:`half_transform` /
+:func:`half_inverse`, the column-weighted sum :func:`half_sum` with the
+Parseval norm :func:`half_norm`, and the Hermitian completion of a run's
+first state (:func:`half_coefficients`) with its full-layout mirror
+(:func:`full_field`).
 A Fourier multiplier is its symbol, a function of the wavenumbers applied to
 every mode: its value at xi = 0 is what the multiplier does to the mean.
 Every |xi|^s of the package that is 0 at xi = 0 comes from :func:`radial_power`.
@@ -217,6 +222,57 @@ def half_sum(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
     col = np.full(grid.n // 2 + 1, 2.0)
     col[[0, -1]] = 1.0
     return np.sum(col * values, axis=tuple(range(-grid.d, 0)))
+
+
+def half(grid: TorusGrid, a: np.ndarray) -> np.ndarray:
+    """rfft-layout view of full-layout a of shape (..., *grid.shape), or of the lattice
+    grid.shape + (d,): its last grid axis cut to wavenumbers 0..N/2."""
+    keep = slice(0, grid.n // 2 + 1)
+    return a[..., keep] if a.shape[-1] == grid.n else a[..., keep, :]
+
+
+def half_transform(values: np.ndarray, shape: tuple) -> np.ndarray:
+    """rfft-layout coefficients of real values on a grid of this shape (leading axes batched)."""
+    # Given axes but not s, numpy looks the sizes up by np.take: about 5 us a call in 1-D.
+    return np.fft.rfftn(values, s=shape, axes=tuple(range(-len(shape), 0)), norm="forward")
+
+
+def half_inverse(h: np.ndarray, shape: tuple) -> np.ndarray:
+    """Real values on a grid of this shape from rfft-layout h (leading axes batched)."""
+    return np.fft.irfftn(h, s=shape, axes=tuple(range(-len(shape), 0)), norm="forward")
+
+
+def half_norm(grid: TorusGrid, power: np.ndarray, weight=1.0) -> np.ndarray:
+    """Weighted Parseval norm sqrt((2pi)^d sum_xi w |c_xi|^2) of a real field, from the
+    power |h|^2 of its rfft-layout coefficients h; batched over leading axes."""
+    return np.sqrt((2.0 * math.pi) ** grid.d * half_sum(grid, weight * power))
+
+
+def mirror_rows(grid: TorusGrid, a: np.ndarray) -> None:
+    """Set rows -1..1-N/2 of a (rows on its first axis) to the conjugates of rows
+    1..N/2-1, in place: the Hermitian rule of a column that is its own mirror."""
+    a[grid.n // 2 + 1:] = np.conj(a[grid.n // 2 - 1:0:-1])
+
+
+def half_coefficients(rho: RealField) -> np.ndarray:
+    """rfft-layout coefficients of rho, a run's first state, with the columns k = 0 and
+    N/2 made Hermitian bit for bit: rows -1..1-N/2 from 1..N/2-1, rows 0 and N/2 real."""
+    n = rho.grid.n
+    h = half(rho.grid, forward_transform(rho).coeffs).copy()
+    ends = h[..., [0, n // 2]].reshape(-1, 2)  # a single row in 1-D, which mirrors nothing
+    mirror_rows(rho.grid, ends)
+    ends[::n // 2] = ends[::n // 2].real
+    h[..., [0, n // 2]] = ends
+    return h
+
+
+def full_field(grid: TorusGrid, h: np.ndarray) -> SpectralField:
+    """The full-layout field whose rfft-layout part is h bit for bit; the other
+    columns mirror h, so it is Hermitian bit for bit when h is a run's state."""
+    n = grid.n
+    rows = (-np.arange(n)) % n if grid.d == 2 else Ellipsis
+    mirror = np.conj(h[rows, n // 2 - 1:0:-1])
+    return SpectralField(grid, np.concatenate([h, mirror], axis=-1))
 
 
 def random_series(grid: TorusGrid, rng, envelope) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .diagnostics import EnergyResidualKernel, make_record
 from .model import ModelParams, SpectralOperator, nonlinear_rhs, velocity
-from .spectral import RealField, SpectralError, SpectralField
+from .spectral import RealField, SpectralError, SpectralField, full_field, half_coefficients
 
 EPS0 = 1e-12
 
@@ -127,9 +127,9 @@ def integrate(rho0: RealField, p: ModelParams, cfg: StepperConfig,
     """
     op = SpectralOperator(rho0.grid, p)
     s_max = float(max(cfg.s_list))
-    kernel = EnergyResidualKernel(rho0.grid, p, s_max) if energy_residuals else None
+    kernel = EnergyResidualKernel(op, s_max) if energy_residuals else None
     window: deque = deque(maxlen=3)
-    state = op.coefficients(rho0)
+    state = half_coefficients(rho0)
     t = 0.0
     records: list = []
     states: list = []
@@ -142,7 +142,7 @@ def integrate(rho0: RealField, p: ModelParams, cfg: StepperConfig,
             rec.int_B2sq = prev.int_B2sq + 0.5 * (prev.B2 + rec.B2) * (cur_t - prev.t)
         records.append(rec)
         if keep_states:
-            states.append((cur_t, op.full(cur_state)))
+            states.append((cur_t, full_field(op.grid, cur_state)))
         if kernel is not None:
             window.append((cur_t, cur_state, rec.l2, rec.hs[s_max][0]))
             if len(window) == 3:
@@ -180,5 +180,5 @@ def integrate(rho0: RealField, p: ModelParams, cfg: StepperConfig,
                     reason = "blowup_detected"
                     break
 
-    return FinalState(state=op.full(state), t=t, reason=reason, n_steps=n_steps,
+    return FinalState(state=full_field(op.grid, state), t=t, reason=reason, n_steps=n_steps,
                       records=records, states=states)

@@ -14,7 +14,6 @@ draw with the same seed and call these evaluators for one report.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,10 @@ from .spectral import (
     dealias_mask,
     forward_transform,
     fractional_power,
-    half_sum,
+    half,
+    half_inverse,
+    half_norm,
+    half_transform,
     radial_power,
     random_real_field,
     random_series,
@@ -279,34 +281,27 @@ def _commutator_lhs(grid: TorusGrid, f: np.ndarray, g: np.ndarray, b: float,
     are formed from 2/3-dealiased factors.  With ``extract_symbol`` the
     correction is b sum_k (df/dx_k) d/dx_k Lambda^{-b-2} dg/dx_j.
     """
-    axes = tuple(range(-grid.d, 0))
-    kv = grid.wavevectors()[..., : grid.n // 2 + 1, :]
-    mask = dealias_mask(grid)[..., : grid.n // 2 + 1]
+    kv = half(grid, grid.wavevectors())
+    mask = half(grid, dealias_mask(grid))
     ik = [np.where(mask, 1j * kv[..., j], 0.0) for j in range(grid.d)]
     lam = fractional_power(-b)(kv)
     lam2 = fractional_power(-b - 2.0)(kv)
-
-    def spec(v):
-        return np.fft.rfftn(v, axes=axes, norm="forward")
-
-    def phys(h):
-        return np.fft.irfftn(h, s=grid.shape, axes=axes, norm="forward")
-
-    F, G = spec(f), spec(g)
-    scale = np.maximum(1.0, np.max(np.abs(G), axis=axes))
+    F, G = half_transform(f, grid.shape), half_transform(g, grid.shape)
+    scale = np.maximum(1.0, np.max(np.abs(G), axis=tuple(range(-grid.d, 0))))
     if np.any(np.abs(G[(...,) + (0,) * grid.d].real) > 1e-12 * scale):
         raise ValueError("g must have zero mean")
-    f_d = phys(mask * F)
-    df = [phys(m * F) for m in ik] if extract_symbol else []
-    total = 0.0
+    f_d = half_inverse(mask * F, grid.shape)
+    df = [half_inverse(m * F, grid.shape) for m in ik] if extract_symbol else []
+    power = 0.0
     for m_j in ik:
         dg = m_j * G
         # Lambda^{-b}(f dg/dx_j) - f Lambda^{-b}(dg/dx_j) - b (correction)
-        rest = f_d * phys(lam * dg)
+        rest = f_d * half_inverse(lam * dg, grid.shape)
         for dfk, m_k in zip(df, ik):
-            rest = rest + b * dfk * phys(m_k * lam2 * dg)
-        total = total + half_sum(grid, np.abs(lam * spec(f_d * phys(dg)) - spec(rest)) ** 2)
-    return np.sqrt((2.0 * math.pi) ** grid.d * total)
+            rest = rest + b * dfk * half_inverse(m_k * lam2 * dg, grid.shape)
+        comm = lam * half_transform(f_d * half_inverse(dg, grid.shape), grid.shape)
+        power = power + np.abs(comm - half_transform(rest, grid.shape)) ** 2
+    return half_norm(grid, power)
 
 
 def _commutator_sides(grid: TorusGrid, f: np.ndarray, g: np.ndarray, b: float,
@@ -321,12 +316,11 @@ def _commutator_sides(grid: TorusGrid, f: np.ndarray, g: np.ndarray, b: float,
     d = grid.d
     s_f, s_g = (d / 2.0 + 1.0 - b + eps, -b) if plain else (d / 2.0 + 3.0 + eps, -b - 1.0)
     lhs = _commutator_lhs(grid, f, g, b, extract_symbol=not plain)
-    mag = grid.wavenumber_magnitude()[..., : grid.n // 2 + 1]
+    mag = half(grid, grid.wavenumber_magnitude())
 
     def sobolev(v, s):
-        h = np.fft.rfftn(v, axes=tuple(range(-d, 0)), norm="forward")
-        return np.sqrt((2.0 * math.pi) ** d * half_sum(grid, sobolev_weight(mag, s, False)
-                                                        * np.abs(h) ** 2))
+        power = np.abs(half_transform(v, grid.shape)) ** 2
+        return half_norm(grid, power, sobolev_weight(mag, s, False))
 
     return lhs, sobolev(f, s_f) * sobolev(g, s_g)
 

@@ -17,7 +17,7 @@ from fpmflow.diagnostics import (
     trilinear_T,
     trilinear_scale,
 )
-from fpmflow.model import ModelParams
+from fpmflow.model import ModelParams, SpectralOperator
 from fpmflow.spectral import (
     RealField,
     SpectralField,
@@ -26,6 +26,7 @@ from fpmflow.spectral import (
     field_from_function,
     forward_transform,
     fractional_power,
+    half,
     random_real_field,
 )
 from fpmflow.stepper import StepperConfig, integrate
@@ -245,14 +246,15 @@ class TestEnergyResidual:
 
 
 class TestEnergyResidualKernel:
-    @pytest.mark.parametrize("d,n", [(1, 32), (2, 16)])
+    # N = 10 puts the factors on an odd 3N/2 = 15 grid
+    @pytest.mark.parametrize("d,n", [(1, 32), (2, 16), (1, 10), (2, 10)])
     @pytest.mark.parametrize("s", [0.0, 4.0])
     @pytest.mark.parametrize("mu", [0.0, 0.25])
     def test_trilinear_matches_naive(self, d, n, s, mu):
         g = TorusGrid(d=d, n=n)
         p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0, mu=mu)
         F = forward_transform(random_real_field(g, np.random.default_rng(27), decay=2.0))
-        t_l2, t_hs = EnergyResidualKernel(g, p, s).trilinear(F.coeffs[..., : n // 2 + 1])
+        t_l2, t_hs = EnergyResidualKernel(SpectralOperator(g, p), s).trilinear(half(g, F.coeffs))
         for got, s_kernel in ((t_l2, 0.0), (t_hs, s)):
             ref = trilinear_T(energy_kernel(s_kernel, p, g), F, mode="naive")
             assert got == pytest.approx(ref, rel=1e-12)
@@ -272,9 +274,9 @@ class TestEnergyResidualKernel:
         assert res_hs == pytest.approx(2.0 * 1.13 * e_hs, rel=1e-12)
 
     def test_viscous_rejected(self):
+        p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0, nu=0.1)
         with pytest.raises(ValueError):
-            EnergyResidualKernel(TorusGrid(d=1, n=16),
-                                 ModelParams(alpha_minus_d=-1.0, c_K=-1.0, nu=0.1), 4.0)
+            EnergyResidualKernel(SpectralOperator(TorusGrid(d=1, n=16), p), 4.0)
 
     @pytest.mark.parametrize("c_K,cfg", [
         (-1.0, StepperConfig(t_end=0.05, dt_mode="fixed", dt=5e-3, s_list=(3.0, 4.0))),

@@ -396,11 +396,32 @@ class TestCli:
         ["simulate", "--config", "heat.cfg", "--blowup_threshold", "0"],
         ["picard", "--config", "repulsive_inviscid.cfg", "--mu", "0.25", "--n-max", "0"],
         ["mu-converge", "--config", "heat.cfg", "--s_list", "-1.5", "--mu-list", "0.5"],
+        ["simulate", "--config", "repulsive_inviscid.cfg", "--init", "cosine:mean=0,amplitude=1"],
+        ["simulate", "--config", "repulsive_inviscid.cfg", "--init", "gaussian:mass=-1"],
+        ["simulate", "--config", "repulsive_inviscid.cfg", "--init", "cosine:k=1/5"],
+        ["simulate", "--config", "repulsive_inviscid.cfg", "--init", "gaussian:center=1/2/3"],
+        ["simulate", "--config", "repulsive_inviscid.cfg", "--init", "cosine:mean=inf"],
+        ["simulate", "--config", "repulsive_2d.cfg", "--init", "cosine:k=1/2/3"],
+        ["refine", "--config", "repulsive_inviscid.cfg", "--n-list", "64"],
+        ["refine", "--config", "repulsive_inviscid.cfg", "--n-list", ","],
+        ["mu-converge", "--config", "repulsive_inviscid.cfg", "--mu-list", ","],
     ], ids=" ".join)
     def test_bad_value_is_config_error(self, tmp_path, capsys, argv):
         argv = [os.path.join(CONFIG_DIR, a) if a.endswith(".cfg") else a for a in argv]
         assert main(argv + ["--out", str(tmp_path / "x")]) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dimension", ["1", "2"])
+    def test_unresolved_gaussian_run_ends_classified(self, tmp_path, capsys, dimension):
+        # At N = 128 and sigma = 0.05 the unpaired -N/2 mode of the Gaussian is far above
+        # round-off; a full-layout build ended this run in a SymmetryError traceback.
+        out = tmp_path / "g"
+        rc = main(["simulate", "--config", os.path.join(CONFIG_DIR, "repulsive_inviscid.cfg"),
+                   "--dimension", dimension, "--init", "gaussian:sigma=0.05,center=1",
+                   "--out", str(out)])
+        assert rc == 2
+        with open(out / "status.txt") as fh:
+            assert fh.readline() == "reason blowup_detected\n"
 
     def test_campaign_csvs_are_fmt_rows_of_campaign_results(self, tmp_path, capsys):
         path = write_cfg(tmp_path / "c.cfg", BASIC + "mu = 0.25\n")

@@ -18,9 +18,14 @@ from fpmflow.spectral import (
     RealField,
     SpectralField,
     TorusGrid,
+    apply_multiplier,
     dealias_mask,
     field_from_function,
     forward_transform,
+    full_field,
+    half,
+    half_coefficients,
+    heat_multiplier,
     inverse_transform,
     random_real_field,
 )
@@ -73,7 +78,7 @@ class TestVelocity:
         p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0)
         rho = field_from_function(g, lambda x: 1 + 0.1 * np.cos(x))
         op = SpectralOperator(g, p)
-        u = velocity(op.coefficients(rho), op)
+        u = velocity(half_coefficients(rho), op)
         ref = 0.1 * np.sin(g.points()[0])
         assert np.max(np.abs(u[0].values - ref)) < 1e-14
 
@@ -81,7 +86,7 @@ class TestVelocity:
         g = TorusGrid(d=1, n=16)
         p = ModelParams(alpha_minus_d=-1.0, c_K=3.0)
         op = SpectralOperator(g, p)
-        u = velocity(op.coefficients(RealField(g, np.full(16, 2.0))), op)
+        u = velocity(half_coefficients(RealField(g, np.full(16, 2.0))), op)
         assert np.max(np.abs(u[0].values)) < 1e-15
 
     def test_mode_two_symbol_arithmetic(self):
@@ -90,7 +95,7 @@ class TestVelocity:
         p = ModelParams(alpha_minus_d=-2.0, c_K=1.0)
         rho = field_from_function(g, lambda x: 1 + 0.1 * np.cos(2 * x))
         op = SpectralOperator(g, p)
-        u = velocity(op.coefficients(rho), op)
+        u = velocity(half_coefficients(rho), op)
         ref = -0.05 * np.sin(2 * g.points()[0])
         assert np.max(np.abs(u[0].values - ref)) < 1e-14
 
@@ -100,7 +105,7 @@ class TestVelocity:
         p1 = ModelParams(alpha_minus_d=-1.0, c_K=-2.0)
         p2 = ModelParams(alpha_minus_d=-1.0, c_K=-1.0)
         op1, op2 = SpectralOperator(g, p1), SpectralOperator(g, p2)
-        h = op1.coefficients(random_real_field(g, rng))
+        h = half_coefficients(random_real_field(g, rng))
         u1 = velocity(h, op1)[0].values
         u2 = velocity(h, op2)[0].values
         assert np.max(np.abs(u1 - 2.0 * u2)) < 1e-13
@@ -114,7 +119,7 @@ class TestVelocity:
         p = ModelParams(alpha_minus_d=0.0, c_K=-1.5)
         F = forward_transform(f)
         op = SpectralOperator(g, p)
-        u = velocity(op.half(F.coeffs), op)[0].values
+        u = velocity(half(g, F.coeffs), op)[0].values
         k = g.axis_wavenumbers()
         deriv = np.where(k == -g.n // 2, 0.0, 1j * k * F.coeffs)
         grad = inverse_transform(SpectralField(g, deriv)).values
@@ -124,7 +129,7 @@ class TestVelocity:
         g = TorusGrid(d=1, n=64)
         rho = field_from_function(g, lambda x: 1 + 0.4 * np.cos(x) + 0.2 * np.cos(3 * x))
         op = SpectralOperator(g, ModelParams(alpha_minus_d=-1.0, c_K=-1.0))
-        h = op.coefficients(rho)
+        h = half_coefficients(rho)
         base = velocity(h, op)[0].values
         errs = []
         for mu in (1.0, 0.5, 0.25, 0.125):
@@ -138,7 +143,7 @@ class TestVelocity:
         x, y = g.points()
         rho = RealField(g, 1 + 0.1 * np.cos(x))
         op = SpectralOperator(g, p)
-        u = velocity(op.coefficients(rho), op)
+        u = velocity(half_coefficients(rho), op)
         assert len(u) == 2
         assert np.max(np.abs(u[0].values - 0.1 * np.sin(x))) < 1e-13
         assert np.max(np.abs(u[1].values)) < 1e-13
@@ -151,7 +156,8 @@ def flux_divergence(rho, u):
     def dealias(values):
         return op.physical(op.mask * np.fft.rfftn(values, norm="forward"))
 
-    return op.full(-op.transport(dealias(rho.values), [dealias(c.values) for c in u]))
+    return full_field(rho.grid,
+                      -op.transport(dealias(rho.values), [dealias(c.values) for c in u]))
 
 
 class TestFluxDivergence:
@@ -196,7 +202,7 @@ class TestNonlinearRhs:
         g = TorusGrid(d=1, n=16)
         p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0)
         op = SpectralOperator(g, p)
-        out = nonlinear_rhs(op.coefficients(RealField(g, np.full(16, 2.0))), op)
+        out = nonlinear_rhs(half_coefficients(RealField(g, np.full(16, 2.0))), op)
         assert np.max(np.abs(out)) < 1e-14
 
     def test_zero_interaction(self):
@@ -204,7 +210,7 @@ class TestNonlinearRhs:
         g = TorusGrid(d=1, n=32)
         p = ModelParams(alpha_minus_d=-1.0, c_K=0.0)
         op = SpectralOperator(g, p)
-        out = nonlinear_rhs(op.coefficients(random_real_field(g, rng, mean=1.0)), op)
+        out = nonlinear_rhs(half_coefficients(random_real_field(g, rng, mean=1.0)), op)
         assert np.max(np.abs(out)) < 1e-14
 
     def test_single_mode_vs_oracle(self):
@@ -213,8 +219,8 @@ class TestNonlinearRhs:
         rho = field_from_function(g, lambda x: 1 + 0.01 * np.cos(x))
         F = forward_transform(rho)
         op = SpectralOperator(g, p)
-        out = op.full(nonlinear_rhs(op.half(F.coeffs), op)).coeffs
-        u_hats = [forward_transform(c).coeffs for c in velocity(op.half(F.coeffs), op)]
+        out = full_field(g, nonlinear_rhs(half(g, F.coeffs), op)).coeffs
+        u_hats = [forward_transform(c).coeffs for c in velocity(half(g, F.coeffs), op)]
         ref = -naive_flux_divergence(F, u_hats, g)
         assert np.max(np.abs(out - ref)) < 1e-12
 
@@ -265,7 +271,7 @@ class TestSpectralOperator:
         p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0, mu=mu)
         F = forward_transform(random_real_field(g, rng, mean=1.0))
         op = SpectralOperator(g, p)
-        out = op.full(nonlinear_rhs(op.half(F.coeffs), op)).coeffs
+        out = full_field(g, nonlinear_rhs(half(g, F.coeffs), op)).coeffs
         ref = complex_fft_rhs(F, p)
         assert np.max(np.abs(out - ref)) < 1e-13 * np.max(np.abs(ref))
 
@@ -285,9 +291,9 @@ class TestSpectralOperator:
         assert is_hermitian(res.state.coeffs)
         assert all(is_hermitian(F.coeffs) for _, F in res.states)
         op = SpectralOperator(g, p)
-        h = step(step(op.coefficients(rho0), 5e-3, op), 5e-3, op)
-        full = op.full(h).coeffs
-        assert is_hermitian(full) and np.array_equal(op.half(full), h)
+        h = step(step(half_coefficients(rho0), 5e-3, op), 5e-3, op)
+        full = full_field(g, h).coeffs
+        assert is_hermitian(full) and np.array_equal(half(g, full), h)
         assert np.array_equal(res.states[2][1].coeffs, full)
 
     def test_velocity_of_masked_state_is_dealiased_velocity(self):
@@ -295,11 +301,11 @@ class TestSpectralOperator:
         g = TorusGrid(d=2, n=32)
         op = SpectralOperator(g, ModelParams(alpha_minus_d=-1.0, c_K=-1.0, mu=0.25))
         c = forward_transform(random_real_field(g, rng, mean=1.0)).coeffs
-        u = velocity(op.half(dealias_mask(g) * c), op)
+        u = velocity(half(g, dealias_mask(g) * c), op)
         for m, uj in zip(op.vel, u):
-            assert np.array_equal(uj.values, op.physical(m * op.mask * op.half(c)))
+            assert np.array_equal(uj.values, op.physical(m * op.mask * half(g, c)))
             # Dealiasing the physical velocity: rfftn, mask, irfftn.
-            full = op.physical(m * op.half(c))
+            full = op.physical(m * half(g, c))
             ref = op.physical(op.mask * np.fft.rfftn(full, norm="forward"))
             assert np.max(np.abs(uj.values - ref)) < 1e-13 * np.max(np.abs(ref))
 
@@ -325,6 +331,15 @@ class TestMollify:
         out = mollify_initial(f, 1.0)
         ref = math.exp(-0.5) * np.cos(g.points()[0])
         assert np.max(np.abs(out.values - ref)) < 1e-14
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_matches_full_layout_heat_multiplier(self, d):
+        rng = np.random.default_rng(15)
+        g = TorusGrid(d=d, n=32)
+        f = random_real_field(g, rng, decay=1.0, mean=1.0)
+        out = mollify_initial(f, 0.3)
+        ref = inverse_transform(apply_multiplier(forward_transform(f), heat_multiplier(0.045)))
+        assert np.max(np.abs(out.values - ref.values)) < 1e-14
 
 
 class TestInitialConditions:
@@ -359,3 +374,41 @@ class TestInitialConditions:
         g = TorusGrid(d=1, n=32)
         with pytest.raises(ValueError):
             InitialCondition(kind="square").build(g)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_gaussian_unpaired_nyquist_mode(self, d):
+        # sigma = 0.05 leaves exp(-5.12) of the peak on the N = 128 Nyquist modes, whose
+        # -N/2 coefficients have no +N/2 partner on the lattice: the lattice series is not
+        # real, and building the field in full layout raised SymmetryError.
+        from fpmflow.diagnostics import mass
+
+        g = TorusGrid(d=d, n=128)
+        f = InitialCondition(kind="gaussian", sigma=0.05, center=(1.0,)).build(g)
+        kv = g.wavevectors()
+        coeffs = (np.exp(-0.05 ** 2 * np.sum(kv * kv, axis=-1) / 2.0 - 1j * np.sum(kv, axis=-1))
+                  / (2.0 * math.pi) ** d)
+        assert np.max(np.abs(np.fft.ifftn(coeffs).imag)) * g.npoints > 1e-4
+        F = forward_transform(f)
+        paired = np.all(kv != -g.n // 2, axis=-1)
+        assert np.max(np.abs(F.coeffs - coeffs)[paired]) < 1e-14 * np.max(np.abs(coeffs))
+        assert np.all(np.isfinite(inverse_transform(F).values))
+        assert mass(F) == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"kind": "cosine", "mean": 0.0, "amplitude": 1.0},
+        {"kind": "cosine", "mean": math.inf},
+        {"kind": "gaussian", "mass": -1.0},
+        {"kind": "gaussian", "mass": math.nan},
+        {"kind": "gaussian", "center": (1.0, math.nan)},
+    ])
+    def test_bad_values_rejected_at_construction(self, kwargs):
+        with pytest.raises(ValueError):
+            InitialCondition(**kwargs)
+
+    def test_vectors_take_one_entry_or_one_per_axis(self):
+        ic = InitialCondition(kind="cosine", k=(2,), center=(1.0, 2.0))
+        assert ic.vectors(2) == ((2, 2), (1.0, 2.0))
+        with pytest.raises(ValueError):
+            ic.vectors(1)
+        with pytest.raises(ValueError):
+            ic.build(TorusGrid(d=1, n=16))

@@ -18,6 +18,10 @@ from fpmflow.spectral import (
     field_from_function,
     forward_transform,
     fractional_power,
+    half,
+    half_inverse,
+    half_norm,
+    half_transform,
     inverse_transform,
     l2_norm,
     radial_power,
@@ -65,7 +69,8 @@ class TestTransforms:
         assert F.coeffs[0] == pytest.approx(1.0)
         assert np.max(np.abs(F.coeffs[1:])) < 1e-15
 
-    @pytest.mark.parametrize("d,n", [(1, 16), (1, 64), (2, 16), (2, 32)])
+    @pytest.mark.parametrize("d,n", [(1, 16), (1, 64), (2, 16), (2, 32),
+                                     (1, 8), (1, 48), (2, 8), (2, 48)])
     def test_round_trip_random(self, d, n):
         rng = np.random.default_rng(7)
         g = TorusGrid(d=d, n=n)
@@ -73,6 +78,14 @@ class TestTransforms:
         back = inverse_transform(forward_transform(f))
         scale = np.max(np.abs(f.values))
         assert np.max(np.abs(back.values - f.values)) < 1e-12 * scale
+        # the real pair, batched over a leading axis: each field keeps its own spectrum
+        stack = np.stack([f.values, rng.standard_normal(g.shape), np.zeros(g.shape)])
+        h = half_transform(stack, g.shape)
+        assert h.shape == (3,) + half(g, g.wavevectors()).shape[:-1]
+        assert np.max(np.abs(h[0] - half(g, forward_transform(f).coeffs))) < 1e-15 * scale
+        back = half_inverse(h, g.shape)
+        assert np.max(np.abs(back - stack)) < 1e-12 * np.max(np.abs(stack))
+        assert not np.any(back[2])
 
     def test_inverse_single_mode(self):
         g = TorusGrid(d=1, n=16)
@@ -109,6 +122,27 @@ class TestTransforms:
             f = RealField(g, rng.standard_normal(g.shape))
             phys = math.sqrt(g.dx ** d * np.sum(f.values ** 2))
             assert l2_norm(forward_transform(f)) == pytest.approx(phys, rel=1e-12)
+
+
+    @pytest.mark.parametrize("d,n", [(1, 32), (2, 16), (2, 48)])
+    def test_half_norm_is_full_layout_norm(self, d, n):
+        from fpmflow.diagnostics import sobolev_norm
+
+        rng = np.random.default_rng(21)
+        g = TorusGrid(d=d, n=n)
+        fields = [random_real_field(g, rng, decay=1.0, mean=m) for m in (0.0, 2.0)]
+        power = np.abs(half_transform(np.stack([f.values for f in fields]), g.shape)) ** 2
+        norms = half_norm(g, power)
+        assert norms.shape == (2,)
+        for f, got in zip(fields, norms):
+            assert got == pytest.approx(l2_norm(forward_transform(f)), rel=1e-13)
+        mag = half(g, g.wavenumber_magnitude())
+        for s in (-1.5, 0.0, 4.0):
+            for hom in (True, False):
+                got = half_norm(g, power, sobolev_weight(mag, s, hom))
+                for f, x in zip(fields, got):
+                    ref = sobolev_norm(forward_transform(f), s, homogeneous=hom)
+                    assert x == pytest.approx(ref, rel=1e-13)
 
 
 class TestMultipliers:
