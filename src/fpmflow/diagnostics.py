@@ -11,18 +11,20 @@ form
 
     T[G] = Re sum_xi sum_eta G(xi, eta) conj(c(xi)) c(eta) c(xi - eta)
 
-is evaluated either by the direct double lattice sum ("naive") or, for
-kernels separable as sum_k a_k(xi) b_k(eta), as a triple product in physical
-space on a 3N/2 grid per axis ("fft"; Orszag's 3/2 rule).  Both paths treat
-xi - eta outside the resolved band as absent (coefficient zero, no periodic
-wrap): with |xi_j|, |eta_j| <= N/2 - 1, no sum of three band wavenumbers
-reaches 3N/2, so the product has no aliasing.
+is evaluated either by the direct double lattice sum ("naive"; one pass
+serves a stack of fields) or, for kernels separable as sum_k a_k(xi)
+b_k(eta), as a triple product in physical space on a 3N/2 grid per axis
+("fft"; Orszag's 3/2 rule).  Both paths treat xi - eta outside the resolved
+band as absent (coefficient zero, no periodic wrap): with |xi_j|, |eta_j| <=
+N/2 - 1, no sum of three band wavenumbers reaches 3N/2, so the product has
+no aliasing.
 
 The energy identities of a nu = 0 run are checked by one
 :class:`EnergyResidualKernel` per run, built from the run's operator, which
-holds the factors of both identities in rfft layout on the 3N/2 grid.  A
-run's states are rfft-layout coefficient arrays; their norms are
-:func:`fpmflow.spectral.half_norm` and the B1/B2 sums
+holds the factors of both identities in rfft layout on the 3N/2 grid and
+takes each trilinear form by Parseval from the spectrum of one physical
+product per component.  A run's states are rfft-layout coefficient arrays;
+their norms are :func:`fpmflow.spectral.half_norm` and the B1/B2 sums
 :func:`fpmflow.spectral.half_sum`.
 """
 
@@ -42,10 +44,12 @@ from .spectral import (
     half_inverse,
     half_norm,
     half_sum,
+    half_transform,
     sobolev_weight,
 )
 
 TWO_PI = 2.0 * math.pi
+NAIVE_BLOCK = 10_000_000  # complex entries per block of the naive lattice sum
 
 
 @dataclass
@@ -83,8 +87,8 @@ def sobolev_norm(F: SpectralField, s: float, homogeneous: bool = False) -> float
 
 def _blowup_functionals(grid, mag: np.ndarray, absc: np.ndarray) -> tuple:
     """(B1, B2) from |xi| and the moduli |c_xi| of a real field, both in rfft layout."""
-    b1 = float(half_sum(grid, mag ** 2 * (1.0 + mag) * absc))
-    l1 = float(half_sum(grid, mag * (1.0 + mag) * absc))
+    b1 = float(half_sum(grid.shape, mag ** 2 * (1.0 + mag) * absc))
+    l1 = float(half_sum(grid.shape, mag * (1.0 + mag) * absc))
     return b1, l1 * l1  # a float product overflows to inf; float ** 2 would raise
 
 
@@ -123,17 +127,19 @@ class SeparableKernel:
         return out
 
 
-def _shifted(F: SpectralField) -> np.ndarray:
-    """Coefficients reordered so index i along each axis means wavenumber i - N/2.
+def _shifted(grid, coeffs: np.ndarray) -> np.ndarray:
+    """Coefficients of shape (..., *grid.shape) reordered so index i along each grid
+    axis means wavenumber i - N/2.
 
     The unpaired Nyquist slice (wavenumber -N/2, no +N/2 partner on the
     lattice) is zeroed so the summation lattice is symmetric; otherwise the
     change-of-variables cancellation for anti-symmetric kernels only holds
     up to the Nyquist content.
     """
-    c = np.fft.fftshift(F.coeffs).copy()
-    for ax in range(F.grid.d):
-        sl = [slice(None)] * F.grid.d
+    axes = tuple(range(-grid.d, 0))
+    c = np.fft.fftshift(coeffs, axes=axes).copy()
+    for ax in axes:
+        sl = [slice(None)] * c.ndim
         sl[ax] = 0
         c[tuple(sl)] = 0.0
     return c
@@ -158,20 +164,27 @@ def _padded(arr: np.ndarray, n: int, rfft: bool = False) -> np.ndarray:
     return out
 
 
-def _trilinear_naive(G, F: SpectralField) -> tuple:
-    """(T[G], sum |G| |c(xi)| |c(eta)| |c(xi-eta)|) from one pass over the lattice pairs."""
-    grid = F.grid
+def _trilinear_naive(G, grid, coeffs: np.ndarray) -> tuple:
+    """(T[G], sum |G| |c(xi)| |c(eta)| |c(xi-eta)|) of each field of a stack.
+
+    ``coeffs`` holds full-layout coefficients of shape (fields, *grid.shape).
+    One pass over the lattice pairs serves every field: the kernel values and
+    the xi - eta lookup are built once per block of xi rows.  The rows are
+    blocked as for a single field and the fields as far as ``NAIVE_BLOCK``
+    entries per block allow, so each field's sums are those of a pass of its own.
+    """
     if grid.n > 64:
         raise ValueError("naive trilinear mode requires N <= 64")
-    c = _shifted(F).reshape(-1)
+    c = _shifted(grid, coeffs).reshape(len(coeffs), -1)
     axes = tuple(range(grid.d))
     kv = np.fft.fftshift(grid.wavevectors(), axes=axes).reshape(-1, grid.d)
-    m = c.size
+    m = c.shape[1]
     half = grid.n // 2
     # Integer coordinates on [0, N) per axis for the xi - eta lookup.
     coords = (kv + half).astype(np.int64)
-    total = scale = 0.0
-    chunk = max(1, 10_000_000 // m)
+    total = np.zeros(len(c))
+    scale = np.zeros(len(c))
+    chunk = max(1, NAIVE_BLOCK // m)
     for start in range(0, m, chunk):
         stop = min(m, start + chunk)
         xi = kv[start:stop, None, :]
@@ -182,10 +195,13 @@ def _trilinear_naive(G, F: SpectralField) -> tuple:
         flat = np.zeros(diff.shape[:2], dtype=np.int64)
         for ax in range(grid.d):
             flat = flat * grid.n + np.clip(diff[..., ax], 0, grid.n - 1)
-        c_diff = np.where(inside, c[flat], 0.0)
-        block = gval * np.conj(c[start:stop])[:, None] * c[None, :] * c_diff
-        total += float(np.sum(block.real))
-        scale += float(np.sum(np.abs(block)))
+        fields = max(1, NAIVE_BLOCK // ((stop - start) * m))
+        for f0 in range(0, len(c), fields):
+            cf = c[f0:f0 + fields]
+            c_diff = np.where(inside, cf[:, flat], 0.0)
+            block = gval * np.conj(cf[:, start:stop])[:, :, None] * cf[:, None, :] * c_diff
+            total[f0:f0 + fields] += np.sum(block.real, axis=(1, 2))
+            scale[f0:f0 + fields] += np.sum(np.abs(block), axis=(1, 2))
     return total, scale
 
 
@@ -217,7 +233,7 @@ def trilinear_T(G, F: SpectralField, mode: str = "naive") -> float:
     requires a :class:`SeparableKernel`.
     """
     if mode == "naive":
-        return _trilinear_naive(G, F)[0]
+        return float(_trilinear_naive(G, F.grid, F.coeffs[None])[0][0])
     if mode == "fft":
         if not isinstance(G, SeparableKernel):
             raise TypeError("fft mode requires a SeparableKernel")
@@ -227,7 +243,7 @@ def trilinear_T(G, F: SpectralField, mode: str = "naive") -> float:
 
 def trilinear_scale(G, F: SpectralField) -> float:
     """Magnitude scale sum |G| |c(xi)| |c(eta)| |c(xi-eta)| (naive path)."""
-    return _trilinear_naive(G, F)[1]
+    return float(_trilinear_naive(G, F.grid, F.coeffs[None])[1][0])
 
 
 def energy_kernel(s: float, p: ModelParams, grid) -> SeparableKernel:
@@ -268,8 +284,10 @@ class EnergyResidualKernel:
     weight : the Hdot^s energy weight |xi|^{2s} on the N grid, rfft layout.
 
     a and b are odd and c is Hermitian, so each -i a c is Hermitian and its
-    field A is real; T = sum_j mean(A_j B_j C) then needs 1 + 3d real
-    transforms.  Build one per run: nothing outside the run keeps it alive.
+    field A is real.  T = sum_j mean(A_j B_j C) is taken by Parseval from the
+    forward transforms of P_j = B_j C, so it needs 1 + d inverse and d forward
+    real transforms, and the A_j are never formed.  Build one per run:
+    nothing outside the run keeps it alive.
     """
 
     def __init__(self, op: SpectralOperator, s: float):
@@ -288,14 +306,19 @@ class EnergyResidualKernel:
         self._shape = (3 * n // 2,) * grid.d
 
     def trilinear(self, h: np.ndarray) -> tuple:
-        """(T[G_0], T[G_s]) of the state with rfft-layout coefficients h (1 + 3d real FFTs)."""
+        """(T[G_0], T[G_s]) of the state with rfft-layout coefficients h (1 + 2d real FFTs).
+
+        P_j = B_j C is formed once and transformed forward; by Parseval each
+        T = sum_j mean(A_j P_j) is a band sum of Re(conj(a_j c) P_j-hat).
+        """
+        shape = self._shape
         c = _padded(h, self._grid.n, rfft=True)
-        C = half_inverse(c, self._shape)
-        B = [half_inverse(b * c, self._shape) for b in self.b]
+        C = half_inverse(c, shape)
+        P = [half_transform(half_inverse(b * c, shape) * C, shape) for b in self.b]
         T = []
         for a in (self.a_L2, self.a_Hs):
-            AB = sum(half_inverse(aj * c, self._shape) * Bj for aj, Bj in zip(a, B))
-            T.append(float(np.mean(AB * C)))
+            band = sum((np.conj(aj * c) * Pj).real for aj, Pj in zip(a, P))
+            T.append(float(half_sum(shape, band)))
         return tuple(T)
 
     def residuals(self, window) -> tuple:

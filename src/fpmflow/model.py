@@ -106,9 +106,10 @@ class SpectralOperator:
     def __init__(self, grid: TorusGrid, p: ModelParams):
         self.grid = grid
         self.p = p
-        self.mag = half(grid, grid.wavenumber_magnitude())
+        # copies, so the full-layout arrays are freed and the halves are contiguous
+        self.mag = half(grid, grid.wavenumber_magnitude()).copy()
         kv = half(grid, grid.wavevectors())
-        self.mask = half(grid, dealias_mask(grid))
+        self.mask = half(grid, dealias_mask(grid)).copy()
         scale = p.c_K * velocity_symbol(kv, p)
         self.neg_div = []
         self.vel = []

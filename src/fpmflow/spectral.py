@@ -216,12 +216,16 @@ def l2_norm(F: SpectralField) -> float:
     return math.sqrt((2.0 * math.pi) ** F.grid.d * float(np.sum(np.abs(F.coeffs) ** 2)))
 
 
-def half_sum(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
-    """Sum over the last d axes of rfft-layout values, each column counted for the modes it
-    stands for in a real field's spectrum: columns 0 and N/2 once, the others twice."""
-    col = np.full(grid.n // 2 + 1, 2.0)
-    col[[0, -1]] = 1.0
-    return np.sum(col * values, axis=tuple(range(-grid.d, 0)))
+def half_sum(shape: tuple, values: np.ndarray) -> np.ndarray:
+    """Sum over the last len(shape) axes of rfft-layout values on a grid of this shape,
+    each column counted for the modes it stands for in a real field's spectrum: column 0
+    once, the others twice, but the column at n/2 of an even last axis n once."""
+    n = shape[-1]
+    col = np.full(n // 2 + 1, 2.0)
+    col[0] = 1.0
+    if n % 2 == 0:
+        col[-1] = 1.0
+    return np.sum(col * values, axis=tuple(range(-len(shape), 0)))
 
 
 def half(grid: TorusGrid, a: np.ndarray) -> np.ndarray:
@@ -245,7 +249,7 @@ def half_inverse(h: np.ndarray, shape: tuple) -> np.ndarray:
 def half_norm(grid: TorusGrid, power: np.ndarray, weight=1.0) -> np.ndarray:
     """Weighted Parseval norm sqrt((2pi)^d sum_xi w |c_xi|^2) of a real field, from the
     power |h|^2 of its rfft-layout coefficients h; batched over leading axes."""
-    return np.sqrt((2.0 * math.pi) ** grid.d * half_sum(grid, weight * power))
+    return np.sqrt((2.0 * math.pi) ** grid.d * half_sum(grid.shape, weight * power))
 
 
 def mirror_rows(grid: TorusGrid, a: np.ndarray) -> None:

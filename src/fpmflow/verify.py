@@ -10,6 +10,14 @@ from that draw: :func:`pointwise_reports` gives every pointwise estimate of
 one dimension the same (xi, eta) pairs, and :func:`commutator_reports` gives
 every commutator report the same (f, g) trials.  The ``sample_*`` functions
 draw with the same seed and call these evaluators for one report.
+
+The pairs carry their geometry (:class:`_Pairs`: |xi|, |eta|, |xi - eta|,
+xi.eta and eta.(xi - eta)), computed once per population and narrowed with
+the pairs by each filter.  Nothing else is kept across reports: a cache of
+the powers |.|^e of a population would cost more memory than the work it
+saves, so each report raises its own powers and builds its lhs and rhs in
+place.  The antisymmetry probe stacks its fields and makes one pass over
+the lattice pairs per kernel.
 """
 
 from __future__ import annotations
@@ -76,7 +84,16 @@ class VerifyReport:
 
 
 def _norm(v: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(np.asarray(v, dtype=np.float64) ** 2, axis=-1))
+    """|v| over the last axis.  Adding the squared components column by column gives
+    the bits of ``np.sum(v ** 2, axis=-1)`` for the one or two components of a
+    wavevector, at a fifth of its cost."""
+    v = np.asarray(v, dtype=np.float64)
+    return np.sqrt(sum(v[..., j] ** 2 for j in range(v.shape[-1])))
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u.v over the last axis, column by column like :func:`_norm`."""
+    return sum(u[..., j] * v[..., j] for j in range(u.shape[-1]))
 
 
 def _ratios_to_report(name: str, ratios: np.ndarray, degenerate: np.ndarray,
@@ -101,6 +118,95 @@ def _ratios_to_report(name: str, ratios: np.ndarray, degenerate: np.ndarray,
 # pointwise wavenumber inequalities
 
 
+class _Pairs:
+    """(xi, eta) pairs with the geometry every pointwise estimate reads.
+
+    |xi|, |eta|, |xi - eta|, xi.eta and eta.(xi - eta) are computed once per
+    population; each estimate method builds its lhs and rhs from them with
+    in-place arithmetic, in the operation order of its formula, so that
+    nothing but the geometry outlives one report.  Every power is a ``**``
+    of its own, as numpy's fast paths for exponents such as 2 or 0.5 make
+    ``np.power(..., out=)`` differ from it in the last bit on some versions.
+    """
+
+    _ARRAYS = ("xi", "eta", "axi", "aeta", "adiff", "dot", "eta_dot_diff")
+
+    def __init__(self, xi, eta):
+        self.xi = xi = np.atleast_2d(np.asarray(xi, dtype=np.float64))
+        self.eta = eta = np.atleast_2d(np.asarray(eta, dtype=np.float64))
+        diff = xi - eta
+        self.axi, self.aeta, self.adiff = _norm(xi), _norm(eta), _norm(diff)
+        self.dot = _dot(xi, eta)
+        self.eta_dot_diff = _dot(eta, diff)
+
+    def narrow(self, keep: np.ndarray) -> None:
+        """Keep the pairs where ``keep`` holds, replacing one array at a time."""
+        if not keep.all():
+            for name in self._ARRAYS:
+                setattr(self, name, getattr(self, name)[keep])
+
+    def lemma1(self, s: float) -> tuple:
+        """lhs = | |xi|^s - |xi-eta|^s - |eta|^s - s eta.(xi-eta) |eta|^{s-2} |,
+        rhs = |xi-eta|^2 |eta|^{s-2} + |eta| |xi-eta|^{s-1}."""
+        aeta, adiff = self.aeta, self.adiff
+        eta_sm2 = radial_power(aeta, s - 2.0)
+        lhs = self.axi ** s
+        lhs -= adiff ** s
+        lhs -= aeta ** s
+        t = np.multiply(s, self.eta_dot_diff)
+        t *= eta_sm2
+        lhs -= t
+        np.abs(lhs, out=lhs)
+        rhs = adiff ** 2
+        rhs *= eta_sm2
+        rhs += np.multiply(aeta, radial_power(adiff, s - 1.0), out=t)
+        return lhs, rhs
+
+    def gdecomp(self, s: float, b: float) -> tuple:
+        """lhs = |G - G0 - G1 - Gs| with G = |xi|^{2s} xi.eta |eta|^{-2b} and
+        G0, G1, Gs its |eta|^s, first-order and |xi-eta|^s parts; rhs =
+        (|xi-eta|^2 |eta|^{s-2} + |eta| |xi-eta|^{s-1}) |xi|^s |eta|^{1-2b} (|xi-eta| + |eta|)."""
+        aeta, adiff, dot = self.aeta, self.adiff, self.dot
+        axs = self.axi ** s
+        eta_m2b = radial_power(aeta, -2.0 * b)
+        lhs = self.axi ** (2.0 * s)  # G
+        lhs *= dot
+        lhs *= eta_m2b
+        t = aeta ** s  # G0
+        t *= axs
+        t *= dot
+        t *= eta_m2b
+        lhs -= t
+        np.multiply(s, self.eta_dot_diff, out=t)  # G1
+        t *= axs
+        t *= dot
+        t *= radial_power(aeta, s - 2.0 - 2.0 * b)
+        lhs -= t
+        t = adiff ** s  # Gs
+        t *= axs
+        t *= dot
+        t *= eta_m2b
+        lhs -= t
+        np.abs(lhs, out=lhs)
+        rhs = adiff ** 2
+        rhs *= aeta ** (s - 2.0)
+        rhs += np.multiply(aeta, radial_power(adiff, s - 1.0), out=t)
+        rhs *= axs
+        rhs *= aeta ** (1.0 - 2.0 * b)
+        rhs *= np.add(adiff, aeta, out=t)
+        return lhs, rhs
+
+    def bdiff(self, b: float) -> tuple:
+        """lhs = | |xi|^b - |eta|^b |,  rhs = |xi-eta| max(|xi|^{b-1}, |eta|^{b-1})."""
+        lhs = self.axi ** b
+        lhs -= self.aeta ** b
+        np.abs(lhs, out=lhs)
+        rhs = self.axi ** (b - 1.0)
+        np.maximum(rhs, self.aeta ** (b - 1.0), out=rhs)
+        rhs *= self.adiff
+        return lhs, rhs
+
+
 def lemma1_gap(xi, eta, s: float) -> RatioSample:
     """Gap of the elementary expansion of |xi|^s around eta, against its bound.
 
@@ -109,20 +215,8 @@ def lemma1_gap(xi, eta, s: float) -> RatioSample:
     """
     if s < 3.0:
         raise ValueError("inequality requires s >= 3")
-    xi = np.atleast_2d(np.asarray(xi, dtype=np.float64))
-    eta = np.atleast_2d(np.asarray(eta, dtype=np.float64))
-    return _first_sample({"xi": xi[0], "eta": eta[0], "s": s}, *_lemma1_sides(xi, eta, s))
-
-
-def _lemma1_sides(xi, eta, s):
-    diff = xi - eta
-    axi, aeta, adiff = _norm(xi), _norm(eta), _norm(diff)
-    eta_sm2 = radial_power(aeta, s - 2.0)
-    diff_sm1 = radial_power(adiff, s - 1.0)
-    dot = np.sum(eta * diff, axis=-1)
-    lhs = np.abs(axi ** s - adiff ** s - aeta ** s - s * dot * eta_sm2)
-    rhs = adiff ** 2 * eta_sm2 + aeta * diff_sm1
-    return lhs, rhs
+    pairs = _Pairs(xi, eta)
+    return _first_sample({"xi": pairs.xi[0], "eta": pairs.eta[0], "s": s}, *pairs.lemma1(s))
 
 
 def _safe_ratio(lhs, rhs):
@@ -143,19 +237,14 @@ def bdiff_check(xi, eta, b: float) -> RatioSample:
     """| |xi|^b - |eta|^b |  vs  |xi-eta| max(|xi|^{b-1}, |eta|^{b-1}), b in (0, 1]."""
     if not (0.0 < b <= 1.0):
         raise ValueError("b must lie in (0, 1]")
-    xi = np.atleast_2d(np.asarray(xi, dtype=np.float64))
-    eta = np.atleast_2d(np.asarray(eta, dtype=np.float64))
-    axi, aeta = _norm(xi), _norm(eta)
-    if np.any(axi == 0.0) or np.any(aeta == 0.0):
+    pairs = _Pairs(xi, eta)
+    if np.any(pairs.axi == 0.0) or np.any(pairs.aeta == 0.0):
         raise ValueError("xi and eta must be nonzero")
-    return _first_sample({"xi": xi[0], "eta": eta[0], "b": b}, *_bdiff_sides(xi, eta, b))
+    return _first_sample({"xi": pairs.xi[0], "eta": pairs.eta[0], "b": b}, *pairs.bdiff(b))
 
 
 def _bdiff_sides(xi, eta, b):
-    axi, aeta, adiff = _norm(xi), _norm(eta), _norm(xi - eta)
-    lhs = np.abs(axi ** b - aeta ** b)
-    rhs = adiff * np.maximum(axi ** (b - 1.0), aeta ** (b - 1.0))
-    return lhs, rhs
+    return _Pairs(xi, eta).bdiff(b)
 
 
 def gdecomp_check(xi, eta, s: float, b: float) -> RatioSample:
@@ -164,32 +253,15 @@ def gdecomp_check(xi, eta, s: float, b: float) -> RatioSample:
         raise ValueError("decomposition bound requires s >= 3")
     if not (0.0 <= b <= 1.0):
         raise ValueError("b must lie in [0, 1]")
-    xi = np.atleast_2d(np.asarray(xi, dtype=np.float64))
-    eta = np.atleast_2d(np.asarray(eta, dtype=np.float64))
-    if np.any(_norm(eta) == 0.0):
+    pairs = _Pairs(xi, eta)
+    if np.any(pairs.aeta == 0.0):
         raise ValueError("eta must be nonzero")
-    return _first_sample({"xi": xi[0], "eta": eta[0], "s": s, "b": b},
-                         *_gdecomp_sides(xi, eta, s, b))
+    return _first_sample({"xi": pairs.xi[0], "eta": pairs.eta[0], "s": s, "b": b},
+                         *pairs.gdecomp(s, b))
 
 
 def _gdecomp_sides(xi, eta, s, b):
-    diff = xi - eta
-    axi, aeta, adiff = _norm(xi), _norm(eta), _norm(diff)
-    dot = np.sum(xi * eta, axis=-1)
-    eta_dot_diff = np.sum(eta * diff, axis=-1)
-    eta_m2b = radial_power(aeta, -2.0 * b)
-    eta_sm2m2b = radial_power(aeta, s - 2.0 - 2.0 * b)
-    diff_sm1 = radial_power(adiff, s - 1.0)
-    G = axi ** (2.0 * s) * dot * eta_m2b
-    Gs = axi ** s * adiff ** s * dot * eta_m2b
-    G0 = axi ** s * aeta ** s * dot * eta_m2b
-    G1 = axi ** s * (s * eta_dot_diff) * dot * eta_sm2m2b
-    lhs = np.abs(G - G0 - G1 - Gs)
-    rhs = (
-        (adiff ** 2 * aeta ** (s - 2.0) + aeta * diff_sm1)
-        * axi ** s * aeta ** (1.0 - 2.0 * b) * (adiff + aeta)
-    )
-    return lhs, rhs
+    return _Pairs(xi, eta).gdecomp(s, b)
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +298,10 @@ def _sample_pairs(d: int, n: int, rng) -> tuple:
     return xi, eta
 
 
-def _pointwise_report(name: str, xi, eta, sides) -> VerifyReport:
+def _pointwise_report(name: str, pairs: _Pairs, sides) -> VerifyReport:
     ratio, deg = _safe_ratio(*sides)
-    return _ratios_to_report(name, ratio, deg,
-                             lambda i: {"xi": xi[i].tolist(), "eta": eta[i].tolist()})
+    return _ratios_to_report(name, ratio, deg, lambda i: {"xi": pairs.xi[i].tolist(),
+                                                          "eta": pairs.eta[i].tolist()})
 
 
 def pointwise_reports(d: int, n: int, seed: int = 0, lemma1=(), gdecomp=(), bdiff=()) -> dict:
@@ -238,20 +310,19 @@ def pointwise_reports(d: int, n: int, seed: int = 0, lemma1=(), gdecomp=(), bdif
     ``lemma1`` lists values of s, ``gdecomp`` (s, b) pairs and ``bdiff``
     values of b; the result maps each of the three names to its reports in
     that order.  lemma1 sees every pair, gdecomp the pairs with eta != 0 and
-    bdiff those with xi != 0 as well.  Each filter replaces the pairs it
-    narrows, so one copy of them is alive at a time.
+    bdiff those with xi != 0 as well.  The norms and dots of the pairs are
+    computed once (:class:`_Pairs`), and each filter narrows them with the
+    pairs, so one copy of them is alive at a time.
     """
-    xi, eta = _sample_pairs(d, n, np.random.default_rng(seed))
-    out = {"lemma1": [_pointwise_report(f"lemma1(s={s}, d={d})", xi, eta,
-                                        _lemma1_sides(xi, eta, s)) for s in lemma1]}
-    ok = _norm(eta) > 0.0
-    xi, eta = xi[ok], eta[ok]
-    out["gdecomp"] = [_pointwise_report(f"gdecomp(s={s}, b={b}, d={d})", xi, eta,
-                                        _gdecomp_sides(xi, eta, s, b)) for s, b in gdecomp]
-    ok = _norm(xi) > 0.0
-    xi, eta = xi[ok], eta[ok]
-    out["bdiff"] = [_pointwise_report(f"bdiff(b={b}, d={d})", xi, eta,
-                                      _bdiff_sides(xi, eta, b)) for b in bdiff]
+    pairs = _Pairs(*_sample_pairs(d, n, np.random.default_rng(seed)))
+    out = {"lemma1": [_pointwise_report(f"lemma1(s={s}, d={d})", pairs, pairs.lemma1(s))
+                      for s in lemma1]}
+    pairs.narrow(pairs.aeta > 0.0)
+    out["gdecomp"] = [_pointwise_report(f"gdecomp(s={s}, b={b}, d={d})", pairs,
+                                        pairs.gdecomp(s, b)) for s, b in gdecomp]
+    pairs.narrow(pairs.axi > 0.0)
+    out["bdiff"] = [_pointwise_report(f"bdiff(b={b}, d={d})", pairs, pairs.bdiff(b))
+                    for b in bdiff]
     return out
 
 
@@ -388,22 +459,22 @@ def sample_antisymmetry(n_fields: int = 100, N: int = 32, d: int = 1,
                         seed: int = 0, tol: float = 1e-10) -> VerifyReport:
     """|T[G]| / magnitude scale for anti-symmetric kernels; passes when below tol.
 
-    One lattice pass per (field, kernel) gives both T[G] and its scale.
+    The fields are drawn in turn; one lattice pass per kernel gives T[G] and
+    its scale for all of them.
     """
     rng = np.random.default_rng(seed)
     grid = TorusGrid(d=d, n=N)
+    coeffs = np.stack([forward_transform(random_real_field(grid, rng, decay=2.0)).coeffs
+                       for _ in range(n_fields)])
     kernels = antisymmetric_kernels()
-    ratios = []
-    for i in range(n_fields):
-        F = forward_transform(random_real_field(grid, rng, decay=2.0))
-        for G in kernels:
-            val, scale = diagnostics._trilinear_naive(G, F)
-            ratios.append(abs(val) / scale if scale > 0.0 else 0.0)
-    ratios = np.array(ratios)
-    deg = np.zeros_like(ratios, dtype=bool)
-    rep = _ratios_to_report(
-        f"antisymmetry(N={N}, d={d})", ratios, deg, lambda i: {"case": int(i)}
-    )
+    # one row per field, one column per kernel: case i is field i // 5, kernel i % 5
+    vals = np.empty((n_fields, len(kernels)))
+    scales = np.empty_like(vals)
+    for k, G in enumerate(kernels):
+        vals[:, k], scales[:, k] = diagnostics._trilinear_naive(G, grid, coeffs)
+    rep = _ratios_to_report(f"antisymmetry(N={N}, d={d})",
+                            *_safe_ratio(np.abs(vals).reshape(-1), scales.reshape(-1)),
+                            lambda i: {"case": int(i)})
     rep.passed = bool(rep.sup_ratio <= tol)
     return rep
 

@@ -276,6 +276,15 @@ class TestSpectralOperator:
         assert np.max(np.abs(out - ref)) < 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("d", [1, 2])
+    def test_mag_and_mask_own_contiguous_data(self, d):
+        # copies of the rfft-layout halves: the full-layout arrays are not kept alive
+        g = TorusGrid(d=d, n=32)
+        op = SpectralOperator(g, ModelParams(alpha_minus_d=-1.0, c_K=-1.0))
+        for arr, full in ((op.mag, g.wavenumber_magnitude()), (op.mask, dealias_mask(g))):
+            assert arr.base is None and arr.flags["C_CONTIGUOUS"]
+            assert np.array_equal(arr, half(g, full))
+
+    @pytest.mark.parametrize("d", [1, 2])
     def test_final_state_is_bitwise_hermitian(self, d):
         # states stay in rfft layout; the full layout a run hands out is Hermitian
         # bit for bit and keeps the rfft-layout half bit for bit.  At N = 48 the

@@ -21,6 +21,7 @@ from fpmflow.spectral import (
     half,
     half_inverse,
     half_norm,
+    half_sum,
     half_transform,
     inverse_transform,
     l2_norm,
@@ -123,6 +124,14 @@ class TestTransforms:
             phys = math.sqrt(g.dx ** d * np.sum(f.values ** 2))
             assert l2_norm(forward_transform(f)) == pytest.approx(phys, rel=1e-12)
 
+
+    @pytest.mark.parametrize("shape", [(16,), (15,), (12, 16), (15, 15)])
+    def test_half_sum_is_parseval_on_even_and_odd_grids(self, shape):
+        # an odd last axis has no column of its own mirror: only column 0 counts once
+        values = np.random.default_rng(len(shape)).standard_normal((3,) + shape)
+        power = np.abs(half_transform(values, shape)) ** 2
+        want = np.mean(values ** 2, axis=tuple(range(1, 1 + len(shape))))
+        assert np.allclose(half_sum(shape, power), want, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("d,n", [(1, 32), (2, 16), (2, 48)])
     def test_half_norm_is_full_layout_norm(self, d, n):

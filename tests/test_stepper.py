@@ -248,7 +248,7 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_energy_residual_fft_count(self, monkeypatch, d):
-        # 1 + 3d real inverse transforms per interior sample, nothing else
+        # 1 + d real inverse and d real forward transforms per interior sample, nothing else
         g = TorusGrid(d=d, n=16)
         p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0)
         cfg = StepperConfig(t_end=0.02, dt_mode="fixed", dt=5e-3)
@@ -258,16 +258,17 @@ class TestIntegrate:
         without = dict(without)
         counter = count_ffts(monkeypatch)
         res = integrate(rho0, p, cfg, energy_residuals=True)
-        extra = (1 + 3 * d) * (len(res.records) - 2)
-        assert extra > 0
-        assert counter["calls"] - without["calls"] == extra
-        assert counter["irfftn"] - without["irfftn"] == extra
+        residuals = len(res.records) - 2
+        assert residuals > 0
+        assert counter["calls"] - without["calls"] == (1 + 2 * d) * residuals
+        assert counter["irfftn"] - without["irfftn"] == (1 + d) * residuals
+        assert counter["rfftn"] - without["rfftn"] == d * residuals
 
     @pytest.mark.parametrize("nu", [0.0, 0.05])
     @pytest.mark.parametrize("d", [1, 2])
     def test_run_fft_count(self, monkeypatch, d, nu):
         # after the initial forward transform only real FFTs: 4 (1 + 2d) per step,
-        # 1 + d per cfl_dt, 1 per sample after a step, 1 + 3d per evaluated residual
+        # 1 + d per cfl_dt, 1 per sample after a step, 1 + 2d per evaluated residual
         g = TorusGrid(d=d, n=16)
         p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0, nu=nu)
         cfg = StepperConfig(t_end=0.02, dt_mode="adaptive", dt_max=5e-3)
@@ -281,7 +282,7 @@ class TestIntegrate:
         residuals = sum(math.isfinite(r.energy_residual_L2) for r in res.records)
         assert residuals == (samples - 1 if nu == 0.0 else 0)
         assert counter["calls"] - complex_calls == (
-            res.n_steps * (4 * (1 + 2 * d) + 1 + d) + samples + (1 + 3 * d) * residuals)
+            res.n_steps * (4 * (1 + 2 * d) + 1 + d) + samples + (1 + 2 * d) * residuals)
 
     def test_determinism(self):
         g = TorusGrid(d=1, n=64)

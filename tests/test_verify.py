@@ -1,11 +1,12 @@
 """Tests for the inequality verification suite."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from fpmflow import diagnostics
+from fpmflow import diagnostics, verify
 from fpmflow.driver import ESTIMATES, verify_suite
 from fpmflow.spectral import (
     RealField,
@@ -18,6 +19,7 @@ from fpmflow.spectral import (
     fractional_power,
     inverse_transform,
     l2_norm,
+    random_real_field,
 )
 from fpmflow.verify import (
     _analytic_random_field,
@@ -363,14 +365,178 @@ class TestSharedDraws:
         # (xi, eta) pairs for d = 1 and d = 2, the (f, g) stack, the antisymmetry fields.
         assert len(made) == 4
 
-    def test_one_lattice_pass_per_field_and_kernel(self, monkeypatch):
+    def test_one_lattice_pass_per_kernel(self, monkeypatch):
         passes = []
         naive = diagnostics._trilinear_naive
 
-        def counted(G, F):
-            passes.append(1)
-            return naive(G, F)
+        def counted(G, grid, coeffs):
+            passes.append(len(coeffs))
+            return naive(G, grid, coeffs)
 
         monkeypatch.setattr(diagnostics, "_trilinear_naive", counted)
         sample_antisymmetry(100)
-        assert len(passes) == 100 * len(antisymmetric_kernels())
+        assert passes == [100] * len(antisymmetric_kernels())
+
+
+# Frozen copies of the pointwise formulas as they stood before the evaluators
+# shared one geometry per population and worked in place.  The suite must
+# reproduce their lhs, rhs and ratios bit for bit.
+
+
+def ref_norm(v):
+    return np.sqrt(np.sum(np.asarray(v, dtype=np.float64) ** 2, axis=-1))
+
+
+def ref_radial_power(mag, s):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(mag > 0.0, mag ** s, 0.0)
+
+
+def ref_lemma1_sides(xi, eta, s):
+    diff = xi - eta
+    axi, aeta, adiff = ref_norm(xi), ref_norm(eta), ref_norm(diff)
+    eta_sm2 = ref_radial_power(aeta, s - 2.0)
+    diff_sm1 = ref_radial_power(adiff, s - 1.0)
+    dot = np.sum(eta * diff, axis=-1)
+    lhs = np.abs(axi ** s - adiff ** s - aeta ** s - s * dot * eta_sm2)
+    rhs = adiff ** 2 * eta_sm2 + aeta * diff_sm1
+    return lhs, rhs
+
+
+def ref_gdecomp_sides(xi, eta, s, b):
+    diff = xi - eta
+    axi, aeta, adiff = ref_norm(xi), ref_norm(eta), ref_norm(diff)
+    dot = np.sum(xi * eta, axis=-1)
+    eta_dot_diff = np.sum(eta * diff, axis=-1)
+    eta_m2b = ref_radial_power(aeta, -2.0 * b)
+    eta_sm2m2b = ref_radial_power(aeta, s - 2.0 - 2.0 * b)
+    diff_sm1 = ref_radial_power(adiff, s - 1.0)
+    G = axi ** (2.0 * s) * dot * eta_m2b
+    Gs = axi ** s * adiff ** s * dot * eta_m2b
+    G0 = axi ** s * aeta ** s * dot * eta_m2b
+    G1 = axi ** s * (s * eta_dot_diff) * dot * eta_sm2m2b
+    lhs = np.abs(G - G0 - G1 - Gs)
+    rhs = (
+        (adiff ** 2 * aeta ** (s - 2.0) + aeta * diff_sm1)
+        * axi ** s * aeta ** (1.0 - 2.0 * b) * (adiff + aeta)
+    )
+    return lhs, rhs
+
+
+def ref_bdiff_sides(xi, eta, b):
+    axi, aeta, adiff = ref_norm(xi), ref_norm(eta), ref_norm(xi - eta)
+    lhs = np.abs(axi ** b - aeta ** b)
+    rhs = adiff * np.maximum(axi ** (b - 1.0), aeta ** (b - 1.0))
+    return lhs, rhs
+
+
+def ref_safe_ratio(lhs, rhs):
+    degenerate = rhs == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(degenerate, 0.0, lhs / np.where(degenerate, 1.0, rhs))
+
+
+def ref_pointwise(d, n, seed):
+    """(name, xi, eta, lhs, rhs, ratio) of every pointwise report of the suite in dimension d."""
+    xi, eta = _sample_pairs(d, n, np.random.default_rng(seed))
+    out = [(f"lemma1(s={s}, d={d})", xi, eta, *ref_lemma1_sides(xi, eta, s))
+           for s in (3.0, 4.0, 6.0)]
+    ok = ref_norm(eta) > 0.0
+    xi, eta = xi[ok], eta[ok]
+    out += [(f"gdecomp(s=3.0, b={b}, d={d})", xi, eta, *ref_gdecomp_sides(xi, eta, 3.0, b))
+            for b in (0.0, 0.5, 1.0)]
+    ok = ref_norm(xi) > 0.0
+    xi, eta = xi[ok], eta[ok]
+    out += [(f"bdiff(b={b}, d={d})", xi, eta, *ref_bdiff_sides(xi, eta, b))
+            for b in (0.25, 0.5, 0.75, 1.0)]
+    return [row + (ref_safe_ratio(row[3], row[4]),) for row in out]
+
+
+class TestPointwiseGeometry:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_suite_sides_match_frozen_formulas(self, monkeypatch, seed):
+        seen = []
+        report, to_report = verify._pointwise_report, verify._ratios_to_report
+
+        def capture(name, pairs, sides):
+            seen.append([name, pairs.xi.copy(), pairs.eta.copy(), *sides])
+            return report(name, pairs, sides)
+
+        def capture_ratios(name, ratios, degenerate, argmax_inputs):
+            seen[-1].append(ratios.copy())
+            return to_report(name, ratios, degenerate, argmax_inputs)
+
+        monkeypatch.setattr(verify, "_pointwise_report", capture)
+        monkeypatch.setattr(verify, "_ratios_to_report", capture_ratios)
+        verify_suite(("lemma1", "gdecomp", "bdiff"), seed=seed, n=2000)
+        want = ref_pointwise(1, 2000, seed) + ref_pointwise(2, 2000, seed)
+        assert sorted(row[0] for row in seen) == sorted(row[0] for row in want)
+        got = {row[0]: row for row in seen}
+        for name, *arrays in want:
+            for a, b in zip(got[name][1:], arrays):
+                assert a.shape == b.shape and np.all(a == b), name
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_norm_and_dot_match_axis_sums(self, d):
+        v = np.random.default_rng(d).standard_normal((500, d)) * 1e3
+        w = np.random.default_rng(d + 2).standard_normal((500, d))
+        assert np.all(_norm(v) == ref_norm(v))
+        assert np.all(verify._dot(v, w) == np.sum(v * w, axis=-1))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_pointwise_peak_memory(self, d):
+        # The parent's evaluators peaked at 3.53 MB (d = 1) and 4.08 MB (d = 2);
+        # the shared geometry must not cost more than the temporaries it saves.
+        params = dict(lemma1=(3.0, 4.0, 6.0), gdecomp=((3.0, 0.0), (3.0, 0.5), (3.0, 1.0)),
+                      bdiff=(0.25, 0.5, 0.75, 1.0))
+        verify.pointwise_reports(d, 20_000, 0, **params)  # first-call allocations
+        tracemalloc.start()
+        try:
+            verify.pointwise_reports(d, 20_000, 0, **params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= {1: 3.53e6, 2: 4.08e6}[d]
+
+
+class TestBatchedNaive:
+    @pytest.mark.parametrize("d,n,fields,block", [
+        (1, 32, 100, None),    # the suite's probe: one block
+        (2, 16, 7, 200_000),   # every row at once, fields in blocks of 3, 3 and 1
+        (2, 16, 5, 3000),      # rows in blocks of 11, one field at a time
+    ])
+    def test_stack_equals_one_field_at_a_time(self, monkeypatch, d, n, fields, block):
+        if block is not None:
+            monkeypatch.setattr(diagnostics, "NAIVE_BLOCK", block)
+        grid = TorusGrid(d=d, n=n)
+        rng = np.random.default_rng(n + fields)
+        coeffs = np.stack([forward_transform(random_real_field(grid, rng)).coeffs
+                           for _ in range(fields)])
+        for G in antisymmetric_kernels()[:2]:
+            total, scale = diagnostics._trilinear_naive(G, grid, coeffs)
+            assert total.shape == scale.shape == (fields,)
+            for i in range(fields):
+                one = diagnostics._trilinear_naive(G, grid, coeffs[i:i + 1])
+                assert one[0][0] == total[i] and one[1][0] == scale[i]
+                F = SpectralField(grid, coeffs[i])
+                assert diagnostics.trilinear_T(G, F) == total[i]
+                assert diagnostics.trilinear_scale(G, F) == scale[i]
+
+    def test_block_bound_counts_fields(self, monkeypatch):
+        # 3000 complex entries per block: two 32 x 32 lattices of the 100 fields at a
+        # time (32 KB), where one block of all of them would take 1.6 MB
+        monkeypatch.setattr(diagnostics, "NAIVE_BLOCK", 3000)
+        grid = TorusGrid(d=1, n=32)
+        rng = np.random.default_rng(8)
+        coeffs = np.stack([forward_transform(random_real_field(grid, rng)).coeffs
+                           for _ in range(100)])
+        G = antisymmetric_kernels()[1]
+        want = diagnostics._trilinear_naive(G, grid, coeffs)
+        tracemalloc.start()
+        try:
+            got = diagnostics._trilinear_naive(G, grid, coeffs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert peak < 400_000
