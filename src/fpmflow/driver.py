@@ -15,7 +15,8 @@ Exit codes:
        mean >= amplitude >= 0, gaussian mass <= 0, k or center with neither 1 nor
        `dimension` entries); a refine --n-list of fewer than two N or an empty
        mu-converge --mu-list.  All are found before any run starts.
-    2  simulate ended blowup_detected or max_steps; picard diverged; a refine or
+    2  simulate ended blowup_detected or max_steps; picard diverged (d_n rose three
+       times in a row, or one turned non-finite, which ends the iteration); a refine or
        mu-converge run (also the mu = 0 reference) did not complete, reported as
        one ``campaign stopped: ...`` line on stderr with its reason
     3  verify found an unstable ratio
@@ -315,7 +316,9 @@ def picard_iteration(cfg: RunConfig, n_max: int) -> dict:
     :func:`fpmflow.stepper.step`, so diffusion is exact; the previous
     trajectory is stored per step and linearly interpolated at stage
     midpoints (the velocity law is linear in the state).  Returns the
-    successive L2 differences d_n at t_end and a divergence flag.
+    successive L2 differences d_n at t_end and a divergence flag: set on
+    three successive rises of d_n, or on a non-finite d_n, which ends the
+    iteration.
     """
     if cfg.mu <= 0.0:
         raise ConfigError("picard iteration requires mu > 0")
@@ -328,23 +331,30 @@ def picard_iteration(cfg: RunConfig, n_max: int) -> dict:
     # Trajectories hold rfft-layout states by reference: no step updates one in place.
     prev_traj = [c0] * (n_steps + 1)  # iterate 0 is constant in time
     diffs = []
-    for _ in range(n_max):
-        state = c0
-        traj = [state]
-        for k in range(n_steps):
-            a, bb = prev_traj[k], prev_traj[k + 1]
-            u_d = {tau: [u.values for u in velocity(op.mask * c, op)]
-                   for tau, c in ((0.0, a), (0.5, 0.5 * (a + bb)), (1.0, bb))}
+    # An iterate that overflows has diverged: its d_n is checked below, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_max):
+            state = c0
+            traj = [state]
+            end = op.mask * prev_traj[0]  # a step starts where the last ended: one mask a state
+            for k in range(n_steps):
+                start, end = end, op.mask * prev_traj[k + 1]
+                mid = op.mask * (0.5 * (prev_traj[k] + prev_traj[k + 1]))
+                u_d = {tau: [u.values for u in velocity(c, op)]
+                       for tau, c in ((0.0, start), (0.5, mid), (1.0, end))}
 
-            def frozen_rhs(arr, tau, u_d=u_d):
-                return op.transport(op.physical(op.mask * arr), u_d[tau])
+                def frozen_rhs(arr, tau, u_d=u_d):
+                    return op.transport(op.physical(op.mask * arr), u_d[tau])
 
-            state = _integrating_factor_rk4(state, dt, frozen_rhs, op)
-            traj.append(state)
-        diffs.append(half_norm(op.grid, np.abs(state - prev_traj[-1]) ** 2))
-        prev_traj = traj
+                state = _integrating_factor_rk4(state, dt, frozen_rhs, op)
+                traj.append(state)
+            diffs.append(half_norm(op.grid, np.abs(state - prev_traj[-1]) ** 2))
+            if not math.isfinite(diffs[-1]):
+                break
+            prev_traj = traj
     rises = [bb > a for a, bb in zip(diffs, diffs[1:])]
-    diverged = any(all(rises[i:i + 3]) for i in range(len(rises) - 2))
+    diverged = (not math.isfinite(diffs[-1])
+                or any(all(rises[i:i + 3]) for i in range(len(rises) - 2)))
     return {"diffs": diffs, "diverged": diverged, "dt": dt}
 
 

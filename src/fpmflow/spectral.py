@@ -237,12 +237,17 @@ def half(grid: TorusGrid, a: np.ndarray) -> np.ndarray:
 
 def half_transform(values: np.ndarray, shape: tuple) -> np.ndarray:
     """rfft-layout coefficients of real values on a grid of this shape (leading axes batched)."""
-    # Given axes but not s, numpy looks the sizes up by np.take: about 5 us a call in 1-D.
+    # On one axis rfftn makes this very rfft call, after argument handling that costs
+    # 1-2 us of a 10 us call at N = 256; given axes but not s, it takes longer still.
+    if len(shape) == 1:
+        return np.fft.rfft(values, n=shape[0], norm="forward")
     return np.fft.rfftn(values, s=shape, axes=tuple(range(-len(shape), 0)), norm="forward")
 
 
 def half_inverse(h: np.ndarray, shape: tuple) -> np.ndarray:
     """Real values on a grid of this shape from rfft-layout h (leading axes batched)."""
+    if len(shape) == 1:  # the one call irfftn makes on one axis, as in half_transform
+        return np.fft.irfft(h, n=shape[0], norm="forward")
     return np.fft.irfftn(h, s=shape, axes=tuple(range(-len(shape), 0)), norm="forward")
 
 

@@ -96,15 +96,20 @@ def _integrating_factor_rk4(c: np.ndarray, dt: float,
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     e_full = e_half = 1.0  # exactly the factors at nu = 0
-    if op.p.nu > 0.0:
+    viscous = op.p.nu > 0.0
+    if viscous:
         mag2 = op.mag ** 2
         e_full = np.exp(-op.p.nu * mag2 * dt)
         e_half = np.exp(-op.p.nu * mag2 * (dt / 2.0))
+
+    def damp(e, x):  # e * x; at nu = 0 that is 1.0 * x, x itself, so no copy is made
+        return e * x if viscous else x
+
     k1 = rhs(c, 0.0)
-    k2 = rhs(e_half * (c + 0.5 * dt * k1), 0.5)
-    k3 = rhs(e_half * c + 0.5 * dt * k2, 0.5)
-    k4 = rhs(e_full * c + dt * e_half * k3, 1.0)
-    return e_full * c + dt / 6.0 * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
+    k2 = rhs(damp(e_half, c + 0.5 * dt * k1), 0.5)
+    k3 = rhs(damp(e_half, c) + 0.5 * dt * k2, 0.5)
+    k4 = rhs(damp(e_full, c) + dt * e_half * k3, 1.0)
+    return damp(e_full, c) + dt / 6.0 * (damp(e_full, k1) + 2.0 * e_half * (k2 + k3) + k4)
 
 
 def step(state: np.ndarray, dt: float, op: SpectralOperator) -> np.ndarray:

@@ -411,6 +411,20 @@ class TestCli:
         assert main(argv + ["--out", str(tmp_path / "x")]) == 1
         assert "config error" in capsys.readouterr().err
 
+    def test_picard_with_a_non_finite_d_n_diverges(self, tmp_path, capsys):
+        # attractive and a step of 20: the first iterate overflows; d_1 = inf used to be
+        # followed by NaN d_n, overflow warnings and exit 0
+        out = tmp_path / "p"
+        rc = main(["picard", "--config", os.path.join(CONFIG_DIR, "repulsive_inviscid.cfg"),
+                   "--mu", "0.25", "--c_K", "1", "--dt", "20", "--t_end", "400",
+                   "--n-max", "3", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == "d_1 = inf\n"
+        assert captured.err == "iteration diverged\n"
+        with open(out / "picard.csv") as fh:
+            assert fh.read().splitlines() == ["n,d_n", "1,inf"]
+
     @pytest.mark.parametrize("dimension", ["1", "2"])
     def test_unresolved_gaussian_run_ends_classified(self, tmp_path, capsys, dimension):
         # At N = 128 and sigma = 0.05 the unpaired -N/2 mode of the Gaussian is far above
