@@ -79,33 +79,11 @@ def mass(F: SpectralField) -> float:
     return TWO_PI ** F.grid.d * float(F.coeffs.flat[0].real)
 
 
-def sobolev_norm(F: SpectralField, s: float, homogeneous: bool = False) -> float:
-    """H^s (or homogeneous Hdot^s) norm under the series convention."""
-    w = sobolev_weight(F.grid.wavenumber_magnitude(), s, homogeneous)
-    return math.sqrt(TWO_PI ** F.grid.d * float(np.sum(w * np.abs(F.coeffs) ** 2)))
-
-
 def _blowup_functionals(grid, mag: np.ndarray, absc: np.ndarray) -> tuple:
     """(B1, B2) from |xi| and the moduli |c_xi| of a real field, both in rfft layout."""
     b1 = float(half_sum(grid.shape, mag ** 2 * (1.0 + mag) * absc))
     l1 = float(half_sum(grid.shape, mag * (1.0 + mag) * absc))
     return b1, l1 * l1  # a float product overflows to inf; float ** 2 would raise
-
-
-def _field_blowup(F: SpectralField) -> tuple:
-    grid = F.grid
-    return _blowup_functionals(grid, half(grid, grid.wavenumber_magnitude()),
-                               np.abs(half(grid, F.coeffs)))
-
-
-def blowup_B1(F: SpectralField) -> float:
-    """Lattice sum of |xi|^2 (1 + |xi|) |c_xi| over the spectrum of the real field F."""
-    return _field_blowup(F)[0]
-
-
-def blowup_B2(F: SpectralField) -> float:
-    """Squared lattice sum of |xi| (1 + |xi|) |c_xi| over the spectrum of the real field F."""
-    return _field_blowup(F)[1]
 
 
 @dataclass(frozen=True)
@@ -341,11 +319,6 @@ def energy_residual_L2(samples, p: ModelParams) -> float:
     the identity is evaluated at the middle one.  Only valid for nu = 0.
     """
     return _energy_residual(samples, p, s=0.0)[0]
-
-
-def energy_residual_Hs(samples, p: ModelParams, s: float) -> float:
-    """Hdot^s analogue of :func:`energy_residual_L2`."""
-    return _energy_residual(samples, p, s=s)[1]
 
 
 def _energy_residual(samples, p: ModelParams, s: float) -> tuple:

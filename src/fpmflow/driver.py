@@ -14,7 +14,8 @@ Exit codes:
        bad init data (an unknown kind, a non-finite value, cosine without
        mean >= amplitude >= 0, gaussian mass <= 0, k or center with neither 1 nor
        `dimension` entries); a refine --n-list of fewer than two N or an empty
-       mu-converge --mu-list.  All are found before any run starts.
+       mu-converge --mu-list; an --out path that cannot be created as a directory
+       (an existing file, say).  All are found before any run starts.
     2  simulate ended blowup_detected or max_steps; picard diverged (d_n rose three
        times in a row, or one turned non-finite, which ends the iteration); a refine or
        mu-converge run (also the mu = 0 reference) did not complete, reported as
@@ -37,10 +38,11 @@ from .model import InitialCondition, ModelParams, SpectralOperator, mollify_init
 from .spectral import (
     RealField,
     TorusGrid,
+    band_power,
     half,
     half_coefficients,
+    half_inverse,
     half_norm,
-    inverse_transform,
     sobolev_weight,
 )
 from .stepper import FinalState, StepperConfig, _integrating_factor_rk4, integrate
@@ -199,7 +201,6 @@ def series_header(s_list) -> list:
 
 def write_csv(path: str, header, rows):
     """Header line, then one FMT-formatted line per row (an int prints as an int)."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -220,15 +221,6 @@ def write_snapshot(path: str, f: RealField, t: float):
     with open(path, "w") as fh:
         fh.write(f"{f.grid.d} {f.grid.n} {FMT % t}\n")
         fh.write(((FMT + "\n") * len(values)) % tuple(values))
-
-
-def read_snapshot(path: str) -> tuple:
-    with open(path) as fh:
-        d, n, t = fh.readline().split()
-        d, n, t = int(d), int(n), float(t)
-        vals = np.array([float(line) for line in fh])
-    grid = TorusGrid(d=d, n=n)
-    return RealField(grid, vals.reshape(grid.shape)), t
 
 
 def _audit(records):
@@ -254,7 +246,7 @@ def run_simulation(cfg: RunConfig, quiet: bool = False) -> int:
     _audit(result.records)
     write_series(os.path.join(cfg.out, "series.csv"), result.records, cfg.s_list)
     write_snapshot(os.path.join(cfg.out, "snapshot_initial.txt"), rho0, 0.0)
-    final = inverse_transform(result.state)
+    final = RealField(result.grid, half_inverse(result.h, result.grid.shape))
     write_snapshot(os.path.join(cfg.out, "snapshot_final.txt"), final, result.t)
     with open(os.path.join(cfg.out, "status.txt"), "w") as fh:
         fh.write(f"reason {result.reason}\nt_final {FMT % result.t}\n"
@@ -299,12 +291,11 @@ def mu_convergence(cfg: RunConfig, mu_list) -> list:
     if s_m1 < -2.0:
         raise ConfigError(f"the H^(s-1) error needs max(s_list) >= -1, got {s_m1 + 1.0}")
     ref = _completed_run(replace(cfg, mu=0.0))
-    grid = ref.state.grid
+    grid = ref.grid
     w = sobolev_weight(half(grid, grid.wavenumber_magnitude()), s_m1, False)
     rows = []
     for mu in mu_list:
-        res = _completed_run(replace(cfg, mu=mu))
-        p2 = np.abs(half(grid, res.state.coeffs - ref.state.coeffs)) ** 2
+        p2 = np.abs(_completed_run(replace(cfg, mu=mu)).h - ref.h) ** 2
         rows.append((mu, half_norm(grid, p2), half_norm(grid, p2, w)))
     return rows
 
@@ -340,8 +331,7 @@ def picard_iteration(cfg: RunConfig, n_max: int) -> dict:
             for k in range(n_steps):
                 start, end = end, op.mask * prev_traj[k + 1]
                 mid = op.mask * (0.5 * (prev_traj[k] + prev_traj[k + 1]))
-                u_d = {tau: [u.values for u in velocity(c, op)]
-                       for tau, c in ((0.0, start), (0.5, mid), (1.0, end))}
+                u_d = {tau: velocity(c, op) for tau, c in ((0.0, start), (0.5, mid), (1.0, end))}
 
                 def frozen_rhs(arr, tau, u_d=u_d):
                     return op.transport(op.physical(op.mask * arr), u_d[tau])
@@ -374,17 +364,9 @@ def grid_refinement(cfg: RunConfig, n_list) -> list:
             replace(cfg, modes=n).grid()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    finals = {n: _completed_run(replace(cfg, modes=n)).state for n in n_list}
-    rows = []
-    for a, b in zip(n_list, n_list[1:]):
-        ca = np.fft.fftshift(finals[a].coeffs)
-        cb = np.fft.fftshift(finals[b].coeffs)
-        lo = (b - a) // 2
-        sl = tuple(slice(lo, lo + a) for _ in range(cfg.dimension))
-        diff = cb[sl] - ca
-        err = math.sqrt((2.0 * math.pi) ** cfg.dimension * float(np.sum(np.abs(diff) ** 2)))
-        rows.append((a, b, err))
-    return rows
+    finals = [_completed_run(replace(cfg, modes=n)) for n in n_list]
+    return [(a.grid.n, b.grid.n, float(half_norm(a.grid, band_power(a.grid, a.h, b.h))))
+            for a, b in zip(finals, finals[1:])]
 
 
 ESTIMATES = ("lemma1", "bdiff", "gdecomp", "comm", "plaincomm", "antisymmetry")
@@ -440,6 +422,15 @@ def _parse_overrides(extra: list) -> list:
     return out
 
 
+def _make_out(path) -> None:
+    """Create the output directory, if any, before any run; failing is a config error."""
+    try:
+        if path:
+            os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory: {exc}") from exc
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="fpmflow",
@@ -475,10 +466,10 @@ def main(argv=None) -> int:
             if extra:
                 raise ConfigError(f"unexpected arguments {extra}")
             selection = [s for s in args.select.split(",") if s.strip()]
+            _make_out(args.out)
             reports = verify_suite(selection, seed=args.seed, n=args.samples)
             text = "\n".join(r.format() for r in reports)
             if args.out:
-                os.makedirs(args.out, exist_ok=True)
                 with open(os.path.join(args.out, "verify_report.txt"), "w") as fh:
                     fh.write(text)
             print(text)
@@ -494,6 +485,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             overrides.append(("seed", str(args.seed)))
         cfg = load_config(args.config, overrides)
+        _make_out(cfg.out)
 
         if args.command == "simulate":
             return run_simulation(cfg)

@@ -140,8 +140,8 @@ class SpectralOperator:
 
 
 def velocity(h: np.ndarray, op: SpectralOperator) -> list:
-    """u = c_K Lambda^{alpha-d} grad rho (regularized when mu > 0) of rfft-layout h, per axis."""
-    return [RealField(op.grid, op.physical(m * h)) for m in op.vel]
+    """Values of u = c_K Lambda^{alpha-d} grad rho (regularized if mu > 0) per axis, from h."""
+    return [op.physical(m * h) for m in op.vel]
 
 
 def nonlinear_rhs(h: np.ndarray, op: SpectralOperator) -> np.ndarray:

@@ -13,9 +13,10 @@ rfft layout keeps only wavenumbers 0..N/2 of the last axis, the rest
 following from Hermitian symmetry; this module is the only one that knows
 it: the view :func:`half`, the real transform pair :func:`half_transform` /
 :func:`half_inverse`, the column-weighted sum :func:`half_sum` with the
-Parseval norm :func:`half_norm`, and the Hermitian completion of a run's
-first state (:func:`half_coefficients`) with its full-layout mirror
-(:func:`full_field`).
+Parseval norm :func:`half_norm`, the Hermitian completion of a run's first
+state (:func:`half_coefficients`) with its full-layout mirror
+(:func:`full_field`), and the restriction of a finer grid's state to a
+grid's band (:func:`band_power`).
 A Fourier multiplier is its symbol, a function of the wavenumbers applied to
 every mode: its value at xi = 0 is what the multiplier does to the mean.
 Every |xi|^s of the package that is 0 at xi = 0 comes from :func:`radial_power`.
@@ -211,11 +212,6 @@ def dealias_mask(grid: TorusGrid) -> np.ndarray:
     return keep1[:, None] & keep1[None, :]
 
 
-def l2_norm(F: SpectralField) -> float:
-    """Physical L2 norm: (2pi)^{d/2} times the l2 norm of the coefficients."""
-    return math.sqrt((2.0 * math.pi) ** F.grid.d * float(np.sum(np.abs(F.coeffs) ** 2)))
-
-
 def half_sum(shape: tuple, values: np.ndarray) -> np.ndarray:
     """Sum over the last len(shape) axes of rfft-layout values on a grid of this shape,
     each column counted for the modes it stands for in a real field's spectrum: column 0
@@ -282,6 +278,21 @@ def full_field(grid: TorusGrid, h: np.ndarray) -> SpectralField:
     rows = (-np.arange(n)) % n if grid.d == 2 else Ellipsis
     mirror = np.conj(h[rows, n // 2 - 1:0:-1])
     return SpectralField(grid, np.concatenate([h, mirror], axis=-1))
+
+
+def band_power(grid: TorusGrid, h: np.ndarray, fine: np.ndarray) -> np.ndarray:
+    """|c_fine - c|^2 on the band [-N/2, N/2)^d of grid, for :func:`half_norm` on grid, from
+    the rfft-layout h of a field on grid and fine of one on a finer grid.  Column N/2 of h is
+    the mode -N/2: it meets the conjugate of fine's column N/2 at the mirrored rows."""
+    n, m = grid.n, 2 * fine.shape[-1] - 2
+    k = grid.axis_wavenumbers()
+    rows, mirrored = ((k % m,), (-k % m,)) if grid.d == 2 else ((), ())
+    power = np.abs(fine[rows + (slice(0, n // 2 + 1),)] - h) ** 2
+    power[..., n // 2] = np.abs(np.conj(fine[mirrored + (n // 2,)]) - h[..., n // 2]) ** 2
+    if grid.d == 2:  # half_sum doubles columns 1..N/2-1: row -N/2 of them holds row N/2 too
+        r, c = n // 2, slice(1, n // 2)
+        power[r, c] = 0.5 * (power[r, c] + np.abs(fine[r, c] - h[r, c]) ** 2)
+    return power
 
 
 def random_series(grid: TorusGrid, rng, envelope) -> np.ndarray:

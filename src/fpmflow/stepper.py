@@ -17,7 +17,8 @@ import numpy as np
 
 from .diagnostics import EnergyResidualKernel, make_record
 from .model import ModelParams, SpectralOperator, nonlinear_rhs, velocity
-from .spectral import RealField, SpectralError, SpectralField, full_field, half_coefficients
+from .spectral import (RealField, SpectralError, SpectralField, TorusGrid, full_field,
+                       half_coefficients)
 
 EPS0 = 1e-12
 
@@ -57,14 +58,20 @@ class StepperConfig:
 
 @dataclass
 class FinalState:
-    """Outcome of a run: final state, termination reason, collected diagnostics."""
+    """Outcome of a run: its last state h (rfft layout on grid), reason, diagnostics."""
 
-    state: SpectralField             # full layout, built from the run's last state
+    h: np.ndarray
+    grid: TorusGrid
     t: float
     reason: str                      # "completed" | "blowup_detected" | "max_steps"
     n_steps: int
     records: list
     states: list                     # full-layout (t, SpectralField) per sample if keep_states
+
+    @property
+    def state(self) -> SpectralField:
+        """h in full layout, built on each access."""
+        return full_field(self.grid, self.h)
 
 
 def cfl_dt(state: np.ndarray, op: SpectralOperator, safety: float,
@@ -74,8 +81,7 @@ def cfl_dt(state: np.ndarray, op: SpectralOperator, safety: float,
     The nonlinearity carries 2 - 2b derivatives, giving the grid-power
     constraint dx^{max(1, 2-2b)}; diffusion is exact and imposes none.
     """
-    u = velocity(state, op)
-    umax = max(float(np.max(np.abs(c.values))) for c in u)
+    umax = max(float(np.max(np.abs(u))) for u in velocity(state, op))
     rho_max = float(np.max(np.abs(op.physical(state))))
     dx, expo = op.grid.dx, max(1.0, 2.0 - 2.0 * op.p.b)
     dt = safety * min(
@@ -185,5 +191,5 @@ def integrate(rho0: RealField, p: ModelParams, cfg: StepperConfig,
                     reason = "blowup_detected"
                     break
 
-    return FinalState(state=full_field(op.grid, state), t=t, reason=reason, n_steps=n_steps,
+    return FinalState(h=state, grid=op.grid, t=t, reason=reason, n_steps=n_steps,
                       records=records, states=states)

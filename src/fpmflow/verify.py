@@ -28,7 +28,6 @@ import numpy as np
 
 from . import diagnostics
 from .spectral import (
-    RealField,
     TorusGrid,
     dealias_mask,
     forward_transform,
@@ -163,12 +162,12 @@ class _Pairs:
         return lhs, rhs
 
     def gdecomp(self, s: float, b: float) -> tuple:
-        """lhs = |G - G0 - G1 - Gs| with G = |xi|^{2s} xi.eta |eta|^{-2b} and
+        """For eta != 0: lhs = |G - G0 - G1 - Gs| with G = |xi|^{2s} xi.eta |eta|^{-2b} and
         G0, G1, Gs its |eta|^s, first-order and |xi-eta|^s parts; rhs =
         (|xi-eta|^2 |eta|^{s-2} + |eta| |xi-eta|^{s-1}) |xi|^s |eta|^{1-2b} (|xi-eta| + |eta|)."""
         aeta, adiff, dot = self.aeta, self.adiff, self.dot
         axs = self.axi ** s
-        eta_m2b = radial_power(aeta, -2.0 * b)
+        eta_m2b = aeta ** (-2.0 * b)
         lhs = self.axi ** (2.0 * s)  # G
         lhs *= dot
         lhs *= eta_m2b
@@ -180,7 +179,7 @@ class _Pairs:
         np.multiply(s, self.eta_dot_diff, out=t)  # G1
         t *= axs
         t *= dot
-        t *= radial_power(aeta, s - 2.0 - 2.0 * b)
+        t *= aeta ** (s - 2.0 - 2.0 * b)
         lhs -= t
         t = adiff ** s  # Gs
         t *= axs
@@ -216,7 +215,10 @@ def lemma1_gap(xi, eta, s: float) -> RatioSample:
     if s < 3.0:
         raise ValueError("inequality requires s >= 3")
     pairs = _Pairs(xi, eta)
-    return _first_sample({"xi": pairs.xi[0], "eta": pairs.eta[0], "s": s}, *pairs.lemma1(s))
+    lhs, rhs = pairs.lemma1(s)
+    ratio, deg = _safe_ratio(lhs, rhs)
+    return RatioSample(inputs={"xi": pairs.xi[0], "eta": pairs.eta[0], "s": s}, lhs=float(lhs[0]),
+                       rhs=float(rhs[0]), ratio=float(ratio[0]), degenerate=bool(deg[0]))
 
 
 def _safe_ratio(lhs, rhs):
@@ -224,44 +226,6 @@ def _safe_ratio(lhs, rhs):
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(degenerate, 0.0, lhs / np.where(degenerate, 1.0, rhs))
     return ratio, degenerate
-
-
-def _first_sample(inputs: dict, lhs, rhs) -> RatioSample:
-    """RatioSample of the first entry of the lhs and rhs arrays."""
-    ratio, deg = _safe_ratio(lhs, rhs)
-    return RatioSample(inputs=inputs, lhs=float(lhs.flat[0]), rhs=float(rhs.flat[0]),
-                       ratio=float(ratio.flat[0]), degenerate=bool(deg.flat[0]))
-
-
-def bdiff_check(xi, eta, b: float) -> RatioSample:
-    """| |xi|^b - |eta|^b |  vs  |xi-eta| max(|xi|^{b-1}, |eta|^{b-1}), b in (0, 1]."""
-    if not (0.0 < b <= 1.0):
-        raise ValueError("b must lie in (0, 1]")
-    pairs = _Pairs(xi, eta)
-    if np.any(pairs.axi == 0.0) or np.any(pairs.aeta == 0.0):
-        raise ValueError("xi and eta must be nonzero")
-    return _first_sample({"xi": pairs.xi[0], "eta": pairs.eta[0], "b": b}, *pairs.bdiff(b))
-
-
-def _bdiff_sides(xi, eta, b):
-    return _Pairs(xi, eta).bdiff(b)
-
-
-def gdecomp_check(xi, eta, s: float, b: float) -> RatioSample:
-    """Remainder |G - G0 - G1 - Gs| of the kernel decomposition against its bound."""
-    if s < 3.0:
-        raise ValueError("decomposition bound requires s >= 3")
-    if not (0.0 <= b <= 1.0):
-        raise ValueError("b must lie in [0, 1]")
-    pairs = _Pairs(xi, eta)
-    if np.any(pairs.aeta == 0.0):
-        raise ValueError("eta must be nonzero")
-    return _first_sample({"xi": pairs.xi[0], "eta": pairs.eta[0], "s": s, "b": b},
-                         *pairs.gdecomp(s, b))
-
-
-def _gdecomp_sides(xi, eta, s, b):
-    return _Pairs(xi, eta).gdecomp(s, b)
 
 
 # ---------------------------------------------------------------------------
@@ -331,14 +295,6 @@ def sample_lemma1(s: float, d: int, n: int, seed: int = 0) -> VerifyReport:
     return pointwise_reports(d, n, seed, lemma1=(s,))["lemma1"][0]
 
 
-def sample_bdiff(b: float, d: int, n: int, seed: int = 0) -> VerifyReport:
-    return pointwise_reports(d, n, seed, bdiff=(b,))["bdiff"][0]
-
-
-def sample_gdecomp(s: float, b: float, d: int, n: int, seed: int = 0) -> VerifyReport:
-    return pointwise_reports(d, n, seed, gdecomp=((s, b),))["gdecomp"][0]
-
-
 # ---------------------------------------------------------------------------
 # commutator estimates on fields
 
@@ -394,19 +350,6 @@ def _commutator_sides(grid: TorusGrid, f: np.ndarray, g: np.ndarray, b: float,
         return half_norm(grid, power, sobolev_weight(mag, s, False))
 
     return lhs, sobolev(f, s_f) * sobolev(g, s_g)
-
-
-def commutator_ratio(f: RealField, g: RealField, b: float, eps: float = 0.5) -> RatioSample:
-    """Symbol-extracted commutator bound: lhs / (||f||_{H^{d/2+3+eps}} ||g||_{H^{-b-1}})."""
-    return _first_sample({"b": b, "eps": eps, "N": f.grid.n, "d": f.grid.d},
-                         *_commutator_sides(f.grid, f.values, g.values, b, eps, False))
-
-
-def plain_commutator_ratio(f: RealField, g: RealField, b: float,
-                           eps: float = 0.5) -> RatioSample:
-    """Plain commutator bound: lhs / (||f||_{H^{d/2+1-b+eps}} ||g||_{H^{-b}})."""
-    return _first_sample({"b": b, "eps": eps, "N": f.grid.n, "d": f.grid.d},
-                         *_commutator_sides(f.grid, f.values, g.values, b, eps, True))
 
 
 def _analytic_random_field(grid: TorusGrid, rng, rate: float, mean: float) -> np.ndarray:
@@ -481,17 +424,10 @@ def sample_antisymmetry(n_fields: int = 100, N: int = 32, d: int = 1,
 
 def antisymmetric_kernels() -> list:
     """Real anti-symmetric kernels G(eta, xi) = -G(xi, eta) used as cancellation probes."""
-
-    def dot(xi, eta):
-        return np.sum(xi * eta, axis=-1)
-
-    def mag(v):
-        return np.sqrt(np.sum(v * v, axis=-1))
-
     return [
-        lambda xi, eta: dot(xi, eta) * (mag(xi) ** 2 - mag(eta) ** 2),
-        lambda xi, eta: mag(xi) - mag(eta),
-        lambda xi, eta: mag(xi) ** 3 - mag(eta) ** 3,
-        lambda xi, eta: dot(xi, eta) * (mag(xi) - mag(eta)),
-        lambda xi, eta: np.sin(mag(xi)) - np.sin(mag(eta)),
+        lambda xi, eta: _dot(xi, eta) * (_norm(xi) ** 2 - _norm(eta) ** 2),
+        lambda xi, eta: _norm(xi) - _norm(eta),
+        lambda xi, eta: _norm(xi) ** 3 - _norm(eta) ** 3,
+        lambda xi, eta: _dot(xi, eta) * (_norm(xi) - _norm(eta)),
+        lambda xi, eta: np.sin(_norm(xi)) - np.sin(_norm(eta)),
     ]

@@ -7,13 +7,11 @@ import pytest
 
 from fpmflow.diagnostics import (
     EnergyResidualKernel,
-    blowup_B1,
-    blowup_B2,
+    _blowup_functionals,
+    _energy_residual,
     energy_kernel,
-    energy_residual_Hs,
     energy_residual_L2,
     mass,
-    sobolev_norm,
     trilinear_T,
     trilinear_scale,
 )
@@ -30,6 +28,14 @@ from fpmflow.spectral import (
     random_real_field,
 )
 from fpmflow.stepper import StepperConfig, integrate
+
+from oracles import sobolev_norm
+
+
+def blowup(F):
+    """(B1, B2) of the real field with full-layout coefficients F."""
+    g = F.grid
+    return _blowup_functionals(g, half(g, g.wavenumber_magnitude()), np.abs(half(g, F.coeffs)))
 
 
 class TestMass:
@@ -87,14 +93,14 @@ class TestBlowupFunctionals:
     def test_cosine_values(self):
         g = TorusGrid(d=1, n=32)
         F = forward_transform(field_from_function(g, np.cos))
-        assert blowup_B1(F) == pytest.approx(2.0, abs=1e-12)
-        assert blowup_B2(F) == pytest.approx(4.0, abs=1e-12)
+        b1, b2 = blowup(F)
+        assert b1 == pytest.approx(2.0, abs=1e-12)
+        assert b2 == pytest.approx(4.0, abs=1e-12)
 
     def test_constant_zero(self):
         g = TorusGrid(d=1, n=16)
         F = forward_transform(RealField(g, np.full(16, 7.0)))
-        assert blowup_B1(F) == 0.0
-        assert blowup_B2(F) == 0.0
+        assert blowup(F) == (0.0, 0.0)
 
     def test_homogeneity(self):
         rng = np.random.default_rng(19)
@@ -102,8 +108,9 @@ class TestBlowupFunctionals:
         F = forward_transform(random_real_field(g, rng))
         lam = -2.5
         G = SpectralField(g, lam * F.coeffs)
-        assert blowup_B1(G) == pytest.approx(abs(lam) * blowup_B1(F), rel=1e-13)
-        assert blowup_B2(G) == pytest.approx(lam ** 2 * blowup_B2(F), rel=1e-13)
+        (f1, f2), (g1, g2) = blowup(F), blowup(G)
+        assert g1 == pytest.approx(abs(lam) * f1, rel=1e-13)
+        assert g2 == pytest.approx(lam ** 2 * f2, rel=1e-13)
 
     def test_band_limited_exact_under_refinement(self):
         # fields supported in the small band keep B1/B2 unchanged when N doubles
@@ -112,7 +119,7 @@ class TestBlowupFunctionals:
             g = TorusGrid(d=1, n=n)
             F = forward_transform(field_from_function(
                 g, lambda x: 0.5 * np.cos(3 * x) + 0.2 * np.sin(7 * x)))
-            vals[n] = (blowup_B1(F), blowup_B2(F))
+            vals[n] = blowup(F)
         assert vals[32][0] == pytest.approx(vals[64][0], rel=1e-12)
         assert vals[32][1] == pytest.approx(vals[64][1], rel=1e-12)
 
@@ -126,7 +133,7 @@ class TestBlowupFunctionals:
         k = g.axis_wavenumbers().astype(float)
         ref = float(np.sum(k ** 2 * (1 + np.abs(k)) * np.exp(-nu * k ** 2 * t_end)
                            * np.abs(F0.coeffs)))
-        assert blowup_B1(res.state) == pytest.approx(ref, rel=1e-12)
+        assert blowup(res.state)[0] == pytest.approx(ref, rel=1e-12)
 
 
 def antisym_kernel(xi, eta):
@@ -267,7 +274,7 @@ class TestEnergyResidualKernel:
         p = ModelParams(alpha_minus_d=-1.0, c_K=0.0)
         F0 = forward_transform(random_real_field(g, np.random.default_rng(3), mean=1.0))
         window = [(t, SpectralField(g, (1.0 + t) * F0.coeffs)) for t in (0.1, 0.13, 0.2)]
-        res_l2, res_hs = energy_residual_L2(window, p), energy_residual_Hs(window, p, 4.0)
+        res_l2, res_hs = energy_residual_L2(window, p), _energy_residual(window, p, 4.0)[1]
         e_l2 = 0.5 * sobolev_norm(F0, 0.0) ** 2
         e_hs = 0.5 * sobolev_norm(F0, 4.0, homogeneous=True) ** 2
         assert res_l2 == pytest.approx(2.0 * 1.13 * e_l2, rel=1e-12)
@@ -295,7 +302,7 @@ class TestEnergyResidualKernel:
         for i in range(1, len(recs) - 1):
             window = res.states[i - 1:i + 2]
             assert recs[i].energy_residual_L2 == energy_residual_L2(window, p)
-            assert recs[i].energy_residual_Hs == energy_residual_Hs(window, p, 4.0)
+            assert recs[i].energy_residual_Hs == _energy_residual(window, p, 4.0)[1]
 
     def test_no_states_kept_without_keep_states(self):
         g = TorusGrid(d=1, n=32)

@@ -25,8 +25,8 @@ from fpmflow.driver import (
     mu_convergence,
     parse_init,
     picard_iteration,
-    read_snapshot,
     run_simulation,
+    run_to_final,
     verify_suite,
     write_snapshot,
 )
@@ -38,9 +38,11 @@ from fpmflow.spectral import (
     apply_multiplier,
     field_from_function,
     forward_transform,
+    full_field,
     heat_multiplier,
-    l2_norm,
 )
+
+from oracles import l2_norm, read_snapshot, sobolev_norm
 
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -64,6 +66,29 @@ t_end = 0.05
 dt_mode = fixed
 dt = 0.005
 """
+
+
+def fftshift_refinement(cfg, n_list) -> list:
+    """refine's errors from full-layout states: both spectra fftshifted, the fine one cut
+    to the coarse band [-N/2, N/2)^d."""
+    finals = [run_to_final(replace(cfg, modes=n)).state for n in n_list]
+    errs = []
+    for coarse, fine in zip(finals, finals[1:]):
+        a, lo = coarse.grid.n, (fine.grid.n - coarse.grid.n) // 2
+        band = np.fft.fftshift(fine.coeffs)[(slice(lo, lo + a),) * cfg.dimension]
+        errs.append(l2_norm(SpectralField(coarse.grid, band - np.fft.fftshift(coarse.coeffs))))
+    return errs
+
+
+def full_layout_mu_convergence(cfg, mu_list, s) -> list:
+    """mu-converge's rows (mu, L2 error, H^s error) from full-layout states."""
+    ref = run_to_final(replace(cfg, mu=0.0)).state
+    rows = []
+    for mu in mu_list:
+        res = run_to_final(replace(cfg, mu=mu))
+        diff = SpectralField(ref.grid, res.state.coeffs - ref.coeffs)
+        rows.append((mu, l2_norm(diff), sobolev_norm(diff, s)))
+    return rows
 
 
 class TestConfig:
@@ -321,10 +346,41 @@ class TestCampaigns:
         with pytest.raises(ConfigError):
             picard_iteration(self._cfg(), 3)
 
-    def test_refinement_rows(self):
-        rows = grid_refinement(self._cfg(t_end=0.02), [32, 64])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_refinement_rows(self, d):
+        rows = grid_refinement(self._cfg(t_end=0.02, dimension=d), [32, 64])
         assert rows[0][:2] == (32, 64)
         assert rows[0][2] < 1e-6
+        # Off-centre data have no mirror symmetry, so the coarse modes at -N/2 differ from
+        # their +N/2 mirrors, which are what rfft layout holds of the fine spectrum.
+        cfg = self._cfg(t_end=0.02, dimension=d, init="gaussian:mass=3,sigma=0.4,center=1")
+        n_list = [16, 32, 64]
+        rows = grid_refinement(cfg, n_list)
+        assert [r[:2] for r in rows] == [(16, 32), (32, 64)]
+        for got, want in zip(rows, fftshift_refinement(cfg, n_list)):
+            assert got[2] == pytest.approx(want, rel=1e-13)
+        s_m1 = max(cfg.s_list) - 1.0
+        for got, want in zip(mu_convergence(cfg, [0.5, 0.25]),
+                             full_layout_mu_convergence(cfg, [0.5, 0.25], s_m1)):
+            assert got[0] == want[0]
+            assert got[1:] == pytest.approx(want[1:], rel=1e-13)
+        res = run_to_final(cfg)
+        assert res.state.coeffs.tobytes() == full_field(res.grid, res.h).coeffs.tobytes()
+
+    def test_runs_and_campaigns_build_no_full_layout(self, monkeypatch, tmp_path):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a full-layout array was built")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "fpmflow":
+                for attr in ("full_field", "inverse_transform"):
+                    if hasattr(module, attr):
+                        monkeypatch.setattr(module, attr, forbidden)
+        for d in (1, 2):
+            cfg = self._cfg(dimension=d, modes=16, out=str(tmp_path / f"run{d}"))
+            assert run_simulation(cfg, quiet=True) == 0
+            assert len(grid_refinement(cfg, [16, 32])) == 1
+            assert len(mu_convergence(cfg, [0.5])) == 1
 
     def test_mu_convergence_stops_at_an_incomplete_mu_run(self, monkeypatch):
         run_to_final = fpmflow.driver.run_to_final
@@ -473,7 +529,22 @@ class TestCli:
         assert captured.err.startswith("campaign stopped: ")
         assert captured.err.count("\n") == 1 and "ended blowup_detected" in captured.err
         assert "err" not in captured.out
-        assert not out.exists()
+        assert os.listdir(out) == []  # made before the first run, and nothing written into it
+
+    @pytest.mark.parametrize("command", ["simulate", "refine", "mu-converge", "picard", "verify"])
+    def test_out_path_that_cannot_be_a_directory(self, tmp_path, capsys, monkeypatch, command):
+        # used to end in a FileExistsError traceback; refine and mu-converge after all their runs
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        for name in ("integrate", "picard_iteration", "verify_suite"):
+            monkeypatch.setattr(f"fpmflow.driver.{name}", no_run)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main([command, "--out", str(blocker)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_verify_exit_zero(self, tmp_path, capsys):
         rc = main(["verify", "--select", "antisymmetry", "--samples", "100",

@@ -80,14 +80,14 @@ class TestVelocity:
         op = SpectralOperator(g, p)
         u = velocity(half_coefficients(rho), op)
         ref = 0.1 * np.sin(g.points()[0])
-        assert np.max(np.abs(u[0].values - ref)) < 1e-14
+        assert np.max(np.abs(u[0] - ref)) < 1e-14
 
     def test_constant_gives_zero(self):
         g = TorusGrid(d=1, n=16)
         p = ModelParams(alpha_minus_d=-1.0, c_K=3.0)
         op = SpectralOperator(g, p)
         u = velocity(half_coefficients(RealField(g, np.full(16, 2.0))), op)
-        assert np.max(np.abs(u[0].values)) < 1e-15
+        assert np.max(np.abs(u[0])) < 1e-15
 
     def test_mode_two_symbol_arithmetic(self):
         # rho = 1 + 0.1 cos 2x, c_K = 1, alpha-d = -2: u = -0.05 sin 2x
@@ -97,7 +97,7 @@ class TestVelocity:
         op = SpectralOperator(g, p)
         u = velocity(half_coefficients(rho), op)
         ref = -0.05 * np.sin(2 * g.points()[0])
-        assert np.max(np.abs(u[0].values - ref)) < 1e-14
+        assert np.max(np.abs(u[0] - ref)) < 1e-14
 
     def test_linearity_and_homogeneity(self):
         rng = np.random.default_rng(4)
@@ -106,10 +106,10 @@ class TestVelocity:
         p2 = ModelParams(alpha_minus_d=-1.0, c_K=-1.0)
         op1, op2 = SpectralOperator(g, p1), SpectralOperator(g, p2)
         h = half_coefficients(random_real_field(g, rng))
-        u1 = velocity(h, op1)[0].values
-        u2 = velocity(h, op2)[0].values
+        u1 = velocity(h, op1)[0]
+        u2 = velocity(h, op2)[0]
         assert np.max(np.abs(u1 - 2.0 * u2)) < 1e-13
-        assert np.max(np.abs(velocity(3.0 * h, op2)[0].values - 3.0 * u2)) < 1e-12
+        assert np.max(np.abs(velocity(3.0 * h, op2)[0] - 3.0 * u2)) < 1e-12
 
     def test_local_endpoint(self):
         # b = 0: u = c_K grad rho exactly
@@ -119,7 +119,7 @@ class TestVelocity:
         p = ModelParams(alpha_minus_d=0.0, c_K=-1.5)
         F = forward_transform(f)
         op = SpectralOperator(g, p)
-        u = velocity(half(g, F.coeffs), op)[0].values
+        u = velocity(half(g, F.coeffs), op)[0]
         k = g.axis_wavenumbers()
         deriv = np.where(k == -g.n // 2, 0.0, 1j * k * F.coeffs)
         grad = inverse_transform(SpectralField(g, deriv)).values
@@ -130,11 +130,11 @@ class TestVelocity:
         rho = field_from_function(g, lambda x: 1 + 0.4 * np.cos(x) + 0.2 * np.cos(3 * x))
         op = SpectralOperator(g, ModelParams(alpha_minus_d=-1.0, c_K=-1.0))
         h = half_coefficients(rho)
-        base = velocity(h, op)[0].values
+        base = velocity(h, op)[0]
         errs = []
         for mu in (1.0, 0.5, 0.25, 0.125):
             p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0, mu=mu)
-            errs.append(np.max(np.abs(velocity(h, SpectralOperator(g, p))[0].values - base)))
+            errs.append(np.max(np.abs(velocity(h, SpectralOperator(g, p))[0] - base)))
         assert all(b < a for a, b in zip(errs, errs[1:]))
 
     def test_2d_components(self):
@@ -145,8 +145,8 @@ class TestVelocity:
         op = SpectralOperator(g, p)
         u = velocity(half_coefficients(rho), op)
         assert len(u) == 2
-        assert np.max(np.abs(u[0].values - 0.1 * np.sin(x))) < 1e-13
-        assert np.max(np.abs(u[1].values)) < 1e-13
+        assert np.max(np.abs(u[0] - 0.1 * np.sin(x))) < 1e-13
+        assert np.max(np.abs(u[1])) < 1e-13
 
 
 def flux_divergence(rho, u):
@@ -220,7 +220,8 @@ class TestNonlinearRhs:
         F = forward_transform(rho)
         op = SpectralOperator(g, p)
         out = full_field(g, nonlinear_rhs(half(g, F.coeffs), op)).coeffs
-        u_hats = [forward_transform(c).coeffs for c in velocity(half(g, F.coeffs), op)]
+        u = velocity(half(g, F.coeffs), op)
+        u_hats = [forward_transform(RealField(g, uj)).coeffs for uj in u]
         ref = -naive_flux_divergence(F, u_hats, g)
         assert np.max(np.abs(out - ref)) < 1e-12
 
@@ -312,11 +313,11 @@ class TestSpectralOperator:
         c = forward_transform(random_real_field(g, rng, mean=1.0)).coeffs
         u = velocity(half(g, dealias_mask(g) * c), op)
         for m, uj in zip(op.vel, u):
-            assert np.array_equal(uj.values, op.physical(m * op.mask * half(g, c)))
+            assert np.array_equal(uj, op.physical(m * op.mask * half(g, c)))
             # Dealiasing the physical velocity: rfftn, mask, irfftn.
             full = op.physical(m * half(g, c))
             ref = op.physical(op.mask * np.fft.rfftn(full, norm="forward"))
-            assert np.max(np.abs(uj.values - ref)) < 1e-13 * np.max(np.abs(ref))
+            assert np.max(np.abs(uj - ref)) < 1e-13 * np.max(np.abs(ref))
 
 
 class TestMollify:

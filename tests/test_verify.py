@@ -18,30 +18,26 @@ from fpmflow.spectral import (
     forward_transform,
     fractional_power,
     inverse_transform,
-    l2_norm,
     random_real_field,
 )
 from fpmflow.verify import (
     _analytic_random_field,
-    _bdiff_sides,
     _commutator_lhs,
-    _gdecomp_sides,
+    _commutator_sides,
     _norm,
+    _Pairs,
     _ratios_to_report,
     _safe_ratio,
     _sample_pairs,
     antisymmetric_kernels,
-    bdiff_check,
-    commutator_ratio,
-    gdecomp_check,
     lemma1_gap,
-    plain_commutator_ratio,
+    pointwise_reports,
     sample_antisymmetry,
-    sample_bdiff,
     sample_commutator,
-    sample_gdecomp,
     sample_lemma1,
 )
+
+from oracles import l2_norm
 
 
 def reference_commutator_lhs(f, g, b, extract_symbol):
@@ -135,38 +131,30 @@ class TestLemma1:
 class TestBdiff:
     def test_spot_value(self):
         # b=1: lhs = |3-1| = 2, rhs = 2 * max(1, 1) = 2
-        r = bdiff_check([3.0], [1.0], 1.0)
-        assert r.ratio == 1.0
+        ratio, _ = _safe_ratio(*_Pairs([3.0], [1.0]).bdiff(1.0))
+        assert ratio[0] == 1.0
 
     def test_swap_symmetry(self):
         rng = np.random.default_rng(33)
         for _ in range(20):
             xi = rng.standard_normal(2) * 4 + 5
             eta = rng.standard_normal(2) * 4 + 5
-            a = bdiff_check(xi, eta, 0.5)
-            b = bdiff_check(eta, xi, 0.5)
-            assert b.ratio == pytest.approx(a.ratio, rel=1e-12)
-
-    def test_zero_input_rejected(self):
-        with pytest.raises(ValueError):
-            bdiff_check([0.0], [1.0], 0.5)
-
-    def test_invalid_b(self):
-        with pytest.raises(ValueError):
-            bdiff_check([1.0], [2.0], 1.5)
+            a, _ = _safe_ratio(*_Pairs(xi, eta).bdiff(0.5))
+            b, _ = _safe_ratio(*_Pairs(eta, xi).bdiff(0.5))
+            assert b[0] == pytest.approx(a[0], rel=1e-12)
 
     @pytest.mark.parametrize("b", [0.25, 0.5, 1.0])
     def test_sampled_report(self, b):
-        rep = sample_bdiff(b, 1, 2000, seed=2)
+        rep = pointwise_reports(1, 2000, seed=2, bdiff=(b,))["bdiff"][0]
         assert rep.passed
         assert rep.sup_ratio <= 1.0 + 1e-12
 
 
 class TestGdecomp:
     def test_coincident_degenerate(self):
-        r = gdecomp_check([3.0, 1.0], [3.0, 1.0], 4.0, 0.5)
-        assert r.degenerate
-        assert r.ratio == 0.0
+        ratio, degenerate = _safe_ratio(*_Pairs([3.0, 1.0], [3.0, 1.0]).gdecomp(4.0, 0.5))
+        assert degenerate[0]
+        assert ratio[0] == 0.0
 
     def test_scale_invariance(self):
         # lhs and rhs share homogeneity degree, so the ratio is scale free
@@ -174,18 +162,14 @@ class TestGdecomp:
         for _ in range(20):
             xi = rng.standard_normal(2) * 3
             eta = rng.standard_normal(2) * 3 + 1
-            a = gdecomp_check(xi, eta, 4.0, 0.5)
-            b = gdecomp_check(7.0 * xi, 7.0 * eta, 4.0, 0.5)
-            if not a.degenerate:
-                assert b.ratio == pytest.approx(a.ratio, rel=1e-9)
-
-    def test_zero_eta_rejected(self):
-        with pytest.raises(ValueError):
-            gdecomp_check([1.0], [0.0], 4.0, 0.5)
+            a, degenerate = _safe_ratio(*_Pairs(xi, eta).gdecomp(4.0, 0.5))
+            b, _ = _safe_ratio(*_Pairs(7.0 * xi, 7.0 * eta).gdecomp(4.0, 0.5))
+            if not degenerate[0]:
+                assert b[0] == pytest.approx(a[0], rel=1e-9)
 
     @pytest.mark.parametrize("s,b", [(3.0, 0.25), (4.0, 0.5), (6.0, 1.0)])
     def test_sampled_report(self, s, b):
-        rep = sample_gdecomp(s, b, 1, 2000, seed=3)
+        rep = pointwise_reports(1, 2000, seed=3, gdecomp=((s, b),))["gdecomp"][0]
         assert rep.passed
         assert math.isfinite(rep.sup_ratio)
 
@@ -201,16 +185,17 @@ class TestCommutator:
     def test_zero_g_degenerate(self):
         g = TorusGrid(d=1, n=32)
         f = field_from_function(g, lambda x: 1 + 0.3 * np.cos(x))
-        r = commutator_ratio(f, RealField(g, np.zeros(32)), 0.5)
-        assert r.degenerate
-        assert r.ratio == 0.0
+        ratio, degenerate = _safe_ratio(*_commutator_sides(g, f.values, np.zeros(32), 0.5,
+                                                           0.5, plain=False))
+        assert degenerate
+        assert ratio == 0.0
 
     def test_nonzero_mean_g_rejected(self):
         g = TorusGrid(d=1, n=32)
         f = field_from_function(g, lambda x: 1 + 0.3 * np.cos(x))
         gg = RealField(g, np.full(32, 1.0))
         with pytest.raises(ValueError):
-            commutator_ratio(f, gg, 0.5)
+            _commutator_sides(g, f.values, gg.values, 0.5, 0.5, plain=False)
 
     def test_linearity_in_g(self):
         g = TorusGrid(d=1, n=64)
@@ -235,9 +220,9 @@ class TestCommutator:
         g = TorusGrid(d=1, n=32)
         f = field_from_function(g, np.cos)
         with pytest.raises(ValueError):
-            commutator_ratio(f, f, 1.0)
+            _commutator_sides(g, f.values, f.values, 1.0, 0.5, plain=False)
         with pytest.raises(ValueError):
-            plain_commutator_ratio(f, f, 1.5)
+            _commutator_sides(g, f.values, f.values, 1.5, 0.5, plain=True)
 
     @pytest.mark.parametrize("b", [0.25, 0.5, 0.75])
     def test_sampled_report_stable(self, b):
@@ -314,10 +299,12 @@ class TestReportLogic:
 
 
 def one_report_at_a_time(seed, n):
-    """The suite's reports from the public samplers, each making its own draw."""
+    """The suite's reports one at a time, each making its own draw."""
     reps = [sample_lemma1(s, d, n, seed=seed) for s in (3.0, 4.0, 6.0) for d in (1, 2)]
-    reps += [sample_bdiff(b, d, n, seed=seed) for b in (0.25, 0.5, 0.75, 1.0) for d in (1, 2)]
-    reps += [sample_gdecomp(3.0, b, d, n, seed=seed) for b in (0.0, 0.5, 1.0) for d in (1, 2)]
+    reps += [pointwise_reports(d, n, seed, bdiff=(b,))["bdiff"][0]
+             for b in (0.25, 0.5, 0.75, 1.0) for d in (1, 2)]
+    reps += [pointwise_reports(d, n, seed, gdecomp=((3.0, b),))["gdecomp"][0]
+             for b in (0.0, 0.5, 1.0) for d in (1, 2)]
     n_trials = min(200, max(10, n // 500))
     reps += [sample_commutator(b, n_trials, N=64, d=1, seed=seed, plain=plain)
              for plain in (False, True) for b in (0.25, 0.5, 0.75)]
@@ -341,10 +328,10 @@ class TestSharedDraws:
         # Seed 0, d = 1 draws two pairs with xi = 0 and one with eta = 0.
         xi, eta = _sample_pairs(1, 2000, np.random.default_rng(0))
         for rep, keep, sides in (
-            (sample_gdecomp(3.0, 0.5, 1, 2000, seed=0), _norm(eta) > 0.0,
-             lambda x, e: _gdecomp_sides(x, e, 3.0, 0.5)),
-            (sample_bdiff(0.5, 1, 2000, seed=0), (_norm(xi) > 0.0) & (_norm(eta) > 0.0),
-             lambda x, e: _bdiff_sides(x, e, 0.5)),
+            (pointwise_reports(1, 2000, 0, gdecomp=((3.0, 0.5),))["gdecomp"][0],
+             _norm(eta) > 0.0, lambda x, e: _Pairs(x, e).gdecomp(3.0, 0.5)),
+            (pointwise_reports(1, 2000, 0, bdiff=(0.5,))["bdiff"][0],
+             (_norm(xi) > 0.0) & (_norm(eta) > 0.0), lambda x, e: _Pairs(x, e).bdiff(0.5)),
         ):
             x, e = xi[keep], eta[keep]
             assert x.shape[0] < xi.shape[0]
