@@ -312,29 +312,6 @@ class EnergyResidualKernel:
         return tuple(out)
 
 
-def energy_residual_L2(samples, p: ModelParams) -> float:
-    """|three-point derivative of (1/2)||rho||_{L2}^2  -  c_K (2pi)^d T[G]|.
-
-    ``samples`` is a list of (t, SpectralField) with at least three entries;
-    the identity is evaluated at the middle one.  Only valid for nu = 0.
-    """
-    return _energy_residual(samples, p, s=0.0)[0]
-
-
-def _energy_residual(samples, p: ModelParams, s: float) -> tuple:
-    if len(samples) < 3:
-        raise ValueError("need at least three consecutive sampled states")
-    mid = len(samples) // 2
-    grid = samples[mid][1].grid
-    kernel = EnergyResidualKernel(SpectralOperator(grid, p), s)
-    window = []
-    for t, F in samples[mid - 1:mid + 2]:  # the norms as make_record computes them
-        h = half(grid, F.coeffs)
-        p2 = np.abs(h) ** 2
-        window.append((t, h, half_norm(grid, p2), half_norm(grid, p2, kernel.weight)))
-    return kernel.residuals(window)
-
-
 def make_record(t: float, h: np.ndarray, rho_values: np.ndarray, s_list,
                 op) -> DiagnosticsRecord:
     """Assemble a diagnostics row from the state with rfft-layout coefficients h.

@@ -14,8 +14,10 @@ Exit codes:
        bad init data (an unknown kind, a non-finite value, cosine without
        mean >= amplitude >= 0, gaussian mass <= 0, k or center with neither 1 nor
        `dimension` entries); a refine --n-list of fewer than two N or an empty
-       mu-converge --mu-list; an --out path that cannot be created as a directory
-       (an existing file, say).  All are found before any run starts.
+       mu-converge --mu-list, or one with a mu that is not finite, positive and
+       descending; a picard step count t_end / dt above max_steps; an --out path
+       that cannot be created as a directory (an existing file, say).  All are found
+       before any run starts.
     2  simulate ended blowup_detected or max_steps; picard diverged (d_n rose three
        times in a row, or one turned non-finite, which ends the iteration); a refine or
        mu-converge run (also the mu = 0 reference) did not complete, reported as
@@ -274,6 +276,18 @@ def _completed_run(cfg: RunConfig) -> FinalState:
     return res
 
 
+def _campaign_configs(cfg: RunConfig, key: str, values) -> list:
+    """cfg with key set to each value, all checked before any run; a bad one is a ConfigError."""
+    cfgs = [replace(cfg, **{key: v}) for v in values]
+    try:
+        for c in cfgs:
+            c.grid()
+            c.params()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return cfgs
+
+
 def mu_convergence(cfg: RunConfig, mu_list) -> list:
     """Errors of regularized runs against the mu = 0 reference at t_end.
 
@@ -283,6 +297,7 @@ def mu_convergence(cfg: RunConfig, mu_list) -> list:
     mu_list = list(mu_list)
     if not mu_list:
         raise ConfigError("empty mu list")
+    runs = _campaign_configs(cfg, "mu", mu_list)
     if any(m2 >= m1 for m1, m2 in zip(mu_list, mu_list[1:])):
         raise ConfigError("mu values must be descending")
     if any(m <= 0.0 for m in mu_list):
@@ -294,8 +309,8 @@ def mu_convergence(cfg: RunConfig, mu_list) -> list:
     grid = ref.grid
     w = sobolev_weight(half(grid, grid.wavenumber_magnitude()), s_m1, False)
     rows = []
-    for mu in mu_list:
-        p2 = np.abs(_completed_run(replace(cfg, mu=mu)).h - ref.h) ** 2
+    for mu, run in zip(mu_list, runs):
+        p2 = np.abs(_completed_run(run).h - ref.h) ** 2
         rows.append((mu, half_norm(grid, p2), half_norm(grid, p2, w)))
     return rows
 
@@ -315,9 +330,13 @@ def picard_iteration(cfg: RunConfig, n_max: int) -> dict:
         raise ConfigError("picard iteration requires mu > 0")
     if n_max < 1:
         raise ConfigError(f"picard iteration needs n_max >= 1, got {n_max}")
+    # capped at max_steps + 1, so a step count past the budget (inf included) is an int
+    n_steps = max(1, round(min(cfg.t_end / cfg.dt, cfg.max_steps + 1)))
+    if n_steps > cfg.max_steps:
+        raise ConfigError(f"picard iteration needs t_end / dt = {cfg.t_end / cfg.dt:.6g} "
+                          f"steps, more than max_steps = {cfg.max_steps}")
     op = SpectralOperator(cfg.grid(), cfg.params())
     c0 = half_coefficients(cfg.initial_field())
-    n_steps = max(1, int(round(cfg.t_end / cfg.dt)))
     dt = cfg.t_end / n_steps
     # Trajectories hold rfft-layout states by reference: no step updates one in place.
     prev_traj = [c0] * (n_steps + 1)  # iterate 0 is constant in time
@@ -359,12 +378,7 @@ def grid_refinement(cfg: RunConfig, n_list) -> list:
         raise ConfigError(f"refinement needs at least two N values, got {n_list}")
     if any(b != 2 * a for a, b in zip(n_list, n_list[1:])):
         raise ConfigError("N values must double")
-    try:
-        for n in n_list:
-            replace(cfg, modes=n).grid()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    finals = [_completed_run(replace(cfg, modes=n)) for n in n_list]
+    finals = [_completed_run(c) for c in _campaign_configs(cfg, "modes", n_list)]
     return [(a.grid.n, b.grid.n, float(half_norm(a.grid, band_power(a.grid, a.h, b.h))))
             for a, b in zip(finals, finals[1:])]
 
@@ -465,7 +479,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             if extra:
                 raise ConfigError(f"unexpected arguments {extra}")
-            selection = [s for s in args.select.split(",") if s.strip()]
+            selection = [s.strip() for s in args.select.split(",") if s.strip()]
             _make_out(args.out)
             reports = verify_suite(selection, seed=args.seed, n=args.samples)
             text = "\n".join(r.format() for r in reports)

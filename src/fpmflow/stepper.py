@@ -66,7 +66,6 @@ class FinalState:
     reason: str                      # "completed" | "blowup_detected" | "max_steps"
     n_steps: int
     records: list
-    states: list                     # full-layout (t, SpectralField) per sample if keep_states
 
     @property
     def state(self) -> SpectralField:
@@ -124,7 +123,7 @@ def step(state: np.ndarray, dt: float, op: SpectralOperator) -> np.ndarray:
 
 
 def integrate(rho0: RealField, p: ModelParams, cfg: StepperConfig,
-              keep_states: bool = False, energy_residuals: bool = False) -> FinalState:
+              energy_residuals: bool = False) -> FinalState:
     """Advance from rho0 to t_end, sampling diagnostics along the way.
 
     Aborts with reason "blowup_detected" when B1 exceeds the configured
@@ -134,7 +133,7 @@ def integrate(rho0: RealField, p: ModelParams, cfg: StepperConfig,
     ``energy_residuals`` (nu = 0 only) each interior record gets the L2 and
     Hdot^{max s_list} energy residuals once the sample after it is taken; the
     window holds the last three sampled states (by reference) and their
-    records' norms.  Full layout is built only for the states handed out.
+    records' norms.  Only the last state is handed out, in rfft layout.
     """
     op = SpectralOperator(rho0.grid, p)
     s_max = float(max(cfg.s_list))
@@ -143,7 +142,6 @@ def integrate(rho0: RealField, p: ModelParams, cfg: StepperConfig,
     state = half_coefficients(rho0)
     t = 0.0
     records: list = []
-    states: list = []
 
     def sample(cur_t, cur_state, rho_values):
         rec = make_record(cur_t, cur_state, rho_values, cfg.s_list, op)
@@ -152,8 +150,6 @@ def integrate(rho0: RealField, p: ModelParams, cfg: StepperConfig,
             rec.int_B1 = prev.int_B1 + 0.5 * (prev.B1 + rec.B1) * (cur_t - prev.t)
             rec.int_B2sq = prev.int_B2sq + 0.5 * (prev.B2 + rec.B2) * (cur_t - prev.t)
         records.append(rec)
-        if keep_states:
-            states.append((cur_t, full_field(op.grid, cur_state)))
         if kernel is not None:
             window.append((cur_t, cur_state, rec.l2, rec.hs[s_max][0]))
             if len(window) == 3:
@@ -192,4 +188,4 @@ def integrate(rho0: RealField, p: ModelParams, cfg: StepperConfig,
                     break
 
     return FinalState(h=state, grid=op.grid, t=t, reason=reason, n_steps=n_steps,
-                      records=records, states=states)
+                      records=records)

@@ -8,8 +8,9 @@ over the second half of the samples is within 2x of the first half).
 Each population is drawn once and every report that uses it is evaluated
 from that draw: :func:`pointwise_reports` gives every pointwise estimate of
 one dimension the same (xi, eta) pairs, and :func:`commutator_reports` gives
-every commutator report the same (f, g) trials.  The ``sample_*`` functions
-draw with the same seed and call these evaluators for one report.
+every commutator report the same (f, g) trials.  A caller that wants a
+single report asks these evaluators for it; no report has an entry point of
+its own.
 
 The pairs carry their geometry (:class:`_Pairs`: |xi|, |eta|, |xi - eta|,
 xi.eta and eta.(xi - eta)), computed once per population and narrowed with
@@ -41,17 +42,6 @@ from .spectral import (
     random_series,
     sobolev_weight,
 )
-
-
-@dataclass
-class RatioSample:
-    """One evaluated inequality instance: lhs, rhs, and their ratio."""
-
-    inputs: dict
-    lhs: float
-    rhs: float
-    ratio: float
-    degenerate: bool = False
 
 
 @dataclass
@@ -146,7 +136,7 @@ class _Pairs:
 
     def lemma1(self, s: float) -> tuple:
         """lhs = | |xi|^s - |xi-eta|^s - |eta|^s - s eta.(xi-eta) |eta|^{s-2} |,
-        rhs = |xi-eta|^2 |eta|^{s-2} + |eta| |xi-eta|^{s-1}."""
+        rhs = |xi-eta|^2 |eta|^{s-2} + |eta| |xi-eta|^{s-1}; the bound holds for s >= 3."""
         aeta, adiff = self.aeta, self.adiff
         eta_sm2 = radial_power(aeta, s - 2.0)
         lhs = self.axi ** s
@@ -204,21 +194,6 @@ class _Pairs:
         np.maximum(rhs, self.aeta ** (b - 1.0), out=rhs)
         rhs *= self.adiff
         return lhs, rhs
-
-
-def lemma1_gap(xi, eta, s: float) -> RatioSample:
-    """Gap of the elementary expansion of |xi|^s around eta, against its bound.
-
-    lhs = | |xi|^s - |xi-eta|^s - |eta|^s - s eta.(xi-eta) |eta|^{s-2} |
-    rhs = |xi-eta|^2 |eta|^{s-2} + |eta| |xi-eta|^{s-1},  valid for s >= 3.
-    """
-    if s < 3.0:
-        raise ValueError("inequality requires s >= 3")
-    pairs = _Pairs(xi, eta)
-    lhs, rhs = pairs.lemma1(s)
-    ratio, deg = _safe_ratio(lhs, rhs)
-    return RatioSample(inputs={"xi": pairs.xi[0], "eta": pairs.eta[0], "s": s}, lhs=float(lhs[0]),
-                       rhs=float(rhs[0]), ratio=float(ratio[0]), degenerate=bool(deg[0]))
 
 
 def _safe_ratio(lhs, rhs):
@@ -288,11 +263,6 @@ def pointwise_reports(d: int, n: int, seed: int = 0, lemma1=(), gdecomp=(), bdif
     out["bdiff"] = [_pointwise_report(f"bdiff(b={b}, d={d})", pairs, pairs.bdiff(b))
                     for b in bdiff]
     return out
-
-
-def sample_lemma1(s: float, d: int, n: int, seed: int = 0) -> VerifyReport:
-    """Empirical sup ratio for the elementary inequality (s >= 3)."""
-    return pointwise_reports(d, n, seed, lemma1=(s,))["lemma1"][0]
 
 
 # ---------------------------------------------------------------------------
@@ -389,13 +359,6 @@ def commutator_reports(b_list, plains, n_trials: int, N: int = 64, d: int = 1,
             for b in b_list
         ]
     return out
-
-
-def sample_commutator(b: float, n_trials: int, N: int = 64, d: int = 1,
-                      eps: float = 0.5, seed: int = 0,
-                      plain: bool = False) -> VerifyReport:
-    """Sup ratio of the commutator estimate over random smooth (f, g) pairs."""
-    return commutator_reports((b,), (plain,), n_trials, N, d, eps, seed)[plain][0]
 
 
 def sample_antisymmetry(n_fields: int = 100, N: int = 32, d: int = 1,

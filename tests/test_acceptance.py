@@ -13,7 +13,6 @@ import numpy as np
 
 from fpmflow.diagnostics import (
     SeparableKernel,
-    energy_residual_L2,
     trilinear_T,
     trilinear_scale,
 )
@@ -39,10 +38,11 @@ from fpmflow.spectral import (
 from fpmflow.stepper import StepperConfig, integrate
 from fpmflow.verify import (
     _commutator_lhs,
-    lemma1_gap,
+    _Pairs,
+    _safe_ratio,
+    commutator_reports,
+    pointwise_reports,
     sample_antisymmetry,
-    sample_commutator,
-    sample_lemma1,
 )
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -147,37 +147,36 @@ class TestAcceptance:
         errs = []
         for dt in (4e-3, 2e-3, 1e-3):
             cfg = StepperConfig(t_end=0.2, dt_mode="fixed", dt=dt, sample_every=1)
-            res = integrate(rho0, p, cfg, keep_states=True)
-            ts = [t for t, _ in res.states]
+            res = integrate(rho0, p, cfg, energy_residuals=True)
+            ts = [r.t for r in res.records]
             i = min(range(1, len(ts) - 1), key=lambda j: abs(ts[j] - 0.1))
-            errs.append(energy_residual_L2(res.states[i - 1:i + 2], p))
+            errs.append(res.records[i].energy_residual_L2)
         slope = np.polyfit(np.log([4e-3, 2e-3, 1e-3]), np.log(errs), 1)[0]
         report(5, "energy-identity-order", slope >= 2.0 - 0.05)
 
     def test_06_lemma1(self):
         ok = True
-        for s in (3.0, 4.0, 6.0):
-            for d in (1, 2):
-                rep = sample_lemma1(s, d, 100_000, seed=0)
+        for d in (1, 2):
+            for rep in pointwise_reports(d, 100_000, seed=0, lemma1=(3.0, 4.0, 6.0))["lemma1"]:
                 ok = ok and rep.passed and math.isfinite(rep.sup_ratio)
-        spot = lemma1_gap([2.0], [1.0], 3.0)
-        ok = ok and spot.ratio == 1.5
+        spot, _ = _safe_ratio(*_Pairs([2.0], [1.0]).lemma1(3.0))
+        ok = ok and spot[0] == 1.5
         rng = np.random.default_rng(107)
         for lam in (2.0, 10.0):
             for _ in range(50):
                 xi = rng.standard_normal(2) * 5
                 eta = rng.standard_normal(2) * 5
-                a = lemma1_gap(xi, eta, 4.0)
-                b = lemma1_gap(lam * xi, lam * eta, 4.0)
-                if not a.degenerate and a.ratio > 0:
-                    ok = ok and abs(b.ratio - a.ratio) <= 1e-10 * a.ratio
+                (a,), (a_degenerate,) = _safe_ratio(*_Pairs(xi, eta).lemma1(4.0))
+                (b,), _ = _safe_ratio(*_Pairs(lam * xi, lam * eta).lemma1(4.0))
+                if not a_degenerate and a > 0:
+                    ok = ok and abs(b - a) <= 1e-10 * a
         report(6, "lemma1-elementary", ok)
 
     def test_07_commutator(self):
         ok = True
-        for b in (0.25, 0.5, 0.75):
-            r64 = sample_commutator(b, 200, N=64, d=1, eps=0.5, seed=0)
-            r128 = sample_commutator(b, 200, N=128, d=1, eps=0.5, seed=0)
+        r64s, r128s = (commutator_reports((0.25, 0.5, 0.75), (False,), 200, N=N, d=1, eps=0.5,
+                                          seed=0)[False] for N in (64, 128))
+        for r64, r128 in zip(r64s, r128s):
             ok = ok and math.isfinite(r64.sup_ratio) and r64.sup_ratio > 0.0
             change = r128.sup_ratio / r64.sup_ratio
             ok = ok and 0.5 < change < 2.0

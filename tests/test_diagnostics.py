@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from fpmflow import stepper
 from fpmflow.diagnostics import (
     EnergyResidualKernel,
     _blowup_functionals,
-    _energy_residual,
     energy_kernel,
-    energy_residual_L2,
+    make_record,
     mass,
     trilinear_T,
     trilinear_scale,
@@ -25,6 +25,7 @@ from fpmflow.spectral import (
     forward_transform,
     fractional_power,
     half,
+    half_norm,
     random_real_field,
 )
 from fpmflow.stepper import StepperConfig, integrate
@@ -206,48 +207,50 @@ class TestTrilinear:
             trilinear_T(antisym_kernel, F, mode="naive")
 
 
+def residual_window(op, s, samples):
+    """(t, h, l2, hsdot_s) of each (t, SpectralField) sample, the norms from make_record."""
+    out = []
+    for t, F in samples:
+        h = half(op.grid, F.coeffs)
+        rec = make_record(t, h, op.physical(h), (s,), op)
+        out.append((t, h, rec.l2, rec.hs[s][0]))
+    return out
+
+
 class TestEnergyResidual:
-    def _samples(self, p, dt, n=64, amplitude=0.5, t_end=0.06):
+    def _records(self, p, dt, n=64, amplitude=0.5, t_end=0.06):
         g = TorusGrid(d=1, n=n)
         rho0 = field_from_function(g, lambda x: 1 + amplitude * np.cos(x))
         cfg = StepperConfig(t_end=t_end, dt_mode="fixed", dt=dt, sample_every=1)
-        res = integrate(rho0, p, cfg, keep_states=True)
-        return res.states
+        return integrate(rho0, p, cfg, energy_residuals=True).records
 
     def test_zero_interaction(self):
         p = ModelParams(alpha_minus_d=-1.0, c_K=0.0)
-        states = self._samples(p, 1e-3)
-        assert energy_residual_L2(states[:3], p) < 1e-13
+        assert self._records(p, 1e-3)[1].energy_residual_L2 < 1e-13
 
     def test_constant_state(self):
         g = TorusGrid(d=1, n=32)
         p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0)
         F = forward_transform(RealField(g, np.full(32, 2.0)))
-        states = [(0.0, F), (0.1, F), (0.2, F)]
-        assert energy_residual_L2(states, p) < 1e-14
+        op = SpectralOperator(g, p)
+        window = residual_window(op, 4.0, [(0.0, F), (0.1, F), (0.2, F)])
+        assert max(EnergyResidualKernel(op, 4.0).residuals(window)) < 1e-14
 
     def test_viscous_rejected(self):
         p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0, nu=1.0)
-        g = TorusGrid(d=1, n=16)
-        F = forward_transform(RealField(g, np.ones(16)))
-        with pytest.raises(ValueError):
-            energy_residual_L2([(0.0, F)] * 3, p)
-
-    def test_short_history_rejected(self):
-        p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0)
-        g = TorusGrid(d=1, n=16)
-        F = forward_transform(RealField(g, np.ones(16)))
-        with pytest.raises(ValueError):
-            energy_residual_L2([(0.0, F), (0.1, F)], p)
+        rho0 = RealField(TorusGrid(d=1, n=16), np.ones(16))
+        cfg = StepperConfig(t_end=0.01, dt_mode="fixed", dt=5e-3)
+        with pytest.raises(ValueError, match="nu = 0"):
+            integrate(rho0, p, cfg, energy_residuals=True)
 
     def test_dt_refinement_order(self):
         p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0)
         errs = []
         for dt in (4e-3, 2e-3, 1e-3):
-            states = self._samples(p, dt, t_end=0.2)
-            ts = [t for t, _ in states]
+            records = self._records(p, dt, t_end=0.2)
+            ts = [r.t for r in records]
             i = min(range(1, len(ts) - 1), key=lambda j: abs(ts[j] - 0.1))
-            errs.append(energy_residual_L2(states[i - 1:i + 2], p))
+            errs.append(records[i].energy_residual_L2)
         slope = np.polyfit(np.log([4e-3, 2e-3, 1e-3]), np.log(errs), 1)[0]
         assert slope >= 2.0 - 0.1
 
@@ -273,8 +276,10 @@ class TestEnergyResidualKernel:
         g = TorusGrid(d=d, n=n)
         p = ModelParams(alpha_minus_d=-1.0, c_K=0.0)
         F0 = forward_transform(random_real_field(g, np.random.default_rng(3), mean=1.0))
-        window = [(t, SpectralField(g, (1.0 + t) * F0.coeffs)) for t in (0.1, 0.13, 0.2)]
-        res_l2, res_hs = energy_residual_L2(window, p), _energy_residual(window, p, 4.0)[1]
+        op = SpectralOperator(g, p)
+        window = residual_window(op, 4.0, [(t, SpectralField(g, (1.0 + t) * F0.coeffs))
+                                           for t in (0.1, 0.13, 0.2)])
+        res_l2, res_hs = EnergyResidualKernel(op, 4.0).residuals(window)
         e_l2 = 0.5 * sobolev_norm(F0, 0.0) ** 2
         e_hs = 0.5 * sobolev_norm(F0, 4.0, homogeneous=True) ** 2
         assert res_l2 == pytest.approx(2.0 * 1.13 * e_l2, rel=1e-12)
@@ -289,26 +294,28 @@ class TestEnergyResidualKernel:
         (-1.0, StepperConfig(t_end=0.05, dt_mode="fixed", dt=5e-3, s_list=(3.0, 4.0))),
         (1.0, StepperConfig(t_end=5.0, safety=0.4, blowup_threshold=50.0)),
     ])
-    def test_in_run_residuals_equal_public_functions(self, c_K, cfg):
+    def test_in_run_residuals_equal_kernel_on_neighbouring_states(self, c_K, cfg, monkeypatch):
         g = TorusGrid(d=1, n=64)
         rho0 = field_from_function(g, lambda x: 1 + 0.5 * np.cos(x))
         p = ModelParams(alpha_minus_d=-1.0, c_K=c_K)
-        res = integrate(rho0, p, cfg, keep_states=True, energy_residuals=True)
+        sampled = []  # (t, h) of every sample the run takes
+
+        def recording(t, h, *args):
+            sampled.append((t, h))
+            return make_record(t, h, *args)
+
+        monkeypatch.setattr(stepper, "make_record", recording)
+        res = integrate(rho0, p, cfg, energy_residuals=True)
         assert res.reason == ("completed" if c_K < 0 else "blowup_detected")
         recs = res.records
-        assert len(recs) == len(res.states) >= 3
+        assert len(recs) == len(sampled) >= 3
         for rec in (recs[0], recs[-1]):
             assert math.isnan(rec.energy_residual_L2) and math.isnan(rec.energy_residual_Hs)
+        op = SpectralOperator(g, p)
+        kernel = EnergyResidualKernel(op, 4.0)
+        norms = [(half_norm(g, np.abs(h) ** 2), half_norm(g, np.abs(h) ** 2, kernel.weight))
+                 for _, h in sampled]
         for i in range(1, len(recs) - 1):
-            window = res.states[i - 1:i + 2]
-            assert recs[i].energy_residual_L2 == energy_residual_L2(window, p)
-            assert recs[i].energy_residual_Hs == _energy_residual(window, p, 4.0)[1]
-
-    def test_no_states_kept_without_keep_states(self):
-        g = TorusGrid(d=1, n=32)
-        rho0 = field_from_function(g, lambda x: 1 + 0.5 * np.cos(x))
-        p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0)
-        cfg = StepperConfig(t_end=0.02, dt_mode="fixed", dt=5e-3)
-        res = integrate(rho0, p, cfg, energy_residuals=True)
-        assert res.states == []
-        assert all(math.isfinite(r.energy_residual_L2) for r in res.records[1:-1])
+            window = [(t, h, *n) for (t, h), n in zip(sampled[i - 1:i + 2], norms[i - 1:i + 2])]
+            got = (recs[i].energy_residual_L2, recs[i].energy_residual_Hs)
+            assert got == kernel.residuals(window)

@@ -346,6 +346,12 @@ class TestCampaigns:
         with pytest.raises(ConfigError):
             picard_iteration(self._cfg(), 3)
 
+    def test_picard_step_count_within_max_steps(self):
+        cfg = self._cfg(mu=0.25, max_steps=10)  # t_end / dt = 10 steps
+        assert len(picard_iteration(cfg, 1)["diffs"]) == 1
+        with pytest.raises(ConfigError, match="more than max_steps = 9"):
+            picard_iteration(replace(cfg, max_steps=9), 1)
+
     @pytest.mark.parametrize("d", [1, 2])
     def test_refinement_rows(self, d):
         rows = grid_refinement(self._cfg(t_end=0.02, dimension=d), [32, 64])
@@ -461,11 +467,24 @@ class TestCli:
         ["refine", "--config", "repulsive_inviscid.cfg", "--n-list", "64"],
         ["refine", "--config", "repulsive_inviscid.cfg", "--n-list", ","],
         ["mu-converge", "--config", "repulsive_inviscid.cfg", "--mu-list", ","],
+        # a non-finite mu used to end in a ValueError traceback after the mu = 0 reference
+        # run, and a tiny Picard dt in an OverflowError traceback allocating the trajectory
+        ["mu-converge", "--config", "heat.cfg", "--mu-list", "nan"],
+        ["mu-converge", "--config", "heat.cfg", "--mu-list", "inf"],
+        ["mu-converge", "--config", "heat.cfg", "--mu-list", "0.5,nan"],
+        ["picard", "--config", "repulsive_inviscid.cfg", "--mu", "0.25", "--dt", "1e-300"],
+        ["picard", "--config", "repulsive_inviscid.cfg", "--mu", "0.25", "--dt", "5e-324"],
     ], ids=" ".join)
-    def test_bad_value_is_config_error(self, tmp_path, capsys, argv):
+    def test_bad_value_is_config_error(self, tmp_path, capsys, monkeypatch, argv):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        for name in ("integrate", "_integrating_factor_rk4"):  # every error precedes any run
+            monkeypatch.setattr(f"fpmflow.driver.{name}", no_run)
         argv = [os.path.join(CONFIG_DIR, a) if a.endswith(".cfg") else a for a in argv]
         assert main(argv + ["--out", str(tmp_path / "x")]) == 1
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
 
     def test_picard_with_a_non_finite_d_n_diverges(self, tmp_path, capsys):
         # attractive and a step of 20: the first iterate overflows; d_1 = inf used to be
@@ -546,11 +565,13 @@ class TestCli:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
-    def test_verify_exit_zero(self, tmp_path, capsys):
-        rc = main(["verify", "--select", "antisymmetry", "--samples", "100",
+    @pytest.mark.parametrize("select,reports", [("antisymmetry", 1), ("lemma1, bdiff", 14)])
+    def test_verify_exit_zero(self, tmp_path, capsys, select, reports):
+        rc = main(["verify", "--select", select, "--samples", "100",
                    "--out", str(tmp_path / "v")])
         assert rc == 0
-        assert os.path.exists(tmp_path / "v" / "verify_report.txt")
+        with open(tmp_path / "v" / "verify_report.txt") as fh:
+            assert fh.read().count("estimate: ") == reports
 
     def test_verify_unknown_selection(self, capsys):
         assert main(["verify", "--select", "nosuch"]) == 1

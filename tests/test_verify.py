@@ -30,11 +30,9 @@ from fpmflow.verify import (
     _safe_ratio,
     _sample_pairs,
     antisymmetric_kernels,
-    lemma1_gap,
+    commutator_reports,
     pointwise_reports,
     sample_antisymmetry,
-    sample_commutator,
-    sample_lemma1,
 )
 
 from oracles import l2_norm
@@ -93,14 +91,15 @@ def lhs_of(f, g, b, extract_symbol):
 class TestLemma1:
     def test_spot_value(self):
         # xi=2, eta=1, s=3: lhs = |8 - 1 - 1 - 3| = 3, rhs = 1 + 1 = 2
-        r = lemma1_gap([2.0], [1.0], 3.0)
-        assert r.ratio == 1.5
-        assert r.lhs == 3.0 and r.rhs == 2.0
+        (lhs,), (rhs,) = sides = _Pairs([2.0], [1.0]).lemma1(3.0)
+        (ratio,), (degenerate,) = _safe_ratio(*sides)
+        assert ratio == 1.5 and not degenerate
+        assert lhs == 3.0 and rhs == 2.0
 
     def test_coincident_degenerate(self):
-        r = lemma1_gap([5.0], [5.0], 4.0)
-        assert r.degenerate
-        assert r.ratio == 0.0
+        (ratio,), (degenerate,) = _safe_ratio(*_Pairs([5.0], [5.0]).lemma1(4.0))
+        assert degenerate
+        assert ratio == 0.0
 
     @pytest.mark.parametrize("lam", [2.0, 10.0])
     def test_scale_invariance(self, lam):
@@ -109,20 +108,17 @@ class TestLemma1:
             for _ in range(20):
                 xi = rng.standard_normal(2) * 5
                 eta = rng.standard_normal(2) * 5
-                base = lemma1_gap(xi, eta, s)
-                scaled = lemma1_gap(lam * xi, lam * eta, s)
-                if base.degenerate:
-                    assert scaled.degenerate
+                (base,), (base_degenerate,) = _safe_ratio(*_Pairs(xi, eta).lemma1(s))
+                scaled_sides = _Pairs(lam * xi, lam * eta).lemma1(s)
+                (scaled,), (scaled_degenerate,) = _safe_ratio(*scaled_sides)
+                if base_degenerate:
+                    assert scaled_degenerate
                 else:
-                    assert scaled.ratio == pytest.approx(base.ratio, rel=1e-10)
-
-    def test_small_s_rejected(self):
-        with pytest.raises(ValueError):
-            lemma1_gap([1.0], [2.0], 2.5)
+                    assert scaled == pytest.approx(base, rel=1e-10)
 
     @pytest.mark.parametrize("s,d", [(3.0, 1), (4.0, 2), (6.0, 1)])
     def test_sampled_report(self, s, d):
-        rep = sample_lemma1(s, d, 2000, seed=1)
+        rep = pointwise_reports(d, 2000, seed=1, lemma1=(s,))["lemma1"][0]
         assert rep.passed
         assert math.isfinite(rep.sup_ratio)
         assert rep.quantiles[50] <= rep.quantiles[90] <= rep.quantiles[99]
@@ -226,12 +222,12 @@ class TestCommutator:
 
     @pytest.mark.parametrize("b", [0.25, 0.5, 0.75])
     def test_sampled_report_stable(self, b):
-        rep = sample_commutator(b, 20, N=64, seed=4)
+        rep = commutator_reports((b,), (False,), 20, N=64, seed=4)[False][0]
         assert rep.passed
         assert math.isfinite(rep.sup_ratio) and rep.sup_ratio > 0.0
 
     def test_plain_sampled_report(self):
-        rep = sample_commutator(0.5, 10, N=32, seed=5, plain=True)
+        rep = commutator_reports((0.5,), (True,), 10, N=32, seed=5)[True][0]
         assert math.isfinite(rep.sup_ratio)
 
     @pytest.mark.parametrize("d,n", [(1, 64), (1, 128), (2, 32)])
@@ -255,7 +251,7 @@ class TestCommutator:
 
     def test_seed0_sup_ratio_pinned(self):
         # Pins the draw order of the (f, g) pairs as well as the arithmetic.
-        rep = sample_commutator(0.5, 200, N=64, seed=0)
+        rep = commutator_reports((0.5,), (False,), 200, N=64, seed=0)[False][0]
         assert rep.sup_ratio == pytest.approx(0.004147240805007349, rel=1e-12)
 
 
@@ -293,20 +289,21 @@ class TestReportLogic:
         assert rep.quantiles == {p: float(np.quantile(ratios, p / 100.0)) for p in (50, 90, 99)}
 
     def test_format_contains_fields(self):
-        rep = sample_lemma1(3.0, 1, 200, seed=7)
+        rep = pointwise_reports(1, 200, seed=7, lemma1=(3.0,))["lemma1"][0]
         text = rep.format()
         assert "sup_ratio:" in text and "pass:" in text and "q99:" in text
 
 
 def one_report_at_a_time(seed, n):
     """The suite's reports one at a time, each making its own draw."""
-    reps = [sample_lemma1(s, d, n, seed=seed) for s in (3.0, 4.0, 6.0) for d in (1, 2)]
+    reps = [pointwise_reports(d, n, seed, lemma1=(s,))["lemma1"][0]
+            for s in (3.0, 4.0, 6.0) for d in (1, 2)]
     reps += [pointwise_reports(d, n, seed, bdiff=(b,))["bdiff"][0]
              for b in (0.25, 0.5, 0.75, 1.0) for d in (1, 2)]
     reps += [pointwise_reports(d, n, seed, gdecomp=((3.0, b),))["gdecomp"][0]
              for b in (0.0, 0.5, 1.0) for d in (1, 2)]
     n_trials = min(200, max(10, n // 500))
-    reps += [sample_commutator(b, n_trials, N=64, d=1, seed=seed, plain=plain)
+    reps += [commutator_reports((b,), (plain,), n_trials, N=64, d=1, seed=seed)[plain][0]
              for plain in (False, True) for b in (0.25, 0.5, 0.75)]
     reps.append(sample_antisymmetry(n_fields=100, N=32, d=1, seed=seed))
     return reps
