@@ -36,10 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, SpectralOperator, velocity_symbol
+from .model import SpectralOperator, velocity_symbol
 from .spectral import (
     SpectralField,
-    fractional_power,
     half,
     half_inverse,
     half_norm,
@@ -72,11 +71,6 @@ class DiagnosticsRecord:
     int_B2sq: float = 0.0  # time integral of B2 (already the squared l1 norm) up to t
     energy_residual_L2: float = math.nan
     energy_residual_Hs: float = math.nan
-
-
-def mass(F: SpectralField) -> float:
-    """Total mass (2pi)^d Re c_0."""
-    return TWO_PI ** F.grid.d * float(F.coeffs.flat[0].real)
 
 
 def _blowup_functionals(grid, mag: np.ndarray, absc: np.ndarray) -> tuple:
@@ -224,26 +218,6 @@ def trilinear_scale(G, F: SpectralField) -> float:
     return float(_trilinear_naive(G, F.grid, F.coeffs[None])[1][0])
 
 
-def energy_kernel(s: float, p: ModelParams, grid) -> SeparableKernel:
-    """Kernel |xi|^{2s} xi.eta m(eta) driving d/dt (1/2)||rho||_{Hdot^s}^2.
-
-    m(eta) = |eta|^{-2b} chi(mu |eta|) matches the (possibly regularized)
-    velocity law of ``p``; s = 0 gives the L2 identity.
-    """
-    weight = fractional_power(2.0 * s)
-    terms = []
-    for j in range(grid.d):
-
-        def a(xi, j=j):
-            return weight(xi) * xi[..., j]
-
-        def b(eta, j=j):
-            return velocity_symbol(eta, p) * eta[..., j]
-
-        terms.append((a, b))
-    return SeparableKernel(terms=tuple(terms))
-
-
 class EnergyResidualKernel:
     """The energy identities of one nu = 0 run, evaluated from three samples.
 
@@ -251,7 +225,7 @@ class EnergyResidualKernel:
 
         | three-point derivative of (1/2)||rho||^2  -  c_K (2pi)^d T[G_s] |
 
-    at the middle sample, with G_s the kernel of :func:`energy_kernel`.  The
+    at the middle sample, with G_s(xi, eta) = |xi|^{2s} xi.eta m(eta).  The
     energies are (1/2) l2^2 and (1/2) hsdot_s^2 of the samples' records.  The
     kernel reads the grid, the params and |xi| of the run's operator, and its
     factors live on the 3N/2 grid in rfft layout (last axis k >= 0):

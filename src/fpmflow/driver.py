@@ -18,10 +18,11 @@ Exit codes:
        descending; a picard step count t_end / dt above max_steps; an --out path
        that cannot be created as a directory (an existing file, say).  All are found
        before any run starts.
-    2  simulate ended blowup_detected or max_steps; picard diverged (d_n rose three
-       times in a row, or one turned non-finite, which ends the iteration); a refine or
-       mu-converge run (also the mu = 0 reference) did not complete, reported as
-       one ``campaign stopped: ...`` line on stderr with its reason
+    2  simulate ended blowup_detected (also on a CFL dt that is not finite and
+       positive, as an overflowing max|u| gives) or max_steps; picard diverged (d_n
+       rose three times in a row, or one turned non-finite, which ends the
+       iteration); a refine or mu-converge run (also the mu = 0 reference) did not
+       complete, reported as one ``campaign stopped: ...`` line on stderr with its reason
     3  verify found an unstable ratio
 """
 

@@ -144,15 +144,24 @@ def velocity(h: np.ndarray, op: SpectralOperator) -> list:
     return [op.physical(m * h) for m in op.vel]
 
 
-def nonlinear_rhs(h: np.ndarray, op: SpectralOperator) -> np.ndarray:
-    """rfft-layout -(div(rho u))^ in 1 + 2d real FFTs; the stepper handles diffusion exactly."""
+def nonlinear_rhs(h: np.ndarray, op: SpectralOperator, maxima: bool = False):
+    """rfft-layout -(div(rho u))^ in 1 + 2d real FFTs; the stepper handles diffusion exactly.
+
+    With ``maxima`` it returns (rhs, max|u_d|, max|rho_d|): the largest speed over
+    the components and the largest density of the dealiased fields it multiplies.
+    """
     if not np.all(np.isfinite(h)):
         raise SpectralError("non-finite coefficients in state")
     hm = op.mask * h
     rho_d = op.physical(hm)
     u_d = [op.physical(m * hm) for m in op.vel]
     del hm  # transport does not need it; freeing it first keeps the peak memory down
-    return op.transport(rho_d, u_d)
+    if not maxima:
+        return op.transport(rho_d, u_d)
+    # max|x| as max(max x, -min x): no |x| temporary of the grid's size
+    umax = max(max(float(u.max()), -float(u.min())) for u in u_d)
+    rho_max = max(float(rho_d.max()), -float(rho_d.min()))
+    return op.transport(rho_d, u_d), umax, rho_max
 
 
 def mollify_initial(rho0: RealField, mu: float) -> RealField:

@@ -3,7 +3,10 @@
 Diffusion is absorbed exactly into the exponential factor e^{-nu |xi|^2 dt},
 so the explicit RK4 stages only see the nonlinear transport term.  With
 c_K = 0 the scheme reproduces the heat semigroup to round-off for any dt.
-States are rfft-layout coefficient arrays that no step updates in place.
+Stage 1 does not depend on dt, so an adaptive step evaluates it first and
+takes dt from the largest speed and density of its dealiased fields: the
+step size costs no transform.  States are rfft-layout coefficient arrays
+that no step updates in place.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .diagnostics import EnergyResidualKernel, make_record
-from .model import ModelParams, SpectralOperator, nonlinear_rhs, velocity
+from .model import ModelParams, SpectralOperator, nonlinear_rhs
 from .spectral import (RealField, SpectralError, SpectralField, TorusGrid, full_field,
                        half_coefficients)
 
@@ -73,33 +76,32 @@ class FinalState:
         return full_field(self.grid, self.h)
 
 
-def cfl_dt(state: np.ndarray, op: SpectralOperator, safety: float,
+def cfl_dt(umax: float, rho_max: float, op: SpectralOperator, safety: float,
            dt_max: float = math.inf) -> float:
     """Stability surrogate: dt from the transport speed and the operator order.
 
-    The nonlinearity carries 2 - 2b derivatives, giving the grid-power
-    constraint dx^{max(1, 2-2b)}; diffusion is exact and imposes none.
+    umax and rho_max are max|u_d| and max|rho_d| of the dealiased fields that
+    stage 1 of :func:`step` multiplies, so the rule runs no transform.  The
+    nonlinearity carries 2 - 2b derivatives, giving the grid-power constraint
+    dx^{max(1, 2-2b)}; diffusion is exact and imposes none.
     """
-    umax = max(float(np.max(np.abs(u))) for u in velocity(state, op))
-    rho_max = float(np.max(np.abs(op.physical(state))))
     dx, expo = op.grid.dx, max(1.0, 2.0 - 2.0 * op.p.b)
-    dt = safety * min(
-        dx / (EPS0 + umax),
-        dx ** expo / (EPS0 + abs(op.p.c_K) * rho_max),
-    )
+    dt = safety * min(dx / (EPS0 + umax), dx ** expo / (EPS0 + abs(op.p.c_K) * rho_max))
     return min(dt, dt_max)
 
 
 def _integrating_factor_rk4(c: np.ndarray, dt: float,
                             rhs: Callable[[np.ndarray, float], np.ndarray],
-                            op: SpectralOperator) -> np.ndarray:
+                            op: SpectralOperator, k1: np.ndarray | None = None) -> np.ndarray:
     """One RK4 step of d/dt c = -nu |xi|^2 c + rhs(c, tau), diffusion exact.
 
     ``rhs`` maps rfft-layout stage coefficients and the stage time, as a
     fraction tau in {0, 1/2, 1} of the step, to rfft-layout coefficients.
+    A caller that evaluated stage 1, k1 = rhs(c, 0), to choose dt passes it in.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
+    k1 = rhs(c, 0.0) if k1 is None else k1
     e_full = e_half = 1.0  # exactly the factors at nu = 0
     viscous = op.p.nu > 0.0
     if viscous:
@@ -110,16 +112,30 @@ def _integrating_factor_rk4(c: np.ndarray, dt: float,
     def damp(e, x):  # e * x; at nu = 0 that is 1.0 * x, x itself, so no copy is made
         return e * x if viscous else x
 
-    k1 = rhs(c, 0.0)
     k2 = rhs(damp(e_half, c + 0.5 * dt * k1), 0.5)
     k3 = rhs(damp(e_half, c) + 0.5 * dt * k2, 0.5)
     k4 = rhs(damp(e_full, c) + dt * e_half * k3, 1.0)
     return damp(e_full, c) + dt / 6.0 * (damp(e_full, k1) + 2.0 * e_half * (k2 + k3) + k4)
 
 
-def step(state: np.ndarray, dt: float, op: SpectralOperator) -> np.ndarray:
-    """One integrating-factor RK4 step of size dt: four RHS, 4 (1 + 2d) real FFTs."""
-    return _integrating_factor_rk4(state, dt, lambda arr, tau: nonlinear_rhs(arr, op), op)
+def step(state: np.ndarray, dt: float | Callable[[float, float], float],
+         op: SpectralOperator) -> tuple:
+    """One integrating-factor RK4 step: four RHS, 4 (1 + 2d) real FFTs; returns (state, dt).
+
+    dt is the step size, or the run's rule (umax, rho_max) -> dt, a :func:`cfl_dt`
+    bound, applied to the maxima of stage 1's dealiased fields.  A rule's dt that is
+    not finite and positive (an overflowing state gives 0 or nan) raises SpectralError.
+    """
+    def rhs(arr, tau):
+        return nonlinear_rhs(arr, op)
+
+    if not callable(dt):
+        return _integrating_factor_rk4(state, dt, rhs, op), dt
+    k1, umax, rho_max = nonlinear_rhs(state, op, maxima=True)
+    dt = dt(umax, rho_max)
+    if not 0.0 < dt < math.inf:
+        raise SpectralError(f"the step-size rule gave dt = {dt}")
+    return _integrating_factor_rk4(state, dt, rhs, op, k1), dt
 
 
 def integrate(rho0: RealField, p: ModelParams, cfg: StepperConfig,
@@ -127,7 +143,8 @@ def integrate(rho0: RealField, p: ModelParams, cfg: StepperConfig,
     """Advance from rho0 to t_end, sampling diagnostics along the way.
 
     Aborts with reason "blowup_detected" when B1 exceeds the configured
-    threshold or the state or an RK4 stage turns non-finite, and with
+    threshold, the state or an RK4 stage turns non-finite, or the CFL rule
+    gives a dt that is not finite and positive, and with
     "max_steps" when the step budget runs out.  The B1 and B2 time
     integrals are accumulated by the trapezoid rule over sample times.  With
     ``energy_residuals`` (nu = 0 only) each interior record gets the L2 and
@@ -157,6 +174,9 @@ def integrate(rho0: RealField, p: ModelParams, cfg: StepperConfig,
                 mid.energy_residual_L2, mid.energy_residual_Hs = kernel.residuals(window)
         return rec.B1
 
+    def cfl_rule(umax, rho_max):  # the adaptive dt, cut to end the run at t_end
+        return min(cfl_dt(umax, rho_max, op, cfg.safety, cfg.dt_max), cfg.t_end - t)
+
     sample(0.0, state, rho0.values)
     n_steps = 0
     reason = "max_steps"
@@ -166,14 +186,10 @@ def integrate(rho0: RealField, p: ModelParams, cfg: StepperConfig,
             if t >= cfg.t_end - EPS0:
                 reason = "completed"
                 break
-            if cfg.dt_mode == "fixed":
-                dt = cfg.dt
-            else:
-                dt = cfl_dt(state, op, cfg.safety, cfg.dt_max)
-            dt = min(dt, cfg.t_end - t)
+            dt = min(cfg.dt, cfg.t_end - t) if cfg.dt_mode == "fixed" else cfl_rule
             try:
-                state = step(state, dt, op)
-            except SpectralError:  # a stage went non-finite; the last state stays
+                state, dt = step(state, dt, op)
+            except SpectralError:  # a non-finite stage or an unusable rule dt: the last state stays
                 reason = "blowup_detected"
                 break
             t += dt

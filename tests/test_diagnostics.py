@@ -9,9 +9,7 @@ from fpmflow import stepper
 from fpmflow.diagnostics import (
     EnergyResidualKernel,
     _blowup_functionals,
-    energy_kernel,
     make_record,
-    mass,
     trilinear_T,
     trilinear_scale,
 )
@@ -30,7 +28,7 @@ from fpmflow.spectral import (
 )
 from fpmflow.stepper import StepperConfig, integrate
 
-from oracles import sobolev_norm
+from oracles import energy_kernel, mass, sobolev_norm
 
 
 def blowup(F):

@@ -277,6 +277,43 @@ class TestRunSimulation:
         with open(out / "status.txt") as fh:
             assert "reason blowup_detected" in fh.read()
 
+    @pytest.mark.parametrize("c_K", ["1.7e308", "-1.7e308"])
+    def test_cfl_dt_overflow_ends_in_blowup(self, tmp_path, capsys, c_K):
+        # Used to end in a ValueError traceback, exit 1: umax overflowed to inf, so the
+        # CFL dt was 0.  The run now stops before the step, with the last state kept.
+        out = tmp_path / "overflow"
+        code = main(["simulate", "--config", os.path.join(CONFIG_DIR, "repulsive_inviscid.cfg"),
+                     "--c_K", c_K, "--out", str(out)])
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+        with open(out / "status.txt") as fh:
+            assert "reason blowup_detected" in fh.read()
+
+    @pytest.mark.parametrize("workload", ["viscous-2d", "inviscid-2d"])
+    def test_benchmark_traced_call_counts(self, tmp_path, monkeypatch, workload):
+        # the traced benchmark smoke requires 4 nonlinear_rhs calls per step and one step
+        # call per step of status.txt; its tracer wraps each public function in every
+        # fpmflow namespace that holds it
+        bench = os.path.join(os.path.dirname(__file__), "..", "perfbench")
+        monkeypatch.syspath_prepend(bench)
+        from spans import Tracer
+
+        out = tmp_path / workload
+        config = os.path.join(bench, "workloads", workload + ".cfg")
+        tracer = Tracer()
+        tracer.install()
+        try:
+            code = main(["simulate", "--config", config, "--modes", "16", "--out", str(out)])
+        finally:
+            tracer.uninstall()
+        assert code == 0
+        with open(out / "status.txt") as fh:
+            n_steps = int(dict(line.split(" ", 1) for line in fh)["n_steps"])
+        layer = tracer.call_summary(n_steps)["per_call"]
+        assert n_steps > 1
+        assert layer["stepper.step.calls"] == layer["stepper.cfl_dt.calls"] == n_steps
+        assert layer["model.nonlinear_rhs.calls"] == 4 * n_steps
+
 
 class TestCampaigns:
     def _cfg(self, **kw):

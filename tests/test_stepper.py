@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from fpmflow.model import ModelParams, SpectralOperator, nonlinear_rhs, velocity_symbol
+from fpmflow.model import (ModelParams, SpectralOperator, nonlinear_rhs, velocity,
+                           velocity_symbol)
 from fpmflow.spectral import (
     RealField,
+    SpectralError,
     SpectralField,
     TorusGrid,
     dealias_mask,
@@ -94,7 +96,7 @@ class TestStep:
         p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0, nu=nu, mu=mu)
         op = SpectralOperator(g, p)
         h = half_coefficients(random_real_field(g, np.random.default_rng(18), mean=1.0))
-        out = full_field(g, step(h, 0.01, op)).coeffs
+        out = full_field(g, step(h, 0.01, op)[0]).coeffs
         ref = reference_full_layout_step(full_field(g, h), 0.01, p).coeffs
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
         assert np.max(np.abs(out - full_field(g, h).coeffs)) > 1e-6  # the step moved the state
@@ -124,7 +126,7 @@ class TestStep:
         p = ModelParams(alpha_minus_d=-1.0, c_K=0.0, nu=1.0)
         op = SpectralOperator(g, p)
         h = half_coefficients(cosine_data(g))
-        out = step(h, 0.37, op)
+        out = step(h, 0.37, op)[0]
         assert out[1] == pytest.approx(h[1] * math.exp(-0.37), rel=1e-14)
         assert out[0] == pytest.approx(h[0], rel=1e-15)
 
@@ -133,7 +135,7 @@ class TestStep:
         p = ModelParams(alpha_minus_d=-1.0, c_K=0.0, nu=0.0)
         op = SpectralOperator(g, p)
         h = half_coefficients(cosine_data(g))
-        out = step(h, 0.1, op)
+        out = step(h, 0.1, op)[0]
         assert np.array_equal(out, h)
 
     def test_invalid_dt(self):
@@ -163,7 +165,7 @@ class TestStep:
             op = SpectralOperator(g, p)
             h = half_coefficients(field_from_function(
                 g, lambda x: 1 + 0.3 * np.cos(x) + 0.1 * np.cos(2 * x)))
-            outs[n] = np.fft.fftshift(full_field(g, step(h, 1e-3, op)).coeffs)
+            outs[n] = np.fft.fftshift(full_field(g, step(h, 1e-3, op)[0]).coeffs)
         coarse = outs[32]
         fine = outs[64][16:48]
         # compare inside the coarse dealias band only
@@ -172,13 +174,18 @@ class TestStep:
         assert np.max(np.abs(coarse[band] - fine[band])) < 1e-10
 
 
+def stage_one_maxima(h, op):
+    """(max|u_d|, max|rho_d|) that stage 1 of an adaptive step hands to the step-size rule."""
+    return nonlinear_rhs(h, op, maxima=True)[1:]
+
+
 class TestCflDt:
     def test_zero_velocity_capped(self):
         g = TorusGrid(d=1, n=32)
         p = ModelParams(alpha_minus_d=-1.0, c_K=0.0)
         op = SpectralOperator(g, p)
         h = half_coefficients(RealField(g, np.zeros(32)))
-        assert cfl_dt(h, op, safety=0.5, dt_max=0.05) == 0.05
+        assert cfl_dt(*stage_one_maxima(h, op), op, safety=0.5, dt_max=0.05) == 0.05
 
     def test_transport_exponent_b1(self):
         # b = 1: grid exponent max(1, 0) = 1, dt scales linearly in dx
@@ -187,8 +194,8 @@ class TestCflDt:
         for n in (32, 64):
             g = TorusGrid(d=1, n=n)
             op = SpectralOperator(g, p)
-            dts[n] = cfl_dt(half_coefficients(cosine_data(g, 0.5)), op, safety=1.0,
-                            dt_max=np.inf)
+            maxima = stage_one_maxima(half_coefficients(cosine_data(g, 0.5)), op)
+            dts[n] = cfl_dt(*maxima, op, safety=1.0, dt_max=np.inf)
         assert dts[32] / dts[64] == pytest.approx(2.0, rel=0.05)
 
     def test_diffusive_exponent_b0(self):
@@ -199,9 +206,43 @@ class TestCflDt:
             g = TorusGrid(d=1, n=n)
             # small amplitude so the rho-based constraint dominates
             op = SpectralOperator(g, p)
-            dts[n] = cfl_dt(half_coefficients(cosine_data(g, 1e-6)), op, safety=1.0,
-                            dt_max=np.inf)
+            maxima = stage_one_maxima(half_coefficients(cosine_data(g, 1e-6)), op)
+            dts[n] = cfl_dt(*maxima, op, safety=1.0, dt_max=np.inf)
         assert dts[32] / dts[64] == pytest.approx(4.0, rel=0.05)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_maxima_are_those_of_the_dealiased_fields(self, d):
+        g = TorusGrid(d=d, n=16)
+        op = SpectralOperator(g, ModelParams(alpha_minus_d=-1.0, c_K=-1.0, mu=0.25))
+        h = half_coefficients(random_real_field(g, np.random.default_rng(8), mean=1.0))
+        k1, umax, rho_max = nonlinear_rhs(h, op, maxima=True)
+        assert np.array_equal(k1, nonlinear_rhs(h, op))
+        hm = op.mask * h
+        assert rho_max == float(np.max(np.abs(op.physical(hm))))
+        assert umax == max(float(np.max(np.abs(u))) for u in velocity(hm, op))
+        assert umax > 0.0 and rho_max > 0.0
+
+    def test_step_applies_the_rule_to_stage_one(self):
+        g = TorusGrid(d=2, n=16)
+        op = SpectralOperator(g, ModelParams(alpha_minus_d=-1.0, c_K=-1.0, nu=0.05))
+        h = half_coefficients(random_real_field(g, np.random.default_rng(9), mean=1.0))
+        seen = []
+
+        def rule(umax, rho_max):
+            seen.append((umax, rho_max))
+            return 2e-3
+
+        out, dt = step(h, rule, op)
+        assert seen == [stage_one_maxima(h, op)] and dt == 2e-3
+        assert np.array_equal(out, step(h, 2e-3, op)[0])
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-3, math.nan, math.inf])
+    def test_rule_dt_not_finite_and_positive_is_a_spectral_error(self, bad):
+        # an overflowing state gives a CFL dt of 0 or nan; the run ends blowup_detected
+        g = TorusGrid(d=1, n=16)
+        op = SpectralOperator(g, ModelParams(alpha_minus_d=-1.0, c_K=-1.0))
+        with pytest.raises(SpectralError):
+            step(half_coefficients(cosine_data(g)), lambda umax, rho_max: bad, op)
 
 
 class TestIntegrate:
@@ -289,8 +330,8 @@ class TestIntegrate:
     @pytest.mark.parametrize("nu", [0.0, 0.05])
     @pytest.mark.parametrize("d", [1, 2])
     def test_run_fft_count(self, monkeypatch, d, nu):
-        # after the initial forward transform only real FFTs: 4 (1 + 2d) per step,
-        # 1 + d per cfl_dt, 1 per sample after a step, 1 + 2d per evaluated residual
+        # after the initial forward transform only real FFTs: 4 (1 + 2d) per step (the
+        # step size comes from stage 1), 1 per sample after a step, 1 + 2d per residual
         g = TorusGrid(d=d, n=16)
         p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0, nu=nu)
         cfg = StepperConfig(t_end=0.02, dt_mode="adaptive", dt_max=5e-3)
@@ -304,7 +345,23 @@ class TestIntegrate:
         residuals = sum(math.isfinite(r.energy_residual_L2) for r in res.records)
         assert residuals == (samples - 1 if nu == 0.0 else 0)
         assert counter["calls"] - complex_calls == (
-            res.n_steps * (4 * (1 + 2 * d) + 1 + d) + samples + (1 + 2 * d) * residuals)
+            res.n_steps * 4 * (1 + 2 * d) + samples + (1 + 2 * d) * residuals)
+
+    @pytest.mark.parametrize("nu", [0.0, 0.05])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_adaptive_run_capped_by_dt_max_is_the_fixed_dt_run(self, d, nu):
+        # the CFL bound stays above dt_max, so every adaptive step takes dt_max
+        g = TorusGrid(d=d, n=16)
+        p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0, nu=nu)
+        rho0 = random_real_field(g, np.random.default_rng(10), mean=1.0, amplitude=0.3)
+        runs = [integrate(rho0, p, StepperConfig(t_end=0.03, dt_max=4e-3, dt_mode=mode, dt=4e-3,
+                                                 sample_every=2), energy_residuals=nu == 0.0)
+                for mode in ("adaptive", "fixed")]
+        adaptive, fixed = runs
+        assert adaptive.reason == fixed.reason == "completed" and adaptive.n_steps == 8
+        assert adaptive.n_steps == fixed.n_steps and adaptive.t == fixed.t
+        assert np.array_equal(adaptive.h, fixed.h)
+        assert repr(adaptive.records) == repr(fixed.records)
 
     def test_determinism(self):
         g = TorusGrid(d=1, n=64)
