@@ -8,16 +8,16 @@ digits), so identical configs and seeds reproduce files byte-for-byte.
 Exit codes:
 
     0  completed (simulate), or the campaign or verification finished
-    1  config error: an unknown key or flag, a value that does not parse, or one out
-       of range (modes, dimension, c_K, nu, mu, dt, dt_max, t_end, s_list, seed,
-       blowup_threshold, --samples, --n-max; mu-converge also max(s_list) < -1);
-       bad init data (an unknown kind, a non-finite value, cosine without
-       mean >= amplitude >= 0, gaussian mass <= 0, k or center with neither 1 nor
-       `dimension` entries); a refine --n-list of fewer than two N or an empty
-       mu-converge --mu-list, or one with a mu that is not finite, positive and
-       descending; a picard step count t_end / dt above max_steps; an --out path
-       that cannot be created as a directory (an existing file, say).  All are found
-       before any run starts.
+    1  config error: a usage error (an unknown command, a flag without its value), an
+       unknown key or flag, a value that does not parse, or one out of range (modes,
+       dimension, c_K, nu, mu, dt, dt_max, t_end, s_list, seed, blowup_threshold,
+       --samples, --n-max; mu-converge also max(s_list) < -1); bad init data (an
+       unknown kind, a non-finite value, cosine without mean >= amplitude >= 0,
+       gaussian mass <= 0, k or center with neither 1 nor `dimension` entries); a
+       refine --n-list of fewer than two N or an empty mu-converge --mu-list, or one
+       with a mu that is not finite, positive and descending; a picard step count
+       t_end / dt above max_steps; an empty --out (verify's means no report file) or
+       one that cannot be a directory.  All are found before any run starts.
     2  simulate ended blowup_detected (also on a CFL dt that is not finite and
        positive, as an overflowing max|u| gives) or max_steps; picard diverged (d_n
        rose three times in a row, or one turned non-finite, which ends the
@@ -32,7 +32,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
@@ -57,13 +57,18 @@ class ConfigError(ValueError):
     pass
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is a config error (exit 1), not argparse's 2
+        raise ConfigError(message)
+
+
 class IncompleteRun(RuntimeError):
     """A campaign run ended without completing, so the campaign stops (exit code 2)."""
 
 
 @dataclass
 class RunConfig:
-    """Full description of one simulation run."""
+    """Full description of one simulation run; a bad key is a ConfigError when it is made."""
 
     dimension: int = 1
     modes: int = 64
@@ -84,6 +89,15 @@ class RunConfig:
     out: str = "out"
     seed: int = 0
 
+    def __post_init__(self):
+        if not self.out:
+            raise ConfigError("out must name a directory, got an empty path")
+        try:
+            self.grid(), self.params(), self.stepper()
+            self.initial_condition().vectors(self.dimension)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(str(exc)) from exc
+
     def grid(self) -> TorusGrid:
         return TorusGrid(d=self.dimension, n=self.modes)
 
@@ -101,20 +115,23 @@ class RunConfig:
         return mollify_initial(rho0, self.mu)
 
 
-def _parse_list(text: str, convert, name: str) -> list:
-    """Comma-separated values; one that ``convert`` rejects is a config error."""
+def _parse_list(text: str, convert, name: str, sep: str = ",") -> list:
+    """sep-separated values; one that ``convert`` rejects, an empty one too, is a config error."""
     try:
-        return [convert(v) for v in text.split(",") if v.strip()]
+        return [convert(v) for v in text.split(sep)]
     except ValueError as exc:
         raise ConfigError(f"bad value in {name}: {exc}") from exc
 
 
-def _set_key(cfg_dict: dict, key: str, value: str):
-    """Parse value as the type of RunConfig's default for key (a tuple: floats)."""
-    kind = {f.name: type(f.default) for f in fields(RunConfig)}.get(key)
-    if kind is None:
-        raise ConfigError(f"unknown config key {key!r}")
-    cfg_dict[key] = tuple(_parse_list(value, float, key)) if kind is tuple else kind(value)
+def _set_key(kwargs: dict, cls, key: str, value: str, sep: str = ","):
+    """kwargs[key] = value as the type of cls's default (a tuple: sep-separated entries)."""
+    default = {f.name: f.default for f in fields(cls)}.get(key, MISSING)
+    if default is MISSING:
+        raise ConfigError(f"unknown {cls.__name__} key {key!r}")
+    if isinstance(default, tuple):
+        kwargs[key] = tuple(_parse_list(value, type(default[0]), key, sep))
+    else:
+        kwargs[key] = type(default)(value)
 
 
 def load_config(path: str | None, overrides: list) -> RunConfig:
@@ -130,14 +147,10 @@ def load_config(path: str | None, overrides: list) -> RunConfig:
                     if "=" not in line:
                         raise ConfigError(f"{path}:{lineno}: expected key = value")
                     key, value = (part.strip() for part in line.split("=", 1))
-                    _set_key(cfg_dict, key, value)
+                    _set_key(cfg_dict, RunConfig, key, value)
         for key, value in overrides:
-            _set_key(cfg_dict, key, value)
+            _set_key(cfg_dict, RunConfig, key, value)
         cfg = RunConfig(**cfg_dict)
-        cfg.grid()
-        cfg.params()
-        cfg.stepper()
-        cfg.initial_condition().vectors(cfg.dimension)
     except (OSError, ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
     return cfg
@@ -155,15 +168,7 @@ def parse_init(spec: str, seed: int = 0) -> InitialCondition:
         if "=" not in item:
             raise ConfigError(f"bad init parameter {item!r}")
         key, value = (p.strip() for p in item.split("=", 1))
-        if key in ("k", "center"):
-            kwargs[key] = tuple(float(v) if key == "center" else int(v)
-                                for v in value.split("/"))
-        elif key in ("mean", "amplitude", "mass", "sigma", "decay"):
-            kwargs[key] = float(value)
-        elif key == "seed":
-            kwargs[key] = int(value)
-        else:
-            raise ConfigError(f"unknown init parameter {key!r}")
+        _set_key(kwargs, InitialCondition, key, value, "/")
     if kwargs["seed"] < 0:
         raise ConfigError(f"seed must be non-negative, got {kwargs['seed']}")
     try:
@@ -277,18 +282,6 @@ def _completed_run(cfg: RunConfig) -> FinalState:
     return res
 
 
-def _campaign_configs(cfg: RunConfig, key: str, values) -> list:
-    """cfg with key set to each value, all checked before any run; a bad one is a ConfigError."""
-    cfgs = [replace(cfg, **{key: v}) for v in values]
-    try:
-        for c in cfgs:
-            c.grid()
-            c.params()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return cfgs
-
-
 def mu_convergence(cfg: RunConfig, mu_list) -> list:
     """Errors of regularized runs against the mu = 0 reference at t_end.
 
@@ -298,7 +291,7 @@ def mu_convergence(cfg: RunConfig, mu_list) -> list:
     mu_list = list(mu_list)
     if not mu_list:
         raise ConfigError("empty mu list")
-    runs = _campaign_configs(cfg, "mu", mu_list)
+    runs = [replace(cfg, mu=mu) for mu in mu_list]  # a bad mu is a ConfigError before any run
     if any(m2 >= m1 for m1, m2 in zip(mu_list, mu_list[1:])):
         raise ConfigError("mu values must be descending")
     if any(m <= 0.0 for m in mu_list):
@@ -319,8 +312,8 @@ def mu_convergence(cfg: RunConfig, mu_list) -> list:
 def picard_iteration(cfg: RunConfig, n_max: int) -> dict:
     """Successive linear-transport solves with velocity frozen from the previous iterate.
 
-    Each iterate advances with the fixed-step integrating-factor RK4 of
-    :func:`fpmflow.stepper.step`, so diffusion is exact; the previous
+    Each iterate advances at a fixed step with the integrating-factor RK4 that
+    :func:`fpmflow.stepper.step` finishes, so diffusion is exact; the previous
     trajectory is stored per step and linearly interpolated at stage
     midpoints (the velocity law is linear in the state).  Returns the
     successive L2 differences d_n at t_end and a divergence flag: set on
@@ -356,7 +349,7 @@ def picard_iteration(cfg: RunConfig, n_max: int) -> dict:
                 def frozen_rhs(arr, tau, u_d=u_d):
                     return op.transport(op.physical(op.mask * arr), u_d[tau])
 
-                state = _integrating_factor_rk4(state, dt, frozen_rhs, op)
+                state = _integrating_factor_rk4(state, dt, frozen_rhs(state, 0.0), frozen_rhs, op)
                 traj.append(state)
             diffs.append(half_norm(op.grid, np.abs(state - prev_traj[-1]) ** 2))
             if not math.isfinite(diffs[-1]):
@@ -379,7 +372,8 @@ def grid_refinement(cfg: RunConfig, n_list) -> list:
         raise ConfigError(f"refinement needs at least two N values, got {n_list}")
     if any(b != 2 * a for a, b in zip(n_list, n_list[1:])):
         raise ConfigError("N values must double")
-    finals = [_completed_run(c) for c in _campaign_configs(cfg, "modes", n_list)]
+    runs = [replace(cfg, modes=n) for n in n_list]  # a bad N is a ConfigError before any run
+    finals = [_completed_run(run) for run in runs]
     return [(a.grid.n, b.grid.n, float(half_norm(a.grid, band_power(a.grid, a.h, b.h))))
             for a, b in zip(finals, finals[1:])]
 
@@ -447,7 +441,7 @@ def _make_out(path) -> None:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="fpmflow",
         description="Pseudo-spectral fractional porous medium flow on the torus",
     )
@@ -475,8 +469,8 @@ def main(argv=None) -> int:
     sp.add_argument("--out", default=None)
     sp.add_argument("--seed", type=int, default=0)
 
-    args, extra = parser.parse_known_args(argv)
     try:
+        args, extra = parser.parse_known_args(argv)
         if args.command == "verify":
             if extra:
                 raise ConfigError(f"unexpected arguments {extra}")

@@ -3,10 +3,10 @@
 Diffusion is absorbed exactly into the exponential factor e^{-nu |xi|^2 dt},
 so the explicit RK4 stages only see the nonlinear transport term.  With
 c_K = 0 the scheme reproduces the heat semigroup to round-off for any dt.
-Stage 1 does not depend on dt, so an adaptive step evaluates it first and
-takes dt from the largest speed and density of its dealiased fields: the
-step size costs no transform.  States are rfft-layout coefficient arrays
-that no step updates in place.
+Stage 1 does not depend on dt, so every step evaluates it first and takes dt
+from the run's one rule (a CFL bound, or the fixed dt) applied to the largest
+speed and density of its dealiased fields: the step size costs no transform.
+States are rfft-layout coefficient arrays that no step updates in place.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ class FinalState:
 
 
 def cfl_dt(umax: float, rho_max: float, op: SpectralOperator, safety: float,
-           dt_max: float = math.inf) -> float:
+           dt_max: float) -> float:
     """Stability surrogate: dt from the transport speed and the operator order.
 
     umax and rho_max are max|u_d| and max|rho_d| of the dealiased fields that
@@ -90,18 +90,15 @@ def cfl_dt(umax: float, rho_max: float, op: SpectralOperator, safety: float,
     return min(dt, dt_max)
 
 
-def _integrating_factor_rk4(c: np.ndarray, dt: float,
+def _integrating_factor_rk4(c: np.ndarray, dt: float, k1: np.ndarray,
                             rhs: Callable[[np.ndarray, float], np.ndarray],
-                            op: SpectralOperator, k1: np.ndarray | None = None) -> np.ndarray:
+                            op: SpectralOperator) -> np.ndarray:
     """One RK4 step of d/dt c = -nu |xi|^2 c + rhs(c, tau), diffusion exact.
 
     ``rhs`` maps rfft-layout stage coefficients and the stage time, as a
     fraction tau in {0, 1/2, 1} of the step, to rfft-layout coefficients.
-    A caller that evaluated stage 1, k1 = rhs(c, 0), to choose dt passes it in.
+    k1 = rhs(c, 0) is stage 1, which the caller evaluates: a step takes dt from it.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    k1 = rhs(c, 0.0) if k1 is None else k1
     e_full = e_half = 1.0  # exactly the factors at nu = 0
     viscous = op.p.nu > 0.0
     if viscous:
@@ -118,24 +115,23 @@ def _integrating_factor_rk4(c: np.ndarray, dt: float,
     return damp(e_full, c) + dt / 6.0 * (damp(e_full, k1) + 2.0 * e_half * (k2 + k3) + k4)
 
 
-def step(state: np.ndarray, dt: float | Callable[[float, float], float],
+def step(state: np.ndarray, rule: Callable[[float, float], float],
          op: SpectralOperator) -> tuple:
     """One integrating-factor RK4 step: four RHS, 4 (1 + 2d) real FFTs; returns (state, dt).
 
-    dt is the step size, or the run's rule (umax, rho_max) -> dt, a :func:`cfl_dt`
-    bound, applied to the maxima of stage 1's dealiased fields.  A rule's dt that is
-    not finite and positive (an overflowing state gives 0 or nan) raises SpectralError.
+    dt is the run's rule (umax, rho_max) -> dt applied to the maxima of stage 1's
+    dealiased fields: a :func:`cfl_dt` bound for an adaptive run, a constant for a
+    fixed one.  A dt that is not finite and positive (an overflowing state gives
+    a CFL dt of 0 or nan) raises SpectralError.
     """
     def rhs(arr, tau):
         return nonlinear_rhs(arr, op)
 
-    if not callable(dt):
-        return _integrating_factor_rk4(state, dt, rhs, op), dt
     k1, umax, rho_max = nonlinear_rhs(state, op, maxima=True)
-    dt = dt(umax, rho_max)
+    dt = rule(umax, rho_max)
     if not 0.0 < dt < math.inf:
         raise SpectralError(f"the step-size rule gave dt = {dt}")
-    return _integrating_factor_rk4(state, dt, rhs, op, k1), dt
+    return _integrating_factor_rk4(state, dt, k1, rhs, op), dt
 
 
 def integrate(rho0: RealField, p: ModelParams, cfg: StepperConfig,
@@ -154,6 +150,7 @@ def integrate(rho0: RealField, p: ModelParams, cfg: StepperConfig,
     """
     op = SpectralOperator(rho0.grid, p)
     s_max = float(max(cfg.s_list))
+    fixed = cfg.dt_mode == "fixed"
     kernel = EnergyResidualKernel(op, s_max) if energy_residuals else None
     window: deque = deque(maxlen=3)
     state = half_coefficients(rho0)
@@ -174,8 +171,9 @@ def integrate(rho0: RealField, p: ModelParams, cfg: StepperConfig,
                 mid.energy_residual_L2, mid.energy_residual_Hs = kernel.residuals(window)
         return rec.B1
 
-    def cfl_rule(umax, rho_max):  # the adaptive dt, cut to end the run at t_end
-        return min(cfl_dt(umax, rho_max, op, cfg.safety, cfg.dt_max), cfg.t_end - t)
+    def rule(umax, rho_max):  # the run's dt, cut to end the run at t_end
+        return min(cfg.dt if fixed else cfl_dt(umax, rho_max, op, cfg.safety, cfg.dt_max),
+                   cfg.t_end - t)
 
     sample(0.0, state, rho0.values)
     n_steps = 0
@@ -186,10 +184,9 @@ def integrate(rho0: RealField, p: ModelParams, cfg: StepperConfig,
             if t >= cfg.t_end - EPS0:
                 reason = "completed"
                 break
-            dt = min(cfg.dt, cfg.t_end - t) if cfg.dt_mode == "fixed" else cfl_rule
             try:
-                state, dt = step(state, dt, op)
-            except SpectralError:  # a non-finite stage or an unusable rule dt: the last state stays
+                state, dt = step(state, rule, op)
+            except SpectralError:  # a non-finite stage or an unusable CFL dt: the last state stays
                 reason = "blowup_detected"
                 break
             t += dt

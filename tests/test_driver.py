@@ -129,6 +129,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(write_cfg(tmp_path / "a.cfg", BASIC + "s_list =\n"), [])
 
+    @pytest.mark.parametrize("key, value", [
+        ("modes", 7), ("dimension", 3), ("nu", -1.0), ("dt", 0.0), ("s_list", (-3.0,)),
+        ("init", "square:mean=1"), ("init", "cosine:k=1/2"), ("out", ""),
+    ])
+    def test_bad_key_is_a_config_error_when_the_config_is_made(self, key, value):
+        with pytest.raises(ConfigError):
+            RunConfig(**{key: value})
+        with pytest.raises(ConfigError):
+            replace(RunConfig(), **{key: value})
+
 
 class TestParseInit:
     def test_cosine(self):
@@ -488,6 +498,10 @@ class TestCli:
         ["picard", "--config", "repulsive_inviscid.cfg", "--mu", "0.25", "--dt", "0"],
         ["mu-converge", "--config", "heat.cfg", "--mu-list", "abc"],
         ["refine", "--config", "heat.cfg", "--n-list", "6,12"],
+        ["refine", "--config", "heat.cfg", "--n-list", "4,8,16"],
+        ["refine", "--config", "heat.cfg", "--n-list", "32,,64"],
+        ["simulate", "--config", "repulsive_inviscid.cfg", "--init", "cosine:k=1/"],
+        ["mu-converge", "--config", "heat.cfg", "--mu-list", "0.5,0.25,-0.1"],
         ["verify", "--samples", "-4", "--select", "lemma1"],
         ["simulate", "--config", "heat.cfg", "--init", "random:mean=1", "--seed", "-1"],
         ["verify", "--seed", "-1", "--select", "lemma1"],
@@ -522,6 +536,32 @@ class TestCli:
         assert main(argv + ["--out", str(tmp_path / "x")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--config", "heat.cfg", "--seed", "abc"],
+        ["simulate", "--config", "heat.cfg", "--seed"],
+        ["verify", "--samples", "abc"],
+        ["picard", "--config", "repulsive_inviscid.cfg", "--mu", "0.25", "--n-max", "x"],
+        ["bogus"],
+        ["simulate", "--config", "heat.cfg", "--out", ""],
+        ["refine", "--config", "heat.cfg", "--n-list", "32,64", "--out", ""],
+        ["mu-converge", "--config", "heat.cfg", "--out", ""],
+        ["picard", "--config", "repulsive_inviscid.cfg", "--mu", "0.25", "--out", ""],
+    ], ids=" ".join)
+    def test_usage_error_or_empty_out_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                                      argv):
+        # argparse exited 2, the code of a blow-up; an empty --out ended simulate in a
+        # FileNotFoundError traceback and had the campaigns write into the working directory
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        for name in ("integrate", "picard_iteration", "verify_suite"):
+            monkeypatch.setattr(f"fpmflow.driver.{name}", no_run)
+        argv = [os.path.join(CONFIG_DIR, a) if a.endswith(".cfg") else a for a in argv]
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
 
     def test_picard_with_a_non_finite_d_n_diverges(self, tmp_path, capsys):
         # attractive and a step of 20: the first iterate overflows; d_1 = inf used to be

@@ -301,10 +301,10 @@ class TestSpectralOperator:
         assert res.reason == "completed" and res.n_steps == 4
         assert is_hermitian(res.state.coeffs)
         op = SpectralOperator(g, p)
-        h = step(step(half_coefficients(rho0), 5e-3, op)[0], 5e-3, op)[0]
+        h = step(step(half_coefficients(rho0), lambda *_: 5e-3, op)[0], lambda *_: 5e-3, op)[0]
         full = full_field(g, h).coeffs
         assert is_hermitian(full) and np.array_equal(half(g, full), h)
-        assert np.array_equal(res.h, step(step(h, 5e-3, op)[0], 5e-3, op)[0])
+        assert np.array_equal(res.h, step(step(h, lambda *_: 5e-3, op)[0], lambda *_: 5e-3, op)[0])
 
     def test_velocity_of_masked_state_is_dealiased_velocity(self):
         rng = np.random.default_rng(17)

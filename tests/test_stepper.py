@@ -96,7 +96,7 @@ class TestStep:
         p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0, nu=nu, mu=mu)
         op = SpectralOperator(g, p)
         h = half_coefficients(random_real_field(g, np.random.default_rng(18), mean=1.0))
-        out = full_field(g, step(h, 0.01, op)[0]).coeffs
+        out = full_field(g, step(h, lambda *_: 0.01, op)[0]).coeffs
         ref = reference_full_layout_step(full_field(g, h), 0.01, p).coeffs
         assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
         assert np.max(np.abs(out - full_field(g, h).coeffs)) > 1e-6  # the step moved the state
@@ -118,7 +118,7 @@ class TestStep:
         k3 = rhs(e_half * c + 0.5 * dt * k2, 0.5)
         k4 = rhs(e_full * c + dt * e_half * k3, 1.0)
         expected = e_full * c + dt / 6.0 * (e_full * k1 + 2.0 * e_half * (k2 + k3) + k4)
-        assert np.array_equal(_integrating_factor_rk4(c, dt, rhs, op), expected)
+        assert np.array_equal(_integrating_factor_rk4(c, dt, k1, rhs, op), expected)
         assert not np.array_equal(expected, c)
 
     def test_heat_factor_exact(self):
@@ -126,7 +126,7 @@ class TestStep:
         p = ModelParams(alpha_minus_d=-1.0, c_K=0.0, nu=1.0)
         op = SpectralOperator(g, p)
         h = half_coefficients(cosine_data(g))
-        out = step(h, 0.37, op)[0]
+        out = step(h, lambda *_: 0.37, op)[0]
         assert out[1] == pytest.approx(h[1] * math.exp(-0.37), rel=1e-14)
         assert out[0] == pytest.approx(h[0], rel=1e-15)
 
@@ -135,7 +135,7 @@ class TestStep:
         p = ModelParams(alpha_minus_d=-1.0, c_K=0.0, nu=0.0)
         op = SpectralOperator(g, p)
         h = half_coefficients(cosine_data(g))
-        out = step(h, 0.1, op)[0]
+        out = step(h, lambda *_: 0.1, op)[0]
         assert np.array_equal(out, h)
 
     def test_invalid_dt(self):
@@ -143,7 +143,7 @@ class TestStep:
         p = ModelParams(alpha_minus_d=-1.0, c_K=0.0)
         with pytest.raises(ValueError):
             op = SpectralOperator(g, p)
-            step(half_coefficients(cosine_data(g)), -0.1, op)
+            step(half_coefficients(cosine_data(g)), lambda *_: -0.1, op)
 
     @pytest.mark.parametrize("d, expected", [(1, 12), (2, 20)])
     def test_fft_count(self, monkeypatch, d, expected):
@@ -153,7 +153,7 @@ class TestStep:
         op = SpectralOperator(g, p)
         h = half_coefficients(random_real_field(g, np.random.default_rng(3), mean=1.0))
         counter = count_ffts(monkeypatch)
-        step(h, 1e-3, op)
+        step(h, lambda *_: 1e-3, op)
         assert counter["calls"] == expected
 
     def test_grid_refinement_agreement(self):
@@ -165,7 +165,7 @@ class TestStep:
             op = SpectralOperator(g, p)
             h = half_coefficients(field_from_function(
                 g, lambda x: 1 + 0.3 * np.cos(x) + 0.1 * np.cos(2 * x)))
-            outs[n] = np.fft.fftshift(full_field(g, step(h, 1e-3, op)[0]).coeffs)
+            outs[n] = np.fft.fftshift(full_field(g, step(h, lambda *_: 1e-3, op)[0]).coeffs)
         coarse = outs[32]
         fine = outs[64][16:48]
         # compare inside the coarse dealias band only
@@ -234,7 +234,7 @@ class TestCflDt:
 
         out, dt = step(h, rule, op)
         assert seen == [stage_one_maxima(h, op)] and dt == 2e-3
-        assert np.array_equal(out, step(h, 2e-3, op)[0])
+        assert np.array_equal(out, step(h, lambda *_: 2e-3, op)[0])
 
     @pytest.mark.parametrize("bad", [0.0, -1e-3, math.nan, math.inf])
     def test_rule_dt_not_finite_and_positive_is_a_spectral_error(self, bad):
@@ -362,6 +362,27 @@ class TestIntegrate:
         assert adaptive.n_steps == fixed.n_steps and adaptive.t == fixed.t
         assert np.array_equal(adaptive.h, fixed.h)
         assert repr(adaptive.records) == repr(fixed.records)
+
+    def test_fixed_dt_run_ignores_the_stage_one_maxima(self, monkeypatch):
+        # safety and dt_max would bound an adaptive step far below the fixed dt
+        g = TorusGrid(d=1, n=32)
+        p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0)
+        rho0 = cosine_data(g, 0.5)
+        cfg = StepperConfig(t_end=0.05, dt_mode="fixed", dt=0.01, safety=0.1, dt_max=1e-4)
+        op = SpectralOperator(g, p)
+        maxima = stage_one_maxima(half_coefficients(rho0), op)
+        assert cfl_dt(*maxima, op, cfg.safety, cfg.dt_max) < cfg.dt
+        dts = []
+
+        def recorded_step(state, rule, op):
+            state, dt = step(state, rule, op)
+            dts.append(dt)
+            return state, dt
+
+        monkeypatch.setattr("fpmflow.stepper.step", recorded_step)
+        res = integrate(rho0, p, cfg)
+        assert res.reason == "completed" and res.n_steps == 5
+        assert dts[:4] == [cfg.dt] * 4 and sum(dts) == pytest.approx(cfg.t_end, rel=1e-15)
 
     def test_determinism(self):
         g = TorusGrid(d=1, n=64)
