@@ -66,9 +66,10 @@ class IncompleteRun(RuntimeError):
     """A campaign run ended without completing, so the campaign stops (exit code 2)."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Full description of one simulation run; a bad key is a ConfigError when it is made."""
+    """Full description of one simulation run; a bad key is a ConfigError when it is made,
+    and no field can be set afterwards (``dataclasses.replace`` makes a checked copy)."""
 
     dimension: int = 1
     modes: int = 64

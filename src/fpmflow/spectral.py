@@ -76,6 +76,11 @@ class TorusGrid:
     def npoints(self) -> int:
         return self.n ** self.d
 
+    @property
+    def axes(self) -> tuple:
+        """The grid axes of a stack of fields of shape (..., *grid.shape): the last d."""
+        return tuple(range(-self.d, 0))
+
     def axis_wavenumbers(self) -> np.ndarray:
         """Integer wavenumbers along one axis, FFT ordering."""
         return np.fft.fftfreq(self.n, d=1.0 / self.n).astype(np.int64)
@@ -295,17 +300,30 @@ def band_power(grid: TorusGrid, h: np.ndarray, fine: np.ndarray) -> np.ndarray:
     return power
 
 
-def random_series(grid: TorusGrid, rng, envelope) -> np.ndarray:
-    """Values of Re sum_xi g_xi envelope(|xi|) exp(i xi . x), g_xi complex Gaussian."""
-    raw = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    return np.fft.ifftn(raw * envelope(grid.wavenumber_magnitude()) * grid.npoints).real
+def random_series(grid: TorusGrid, rng, envelope, lead: tuple = ()) -> np.ndarray:
+    """Values of Re sum_xi g_xi envelope(|xi|) exp(i xi . x), g_xi complex Gaussian, one
+    series per index of the leading shape ``lead``; the envelope's values broadcast
+    against lead + grid.shape.  One draw takes the real parts of a series' g, then their
+    imaginary parts, series after series, and one inverse FFT makes every series: the
+    values, bit for bit, of one call per series in turn."""
+    re, im = np.moveaxis(rng.standard_normal(lead + (2,) + grid.shape), len(lead), 0)
+    raw = re + 1j * im
+    del re, im  # the transform does not need the draws: free them before it runs
+    return np.fft.ifftn(raw * envelope(grid.wavenumber_magnitude()) * grid.npoints,
+                        axes=grid.axes).real
+
+
+def random_real_values(grid: TorusGrid, rng, decay: float = 2.0, amplitude: float = 1.0,
+                       mean: float = 0.0, lead: tuple = ()) -> np.ndarray:
+    """Values of smooth random real fields with coefficient magnitudes ~ (1+|xi|)^{-decay},
+    one per index of ``lead`` (:func:`random_series`), each scaled to peak |.| amplitude
+    (unless its peak is 0) and shifted by mean."""
+    vals = random_series(grid, rng, lambda mag: (1.0 + mag) ** (-decay), lead)
+    peak = np.max(np.abs(vals), axis=grid.axes, keepdims=True)
+    return vals * np.divide(amplitude, peak, out=np.ones_like(peak), where=peak > 0) + mean
 
 
 def random_real_field(grid: TorusGrid, rng, decay: float = 2.0, amplitude: float = 1.0,
                       mean: float = 0.0) -> RealField:
-    """Smooth random real field with coefficient magnitudes ~ (1+|xi|)^{-decay}."""
-    vals = random_series(grid, rng, lambda mag: (1.0 + mag) ** (-decay))
-    peak = np.max(np.abs(vals))
-    if peak > 0:
-        vals = vals * (amplitude / peak)
-    return RealField(grid, vals + mean)
+    """One field of :func:`random_real_values`."""
+    return RealField(grid, random_real_values(grid, rng, decay, amplitude, mean))

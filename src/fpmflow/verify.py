@@ -17,8 +17,14 @@ xi.eta and eta.(xi - eta)), computed once per population and narrowed with
 the pairs by each filter.  Nothing else is kept across reports: a cache of
 the powers |.|^e of a population would cost more memory than the work it
 saves, so each report raises its own powers and builds its lhs and rhs in
-place.  The antisymmetry probe stacks its fields and makes one pass over
-the lattice pairs per kernel.
+place, gdecomp's factors that do not depend on b included (sharing them
+across its three b gave the same bits 5% faster, at 9.6% more peak RSS).
+Each field population takes one draw and one batched transform
+(:func:`spectral.random_series` with a leading shape); the antisymmetry
+probe's fields then make one pass over the lattice pairs per kernel.  A
+report's quantiles are read from a sorted copy of its ratios: the order
+statistics that ``np.quantile`` of the unsorted ratios reads, found faster
+where numpy's sort is SIMD-accelerated (numpy >= 2).
 """
 
 from __future__ import annotations
@@ -31,14 +37,13 @@ from . import diagnostics
 from .spectral import (
     TorusGrid,
     dealias_mask,
-    forward_transform,
     fractional_power,
     half,
     half_inverse,
     half_norm,
     half_transform,
     radial_power,
-    random_real_field,
+    random_real_values,
     random_series,
     sobolev_weight,
 )
@@ -96,7 +101,9 @@ def _ratios_to_report(name: str, ratios: np.ndarray, degenerate: np.ndarray,
     s1 = float(np.max(live[:half])) if half else 0.0
     s2 = float(np.max(live[half:])) if n - half else 0.0
     passed = bool(np.isfinite(sup)) and (s1 == 0.0 or s2 <= 2.0 * s1)
-    qs = dict(zip((50, 90, 99), np.quantile(live, [0.5, 0.9, 0.99]).tolist()))
+    live.sort()  # the same order statistics, found faster in sorted order
+    qs = dict(zip((50, 90, 99),
+                  np.quantile(live, [0.5, 0.9, 0.99], overwrite_input=True).tolist()))
     return VerifyReport(
         name=name, n=n, sup_ratio=sup, argmax=argmax_inputs(imax),
         quantiles=qs, passed=passed, first_half_sup=s1, second_half_sup=s2,
@@ -198,8 +205,9 @@ class _Pairs:
 
 def _safe_ratio(lhs, rhs):
     degenerate = rhs == 0.0
+    ratio = np.zeros_like(rhs, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(degenerate, 0.0, lhs / np.where(degenerate, 1.0, rhs))
+        np.divide(lhs, rhs, out=ratio, where=~degenerate)
     return ratio, degenerate
 
 
@@ -284,7 +292,7 @@ def _commutator_lhs(grid: TorusGrid, f: np.ndarray, g: np.ndarray, b: float,
     lam = fractional_power(-b)(kv)
     lam2 = fractional_power(-b - 2.0)(kv)
     F, G = half_transform(f, grid.shape), half_transform(g, grid.shape)
-    scale = np.maximum(1.0, np.max(np.abs(G), axis=tuple(range(-grid.d, 0))))
+    scale = np.maximum(1.0, np.max(np.abs(G), axis=grid.axes))
     if np.any(np.abs(G[(...,) + (0,) * grid.d].real) > 1e-12 * scale):
         raise ValueError("g must have zero mean")
     f_d = half_inverse(mask * F, grid.shape)
@@ -322,13 +330,18 @@ def _commutator_sides(grid: TorusGrid, f: np.ndarray, g: np.ndarray, b: float,
     return lhs, sobolev(f, s_f) * sobolev(g, s_g)
 
 
-def _analytic_random_field(grid: TorusGrid, rng, rate: float, mean: float) -> np.ndarray:
-    """Values of a random field with exponentially decaying spectrum (norms N-independent)."""
-    vals = random_series(grid, rng, lambda mag: np.exp(-rate * mag))
-    peak = np.max(np.abs(vals))
-    if peak > 0:
-        vals /= peak
-    return vals + mean
+def _commutator_fields(grid: TorusGrid, rng, n_trials: int) -> tuple:
+    """Stacks f, g of n_trials random fields each, drawn f then g per trial in one draw.
+
+    Their spectra decay like e^{-0.4|xi|} (f) and e^{-0.25|xi|} (g), so their norms are
+    N-independent; each field is scaled to peak |.| 1, then f gets mean 1 and g mean 0.
+    """
+    rates = np.array([0.4, 0.25]).reshape((2,) + (1,) * grid.d)
+    vals = random_series(grid, rng, lambda mag: np.exp(-rates * mag), lead=(n_trials, 2))
+    peak = np.max(np.abs(vals), axis=grid.axes, keepdims=True)
+    vals /= np.where(peak > 0, peak, 1.0)
+    g = vals[:, 1]
+    return vals[:, 0] + 1.0, g - np.mean(g, axis=grid.axes, keepdims=True)
 
 
 def commutator_reports(b_list, plains, n_trials: int, N: int = 64, d: int = 1,
@@ -338,17 +351,11 @@ def commutator_reports(b_list, plains, n_trials: int, N: int = 64, d: int = 1,
     Maps each flag of ``plains`` (True: the plain bound, False: the
     symbol-extracted one) to its reports, one per b of ``b_list``.  The
     fields have exponentially decaying spectra so refining N leaves both
-    sides of the estimate essentially unchanged.  The pairs are drawn in
-    turn and evaluated as one stack.
+    sides of the estimate essentially unchanged.  The pairs are drawn as one
+    stack (:func:`_commutator_fields`) and evaluated as one.
     """
-    rng = np.random.default_rng(seed)
     grid = TorusGrid(d=d, n=N)
-    f = np.empty((n_trials,) + grid.shape)
-    g = np.empty_like(f)
-    for i in range(n_trials):
-        f[i] = _analytic_random_field(grid, rng, rate=0.4, mean=1.0)
-        g[i] = _analytic_random_field(grid, rng, rate=0.25, mean=0.0)
-        g[i] -= np.mean(g[i])
+    f, g = _commutator_fields(grid, np.random.default_rng(seed), n_trials)
     out = {}
     for plain in plains:
         tag = "plain_commutator" if plain else "commutator"
@@ -365,13 +372,13 @@ def sample_antisymmetry(n_fields: int = 100, N: int = 32, d: int = 1,
                         seed: int = 0, tol: float = 1e-10) -> VerifyReport:
     """|T[G]| / magnitude scale for anti-symmetric kernels; passes when below tol.
 
-    The fields are drawn in turn; one lattice pass per kernel gives T[G] and
-    its scale for all of them.
+    The fields come from one draw and one FFT, the coefficients of
+    ``forward_transform(random_real_field(grid, rng))`` for each field in turn;
+    one lattice pass per kernel gives T[G] and its scale for all of them.
     """
-    rng = np.random.default_rng(seed)
     grid = TorusGrid(d=d, n=N)
-    coeffs = np.stack([forward_transform(random_real_field(grid, rng, decay=2.0)).coeffs
-                       for _ in range(n_fields)])
+    fields = random_real_values(grid, np.random.default_rng(seed), decay=2.0, lead=(n_fields,))
+    coeffs = np.fft.fftn(fields, axes=grid.axes) / grid.npoints
     kernels = antisymmetric_kernels()
     # one row per field, one column per kernel: case i is field i // 5, kernel i % 5
     vals = np.empty((n_fields, len(kernels)))

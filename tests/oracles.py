@@ -1,9 +1,11 @@
-"""Full-layout reference norms, the energy kernel and the snapshot reader, for the tests only.
+"""Full-layout reference norms, the energy kernel, the snapshot reader and the
+one-field-at-a-time samplers, for the tests only.
 
 The package computes its norms from rfft-layout coefficients
 (``spectral.half_norm``), evaluates the energy identities through
-``diagnostics.EnergyResidualKernel`` and never reads a snapshot back; these
-are the direct forms that the tests check it against.
+``diagnostics.EnergyResidualKernel``, never reads a snapshot back and draws
+each of verify's field populations in one batch; these are the direct forms
+that the tests check it against.
 """
 
 import math
@@ -12,8 +14,8 @@ import numpy as np
 
 from fpmflow.diagnostics import SeparableKernel
 from fpmflow.model import ModelParams, velocity_symbol
-from fpmflow.spectral import (RealField, SpectralField, TorusGrid, fractional_power,
-                              sobolev_weight)
+from fpmflow.spectral import (RealField, SpectralField, TorusGrid, forward_transform,
+                              fractional_power, sobolev_weight)
 
 
 def mass(F: SpectralField) -> float:
@@ -60,3 +62,48 @@ def read_snapshot(path: str) -> tuple:
         vals = np.array([float(line) for line in fh])
     grid = TorusGrid(d=d, n=n)
     return RealField(grid, vals.reshape(grid.shape)), t
+
+
+def series_in_turn(grid: TorusGrid, rng, envelope, count: int) -> np.ndarray:
+    """count values of ``spectral.random_series``, one draw and one complex FFT each."""
+    out = []
+    for _ in range(count):
+        raw = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+        out.append(np.fft.ifftn(raw * envelope(grid.wavenumber_magnitude()) * grid.npoints).real)
+    return np.stack(out)
+
+
+def _analytic_random_field(grid: TorusGrid, rng, rate: float, mean: float) -> np.ndarray:
+    """Values of a random field with exponentially decaying spectrum (norms N-independent)."""
+    vals = series_in_turn(grid, rng, lambda mag: np.exp(-rate * mag), 1)[0]
+    peak = np.max(np.abs(vals))
+    if peak > 0:
+        vals /= peak
+    return vals + mean
+
+
+def commutator_fields_in_turn(grid: TorusGrid, rng, n_trials: int) -> tuple:
+    """The (f, g) stacks of ``verify.commutator_reports``, drawn one field at a time."""
+    f = np.empty((n_trials,) + grid.shape)
+    g = np.empty_like(f)
+    for i in range(n_trials):
+        f[i] = _analytic_random_field(grid, rng, rate=0.4, mean=1.0)
+        g[i] = _analytic_random_field(grid, rng, rate=0.25, mean=0.0)
+        g[i] -= np.mean(g[i])
+    return f, g
+
+
+def random_field_in_turn(grid: TorusGrid, rng, decay: float = 2.0, amplitude: float = 1.0,
+                         mean: float = 0.0) -> np.ndarray:
+    """Values of ``spectral.random_real_field`` from a draw of its own."""
+    vals = series_in_turn(grid, rng, lambda mag: (1.0 + mag) ** (-decay), 1)[0]
+    peak = np.max(np.abs(vals))
+    if peak > 0:
+        vals = vals * (amplitude / peak)
+    return vals + mean
+
+
+def antisymmetry_coeffs_in_turn(grid: TorusGrid, rng, n_fields: int) -> np.ndarray:
+    """The full-layout coefficient stack of ``verify.sample_antisymmetry``, one field at a time."""
+    return np.stack([forward_transform(RealField(grid, random_field_in_turn(grid, rng))).coeffs
+                     for _ in range(n_fields)])

@@ -5,7 +5,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -138,6 +138,15 @@ class TestConfig:
             RunConfig(**{key: value})
         with pytest.raises(ConfigError):
             replace(RunConfig(), **{key: value})
+
+    def test_config_is_frozen(self):
+        # a field set after construction would skip the check the config makes when made
+        cfg = RunConfig()
+        with pytest.raises(FrozenInstanceError):
+            cfg.modes = 7
+        with pytest.raises(ConfigError):
+            replace(cfg, modes=7)
+        assert cfg.modes == 64
 
 
 class TestParseInit:

@@ -26,10 +26,12 @@ from fpmflow.spectral import (
     inverse_transform,
     radial_power,
     random_real_field,
+    random_real_values,
+    random_series,
     sobolev_weight,
 )
 
-from oracles import l2_norm, sobolev_norm
+from oracles import l2_norm, random_field_in_turn, series_in_turn, sobolev_norm
 
 
 class TestTorusGrid:
@@ -302,3 +304,30 @@ class TestDealias:
         out = np.where(dealias_mask(g), c, 0.0)
         assert out[5, 1] == 0.0
         assert out[2, 2] == 1.0
+
+
+class TestRandomSeries:
+    @pytest.mark.parametrize("d,n", [(1, 64), (2, 16)])
+    def test_batch_is_the_series_in_turn(self, d, n):
+        g = TorusGrid(d=d, n=n)
+        rates = np.array([0.4, 0.25]).reshape((2,) + (1,) * d)
+        rng, ref = np.random.default_rng(12), np.random.default_rng(12)
+        got = random_series(g, rng, lambda mag: np.exp(-rates * mag), lead=(3, 2))
+        assert got.shape == (3, 2) + g.shape
+        for i in range(3):
+            for j, rate in enumerate((0.4, 0.25)):
+                want = series_in_turn(g, ref, lambda mag: np.exp(-rate * mag), 1)[0]
+                assert np.array_equal(got[i, j], want)
+        assert rng.random() == ref.random()  # the batch took as many draws as the loop
+
+    @pytest.mark.parametrize("d,n", [(1, 32), (2, 16)])
+    @pytest.mark.parametrize("decay,amplitude,mean", [(2.0, 1.0, 0.0), (3.0, 0.5, 1.0),
+                                                      (1.0, 0.0, 2.0)])
+    def test_random_fields_keep_their_bits(self, d, n, decay, amplitude, mean):
+        g = TorusGrid(d=d, n=n)
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        batch = random_real_values(g, rng, decay, amplitude, mean, lead=(4,))
+        for i in range(4):
+            assert np.array_equal(batch[i], random_field_in_turn(g, ref, decay, amplitude, mean))
+        one = random_real_field(g, np.random.default_rng(5), decay, amplitude, mean)
+        assert np.array_equal(one.values, batch[0])

@@ -21,7 +21,6 @@ from fpmflow.spectral import (
     random_real_field,
 )
 from fpmflow.verify import (
-    _analytic_random_field,
     _commutator_lhs,
     _commutator_sides,
     _norm,
@@ -35,7 +34,8 @@ from fpmflow.verify import (
     sample_antisymmetry,
 )
 
-from oracles import l2_norm
+from oracles import (_analytic_random_field, antisymmetry_coeffs_in_turn,
+                     commutator_fields_in_turn, l2_norm)
 
 
 def reference_commutator_lhs(f, g, b, extract_symbol):
@@ -288,6 +288,19 @@ class TestReportLogic:
         rep = _ratios_to_report("t", ratios, np.zeros(n, dtype=bool), lambda i: {"i": i})
         assert rep.quantiles == {p: float(np.quantile(ratios, p / 100.0)) for p in (50, 90, 99)}
 
+    @pytest.mark.parametrize("special", [(), (np.inf,), (np.nan,), (np.inf, np.nan, -np.inf)])
+    def test_input_kept_and_quantiles_of_the_unsorted_input(self, special):
+        rng = np.random.default_rng(len(special))
+        ratios = rng.lognormal(size=1001)
+        deg = rng.random(1001) < 0.1
+        where = rng.choice(1001, len(special), replace=False)
+        ratios[where], deg[where] = special, False
+        before = ratios.copy()
+        rep = _ratios_to_report("t", ratios, deg, lambda i: {"i": i})
+        assert np.array_equal(ratios, before, equal_nan=True)
+        want = np.quantile(np.where(deg, 0.0, ratios), [0.5, 0.9, 0.99])
+        assert np.array_equal([rep.quantiles[p] for p in (50, 90, 99)], want, equal_nan=True)
+
     def test_format_contains_fields(self):
         rep = pointwise_reports(1, 200, seed=7, lemma1=(3.0,))["lemma1"][0]
         text = rep.format()
@@ -349,6 +362,32 @@ class TestSharedDraws:
         # (xi, eta) pairs for d = 1 and d = 2, the (f, g) stack, the antisymmetry fields.
         assert len(made) == 4
 
+    @pytest.mark.parametrize("d,n,trials", [(1, 64, 200), (2, 32, 5)])
+    def test_commutator_stacks_are_the_fields_in_turn(self, d, n, trials):
+        grid = TorusGrid(d=d, n=n)
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        f, g = verify._commutator_fields(grid, rng, trials)
+        want_f, want_g = commutator_fields_in_turn(grid, ref, trials)
+        assert np.array_equal(f, want_f) and np.array_equal(g, want_g)
+        assert rng.random() == ref.random()  # the batch took as many draws as the loop
+
+    @pytest.mark.parametrize("d,n,fields,seed", [(1, 32, 100, 0), (1, 32, 100, 1),
+                                                 (2, 8, 3, 2)])
+    def test_antisymmetry_stack_is_the_fields_in_turn(self, monkeypatch, d, n, fields, seed):
+        seen = []
+        naive = diagnostics._trilinear_naive
+
+        def capture(G, grid, coeffs):
+            seen.append(coeffs)
+            return naive(G, grid, coeffs)
+
+        monkeypatch.setattr(diagnostics, "_trilinear_naive", capture)
+        sample_antisymmetry(fields, N=n, d=d, seed=seed)
+        want = antisymmetry_coeffs_in_turn(TorusGrid(d=d, n=n), np.random.default_rng(seed),
+                                           fields)
+        assert len(seen) == len(antisymmetric_kernels())
+        assert all(np.array_equal(coeffs, want) for coeffs in seen)
+
     def test_one_lattice_pass_per_kernel(self, monkeypatch):
         passes = []
         naive = diagnostics._trilinear_naive
@@ -360,6 +399,76 @@ class TestSharedDraws:
         monkeypatch.setattr(diagnostics, "_trilinear_naive", counted)
         sample_antisymmetry(100)
         assert passes == [100] * len(antisymmetric_kernels())
+
+
+# Every report of verify_suite(ESTIMATES, seed=0, n=2000): name, sup ratio and (q50, q90,
+# q99), recorded from the fields drawn one at a time and quantiles taken from the unsorted
+# ratios (numpy 2.4, x86-64).  TestSharedDraws compares the suite with itself, so only
+# recorded values catch a change of draw order or of the quantile step.
+SUITE_SEED0 = [
+    ('lemma1(s=3.0, d=1)', 1.5000000000055187, (0.8862715600301123, 1.5, 1.5000000000000848)),
+    ('lemma1(s=3.0, d=2)', 1.5000000000004108,
+     (0.5000018810130469, 1.4037367425179954, 1.5000000000001181)),
+    ('lemma1(s=4.0, d=1)', 5.997151688305408,
+     (2.196722534106181, 4.967616498659213, 5.899186392744731)),
+    ('lemma1(s=4.0, d=2)', 5.985272546714794,
+     (1.0025012506253126, 3.9262900188534657, 5.458678111424518)),
+    ('lemma1(s=6.0, d=1)', 28.883111707842936,
+     (4.152433736440463, 15.945252405826231, 28.644373043905706)),
+    ('lemma1(s=6.0, d=2)', 28.88014994709629,
+     (2.0070060024982466, 7.28576868491663, 24.283354401659487)),
+    ('bdiff(b=0.25, d=1)', 0.24997328629816973,
+     (0.059302726612711486, 0.21503565105373676, 0.24712058748785845)),
+    ('bdiff(b=0.25, d=2)', 0.24930752367364534,
+     (0.047705036598056125, 0.14235603370573477, 0.23235837627118877)),
+    ('bdiff(b=0.5, d=1)', 0.49996438088532674,
+     (0.16134320102316818, 0.4518702899619396, 0.4961509239150757)),
+    ('bdiff(b=0.5, d=2)', 0.49907612946258256,
+     (0.12041489594848122, 0.32451314414036153, 0.47610140919875316)),
+    ('bdiff(b=0.75, d=1)', 0.7499732850297597,
+     (0.3606844952724449, 0.7127137776615724, 0.7471057698596792)),
+    ('bdiff(b=0.75, d=2)', 0.7493066701157516,
+     (0.25082622911758223, 0.5697272723059152, 0.7314824090483242)),
+    ('bdiff(b=1.0, d=1)', 1.0, (1.0, 1.0, 1.0)),
+    ('bdiff(b=1.0, d=2)', 1.0000000000000004,
+     (0.8426653383195326, 0.9999999999999972, 1.0000000000000002)),
+    ('gdecomp(s=3.0, b=0.0, d=1)', 1.5000000000092457,
+     (0.35095014047264883, 1.5000000000000002, 1.5000000000001252)),
+    ('gdecomp(s=3.0, b=0.0, d=2)', 1.5000000000004525,
+     (0.05882718073415365, 1.324154307141605, 1.5000000000001137)),
+    ('gdecomp(s=3.0, b=0.5, d=1)', 1.5000000000053373,
+     (0.3509501404726488, 1.5000000000000002, 1.5000000000001115)),
+    ('gdecomp(s=3.0, b=0.5, d=2)', 1.5000000000005185,
+     (0.058827180734153627, 1.3241543071416049, 1.5000000000001175)),
+    ('gdecomp(s=3.0, b=1.0, d=1)', 1.500000000005962,
+     (0.3509501404726486, 1.5000000000000004, 1.500000000000155)),
+    ('gdecomp(s=3.0, b=1.0, d=2)', 1.5000000000004616,
+     (0.05882718073415363, 1.3241543071416049, 1.5000000000001121)),
+    ('commutator(b=0.25, N=64, d=1, eps=0.5)', 0.0022404642286649153,
+     (0.0009228574536658642, 0.001513082562190411, 0.002167726062017465)),
+    ('commutator(b=0.5, N=64, d=1, eps=0.5)', 0.0026971882693495345,
+     (0.0013311528727052795, 0.002236408409707553, 0.0026511102833853364)),
+    ('commutator(b=0.75, N=64, d=1, eps=0.5)', 0.0033263846262658243,
+     (0.001994195510665738, 0.0031883500631222366, 0.0033125811699514654)),
+    ('plain_commutator(b=0.25, N=64, d=1, eps=0.5)', 0.059837312411733304,
+     (0.03408062353846702, 0.044607454415543854, 0.05831432661211436)),
+    ('plain_commutator(b=0.5, N=64, d=1, eps=0.5)', 0.11175304653978152,
+     (0.07620803966618009, 0.09408361832144768, 0.10998610371794813)),
+    ('plain_commutator(b=0.75, N=64, d=1, eps=0.5)', 0.20597218404309797,
+     (0.12476135259849833, 0.1842668875104351, 0.2038016543898317)),
+    ('antisymmetry(N=32, d=1)', 2.1591574327516876e-16,
+     (1.1755088829828516e-17, 6.540238727306337e-17, 1.5778792092631297e-16)),
+]
+
+
+class TestRecordedSuite:
+    def test_seed0_ratios_and_quantiles(self):
+        reps = verify_suite(ESTIMATES, seed=0, n=2000)
+        assert [rep.name for rep in reps] == [row[0] for row in SUITE_SEED0]
+        for rep, (name, sup, qs) in zip(reps, SUITE_SEED0):
+            assert rep.sup_ratio == pytest.approx(sup, rel=1e-12), name
+            got = [rep.quantiles[p] for p in (50, 90, 99)]
+            assert got == pytest.approx(list(qs), rel=1e-12), name
 
 
 # Frozen copies of the pointwise formulas as they stood before the evaluators
