@@ -314,12 +314,20 @@ def picard_iteration(cfg: RunConfig, n_max: int) -> dict:
     """Successive linear-transport solves with velocity frozen from the previous iterate.
 
     Each iterate advances at a fixed step with the integrating-factor RK4 that
-    :func:`fpmflow.stepper.step` finishes, so diffusion is exact; the previous
-    trajectory is stored per step and linearly interpolated at stage
-    midpoints (the velocity law is linear in the state).  Returns the
-    successive L2 differences d_n at t_end and a divergence flag: set on
-    three successive rises of d_n, or on a non-finite d_n, which ends the
-    iteration.
+    :func:`fpmflow.stepper.step` finishes, so diffusion is exact, in the
+    velocity of the previous iterate at the step's ends and at its midpoint,
+    where the state is the mean of the two ends (the velocity law is linear in
+    the state).  Step k of iterate n needs iterate n - 1 only at steps k and
+    k + 1, so the iterates run as a wavefront that lags one step per iterate:
+    wave w advances every live iterate n by its step k = w + 1 - n as one
+    stack, in one RHS per RK4 stage.  That costs 4 (1 + d) real FFTs a wave,
+    n_steps + n_max - 1 waves in all, plus three ``velocity`` calls (3d FFTs)
+    per iterate and step.  The stack (the iterates in flight and the one the
+    oldest of them reads) and the stack of one wave ago hold at most
+    min(n_max, n_steps) + 1 states each, however many steps the run takes.
+    Returns the successive L2 differences d_n at t_end and a divergence flag:
+    set on three successive rises of d_n, or on a non-finite d_n, which ends
+    the iteration.
     """
     if cfg.mu <= 0.0:
         raise ConfigError("picard iteration requires mu > 0")
@@ -331,31 +339,38 @@ def picard_iteration(cfg: RunConfig, n_max: int) -> dict:
         raise ConfigError(f"picard iteration needs t_end / dt = {cfg.t_end / cfg.dt:.6g} "
                           f"steps, more than max_steps = {cfg.max_steps}")
     op = SpectralOperator(cfg.grid(), cfg.params())
-    c0 = half_coefficients(cfg.initial_field())
+    c0 = half_coefficients(cfg.initial_field())[None]
     dt = cfg.t_end / n_steps
-    # Trajectories hold rfft-layout states by reference: no step updates one in place.
-    prev_traj = [c0] * (n_steps + 1)  # iterate 0 is constant in time
+    # Wave w moves the live iterates lo..hi.  now holds the latest states of iterates
+    # lo - 1..hi, where iterate 0 is c0 at every step and a new iterate starts from c0;
+    # ago holds iterates lo - 1..hi - 1 one wave ago.  So iterate n's own state is a row
+    # of now[1:], and iterate n - 1's states at steps k + 1 and k are rows of now[:-1]
+    # and of ago.
+    now, ago = np.concatenate([c0, c0]), c0
+    lo = hi = 1
     diffs = []
     # An iterate that overflows has diverged: its d_n is checked below, not warned about.
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(n_max):
-            state = c0
-            traj = [state]
-            end = op.mask * prev_traj[0]  # a step starts where the last ended: one mask a state
-            for k in range(n_steps):
-                start, end = end, op.mask * prev_traj[k + 1]
-                mid = op.mask * (0.5 * (prev_traj[k] + prev_traj[k + 1]))
-                u_d = {tau: velocity(c, op) for tau, c in ((0.0, start), (0.5, mid), (1.0, end))}
+        for w in range(n_steps + n_max - 1):
+            # velocity() per iterate and stage time, stacked afterwards (zip over a list:
+            # zip(*generator) grows the traced heap by a tuple a wave)
+            u_d = {tau: [np.stack(u) for u in zip(*[velocity(row, op) for row in op.mask * c])]
+                   for tau, c in ((0.0, ago), (0.5, 0.5 * (ago + now[:-1])), (1.0, now[:-1]))}
 
-                def frozen_rhs(arr, tau, u_d=u_d):
-                    return op.transport(op.physical(op.mask * arr), u_d[tau])
+            def frozen_rhs(arr, tau):
+                return op.transport(op.physical(op.mask * arr), u_d[tau])
 
-                state = _integrating_factor_rk4(state, dt, frozen_rhs(state, 0.0), frozen_rhs, op)
-                traj.append(state)
-            diffs.append(half_norm(op.grid, np.abs(state - prev_traj[-1]) ** 2))
-            if not math.isfinite(diffs[-1]):
-                break
-            prev_traj = traj
+            new = _integrating_factor_rk4(now[1:], dt, frozen_rhs(now[1:], 0.0), frozen_rhs, op)
+            if w >= n_steps - 1:  # iterate lo took its last step; now[0] is lo - 1's last state
+                diffs.append(half_norm(op.grid, np.abs(new[0] - now[0]) ** 2))
+                if not math.isfinite(diffs[-1]):
+                    break
+            # lo moves on once its iterate is done, hi once another iterate starts
+            lo_next, hi_next = max(1, w + 3 - n_steps), min(n_max, w + 2)
+            zero = [c0] if lo_next == 1 else []  # iterate 0, read by iterate 1
+            start = [c0] if hi_next > hi else []  # the iterate that starts
+            ago, now = now[lo_next - lo:hi_next - lo + 1], np.concatenate(zero + [new] + start)
+            lo, hi = lo_next, hi_next
     rises = [bb > a for a, bb in zip(diffs, diffs[1:])]
     diverged = (not math.isfinite(diffs[-1])
                 or any(all(rises[i:i + 3]) for i in range(len(rises) - 2)))

@@ -127,15 +127,16 @@ class SpectralOperator:
 
         rho_d and the components u_d are dealiased physical values, so the
         product is the exact (no-wrap) convolution on the retained band.
+        Leading axes are a batch: each field gets its own zero mode and mirror.
         """
         terms = (m * half_transform(rho_d * uj, self.grid.shape)
                  for m, uj in zip(self.neg_div, u_d))
         acc = next(terms)  # the one term in 1-D: no zeroed accumulator to add it to
         for term in terms:
             acc += term
-        acc[(0,) * self.grid.d] = 0.0  # divergence form: exact mass conservation
+        acc[(...,) + (0,) * self.grid.d] = 0.0  # divergence form: exact mass conservation
         if self.grid.d == 2:  # column 0 mirrors itself (column N/2 is masked): keep it Hermitian
-            mirror_rows(self.grid, acc[:, 0])
+            mirror_rows(self.grid, acc[..., 0])
         return acc
 
 

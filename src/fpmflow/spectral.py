@@ -259,9 +259,10 @@ def half_norm(grid: TorusGrid, power: np.ndarray, weight=1.0) -> np.ndarray:
 
 
 def mirror_rows(grid: TorusGrid, a: np.ndarray) -> None:
-    """Set rows -1..1-N/2 of a (rows on its first axis) to the conjugates of rows
-    1..N/2-1, in place: the Hermitian rule of a column that is its own mirror."""
-    a[grid.n // 2 + 1:] = np.conj(a[grid.n // 2 - 1:0:-1])
+    """Set rows -1..1-N/2 of a (rows on its last axis, leading axes batched) to the
+    conjugates of rows 1..N/2-1, in place: the Hermitian rule of a column that is its
+    own mirror."""
+    a[..., grid.n // 2 + 1:] = np.conj(a[..., grid.n // 2 - 1:0:-1])
 
 
 def half_coefficients(rho: RealField) -> np.ndarray:
@@ -270,7 +271,7 @@ def half_coefficients(rho: RealField) -> np.ndarray:
     n = rho.grid.n
     h = half(rho.grid, forward_transform(rho).coeffs).copy()
     ends = h[..., [0, n // 2]].reshape(-1, 2)  # a single row in 1-D, which mirrors nothing
-    mirror_rows(rho.grid, ends)
+    mirror_rows(rho.grid, ends.T)
     ends[::n // 2] = ends[::n // 2].real
     h[..., [0, n // 2]] = ends
     return h

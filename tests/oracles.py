@@ -1,11 +1,13 @@
-"""Full-layout reference norms, the energy kernel, the snapshot reader and the
-one-field-at-a-time samplers, for the tests only.
+"""Full-layout reference norms, the energy kernel, the snapshot reader, the
+one-field-at-a-time samplers and the one-iterate-at-a-time Picard loop, for the
+tests only.
 
 The package computes its norms from rfft-layout coefficients
 (``spectral.half_norm``), evaluates the energy identities through
-``diagnostics.EnergyResidualKernel``, never reads a snapshot back and draws
-each of verify's field populations in one batch; these are the direct forms
-that the tests check it against.
+``diagnostics.EnergyResidualKernel``, never reads a snapshot back, draws
+each of verify's field populations in one batch and advances Picard's
+iterates as a wavefront; these are the direct forms that the tests check it
+against.
 """
 
 import math
@@ -13,9 +15,10 @@ import math
 import numpy as np
 
 from fpmflow.diagnostics import SeparableKernel
-from fpmflow.model import ModelParams, velocity_symbol
+from fpmflow.model import ModelParams, SpectralOperator, velocity, velocity_symbol
 from fpmflow.spectral import (RealField, SpectralField, TorusGrid, forward_transform,
-                              fractional_power, sobolev_weight)
+                              fractional_power, half_coefficients, half_norm, sobolev_weight)
+from fpmflow.stepper import _integrating_factor_rk4
 
 
 def mass(F: SpectralField) -> float:
@@ -107,3 +110,38 @@ def antisymmetry_coeffs_in_turn(grid: TorusGrid, rng, n_fields: int) -> np.ndarr
     """The full-layout coefficient stack of ``verify.sample_antisymmetry``, one field at a time."""
     return np.stack([forward_transform(RealField(grid, random_field_in_turn(grid, rng))).coeffs
                      for _ in range(n_fields)])
+
+
+def picard_in_turn(cfg, n_max: int) -> dict:
+    """``driver.picard_iteration`` one iterate after another: each iterate runs its
+    whole trajectory against the stored trajectory of the one before, linearly
+    interpolated at stage midpoints."""
+    n_steps = max(1, round(min(cfg.t_end / cfg.dt, cfg.max_steps + 1)))
+    op = SpectralOperator(cfg.grid(), cfg.params())
+    c0 = half_coefficients(cfg.initial_field())
+    dt = cfg.t_end / n_steps
+    prev_traj = [c0] * (n_steps + 1)  # iterate 0 is constant in time
+    diffs = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_max):
+            state = c0
+            traj = [state]
+            end = op.mask * prev_traj[0]  # a step starts where the last ended: one mask a state
+            for k in range(n_steps):
+                start, end = end, op.mask * prev_traj[k + 1]
+                mid = op.mask * (0.5 * (prev_traj[k] + prev_traj[k + 1]))
+                u_d = {tau: velocity(c, op) for tau, c in ((0.0, start), (0.5, mid), (1.0, end))}
+
+                def frozen_rhs(arr, tau, u_d=u_d):
+                    return op.transport(op.physical(op.mask * arr), u_d[tau])
+
+                state = _integrating_factor_rk4(state, dt, frozen_rhs(state, 0.0), frozen_rhs, op)
+                traj.append(state)
+            diffs.append(half_norm(op.grid, np.abs(state - prev_traj[-1]) ** 2))
+            if not math.isfinite(diffs[-1]):
+                break
+            prev_traj = traj
+    rises = [bb > a for a, bb in zip(diffs, diffs[1:])]
+    diverged = (not math.isfinite(diffs[-1])
+                or any(all(rises[i:i + 3]) for i in range(len(rises) - 2)))
+    return {"diffs": diffs, "diverged": diverged, "dt": dt}

@@ -5,6 +5,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -39,13 +41,16 @@ from fpmflow.spectral import (
     field_from_function,
     forward_transform,
     full_field,
+    half_coefficients,
     heat_multiplier,
 )
 
-from oracles import l2_norm, read_snapshot, sobolev_norm
+from oracles import l2_norm, picard_in_turn, read_snapshot, sobolev_norm
 
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+PICARD_1D = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads",
+                         "picard-1d.cfg")
 
 
 def write_cfg(path, text):
@@ -375,9 +380,10 @@ class TestCampaigns:
         gc.collect()
         assert len(built_operators) == 1 and built_operators[0]() is None
 
-    @pytest.mark.parametrize("d,ffts", [(1, 11), (2, 18)])
-    def test_picard_transport_step_costs(self, monkeypatch, d, ffts):
-        # 3 velocities of d irfftn each, then 4 stages of 1 irfftn + d rfftn.
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_picard_transport_step_costs(self, monkeypatch, d):
+        # a wave is 4 stages of 1 irfftn + d rfftn over every live iterate at once; each
+        # iterate-step adds 3 velocities of d irfftn each; the set-up transforms make rho0
         counts = {"fft": 0, "velocity": 0}
 
         def counted(fn, key):
@@ -390,13 +396,78 @@ class TestCampaigns:
             monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name), "fft"))
         monkeypatch.setattr("fpmflow.driver.velocity", counted(velocity, "velocity"))
         cfg = self._cfg(dimension=d, modes=16, mu=0.25, dt=0.0125)
-        seen = []
-        for n_max in (1, 2):  # the second iterate adds 4 transport steps and nothing else
+        n_steps = 4
+        half_coefficients(cfg.initial_field())
+        setup = counts["fft"]
+        for n_max in (1, 2, 3, 7):  # 7 > n_steps: at most n_steps iterates are in flight
             counts.update(fft=0, velocity=0)
             picard_iteration(cfg, n_max)
-            seen.append(dict(counts))
-        assert seen[1]["fft"] - seen[0]["fft"] == 4 * ffts
-        assert seen[1]["velocity"] - seen[0]["velocity"] == 4 * 3
+            waves = n_steps + n_max - 1
+            assert counts["fft"] == setup + waves * 4 * (1 + d) + 3 * d * n_steps * n_max
+            assert counts["velocity"] == 3 * n_steps * n_max
+
+    @staticmethod
+    def _picard_peak(cfg, n_max) -> int:
+        tracemalloc.start()
+        try:
+            picard_iteration(cfg, n_max)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_picard_memory_does_not_grow_with_the_step_count(self):
+        cfg = self._cfg(modes=1024, mu=0.25, t_end=0.08, dt=0.01)
+        state_bytes = 16 * (1024 // 2 + 1)
+        picard_iteration(cfg, 3)  # numpy's first calls allocate what later calls reuse
+        short = self._picard_peak(cfg, 3)  # 8 steps
+        long = self._picard_peak(replace(cfg, dt=0.001), 3)  # 80 steps
+        assert long - short < state_bytes
+
+    def test_picard_holds_at_most_n_steps_iterates(self, monkeypatch):
+        import fpmflow.driver as driver
+
+        rk4, rows = driver._integrating_factor_rk4, []
+
+        def spy(c, *args):
+            rows.append(c.shape[0])
+            return rk4(c, *args)
+
+        cfg = self._cfg(modes=1024, mu=0.25, t_end=0.02, dt=0.005)  # 4 steps
+        state_bytes = 16 * (1024 // 2 + 1)
+        picard_iteration(cfg, 5)
+        bounded = self._picard_peak(cfg, 5)
+        many = self._picard_peak(cfg, 40)
+        # the iterates past the first n_steps + 1 add their d_n and no state
+        assert many - bounded < state_bytes
+        monkeypatch.setattr(driver, "_integrating_factor_rk4", spy)
+        picard_iteration(cfg, 40)
+        assert max(rows) == 4 and len(rows) == 4 + 40 - 1
+
+    @pytest.mark.parametrize("n_max", [1, 2, 3, 8])
+    @pytest.mark.parametrize("case", ["picard-1d seed 0", "picard-1d seed 1", "2-D N=32",
+                                      "nu > 0"])
+    def test_picard_wavefront_is_the_iterates_in_turn(self, case, n_max):
+        if case.startswith("picard-1d"):
+            cfg = load_config(PICARD_1D, [("seed", case[-1])])  # 80 steps
+        elif case == "2-D N=32":
+            cfg = self._cfg(dimension=2, modes=32, mu=0.25, dt=0.0125)  # 4 steps
+        else:
+            cfg = self._cfg(mu=0.25, nu=0.1)  # 10 steps
+        got, want = picard_iteration(cfg, n_max), picard_in_turn(cfg, n_max)
+        assert got["diffs"] == want["diffs"] and len(got["diffs"]) == n_max
+        assert got["diverged"] == want["diverged"]
+
+    @pytest.mark.parametrize("n_max", [1, 2, 3, 8])
+    def test_picard_overflow_is_the_iterates_in_turn(self, n_max):
+        # the first iterate overflows: the iterates in flight behind it do so silently
+        cfg = load_config(os.path.join(CONFIG_DIR, "repulsive_inviscid.cfg"),
+                          [("mu", "0.25"), ("c_K", "1"), ("dt", "20"), ("t_end", "400")])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = picard_iteration(cfg, n_max)
+            want = picard_in_turn(cfg, n_max)
+        assert got["diffs"] == want["diffs"] == [math.inf]
+        assert got["diverged"] and want["diverged"]
 
     def test_picard_requires_mu(self):
         with pytest.raises(ConfigError):

@@ -197,6 +197,25 @@ class TestFluxDivergence:
         scale = max(np.max(np.abs(ref)), 1e-30)
         assert np.max(np.abs(out - ref)) < 1e-10 * scale
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_batch_is_each_field_bit_for_bit(self, d):
+        # a (3, ...) stack: each field gets its own zeroed mean and, in 2-D, its own
+        # mirrored column 0
+        rng = np.random.default_rng(11)
+        g = TorusGrid(d=d, n=32)
+        op = SpectralOperator(g, ModelParams(alpha_minus_d=-1.0, c_K=-1.0, mu=0.25))
+        h = np.stack([op.mask * half_coefficients(random_real_field(g, rng, mean=1.0))
+                      for _ in range(3)])
+        rho_d = op.physical(h)
+        u_d = [op.physical(m * h) for m in op.vel]
+        batch = op.transport(rho_d, u_d)
+        for i in range(3):
+            assert np.array_equal(batch[i], op.transport(rho_d[i], [u[i] for u in u_d]))
+        assert np.all(batch[(...,) + (0,) * d] == 0.0)
+        if d == 2:
+            assert np.array_equal(batch[:, 17:, 0], np.conj(batch[:, 15:0:-1, 0]))
+            assert np.any(batch[:, 1:16, 0] != 0.0)
+
 
 class TestNonlinearRhs:
     def test_constant_rho(self):
