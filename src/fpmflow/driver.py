@@ -314,8 +314,8 @@ def picard_iteration(cfg: RunConfig, n_max: int) -> dict:
     """Successive linear-transport solves with velocity frozen from the previous iterate.
 
     Each iterate advances at a fixed step with the integrating-factor RK4 that
-    :func:`fpmflow.stepper.step` finishes, so diffusion is exact, in the
-    velocity of the previous iterate at the step's ends and at its midpoint,
+    :func:`fpmflow.stepper.step` finishes, so diffusion is exact.  Its velocity
+    is that of the previous iterate at the step's ends and at its midpoint,
     where the state is the mean of the two ends (the velocity law is linear in
     the state).  Step k of iterate n needs iterate n - 1 only at steps k and
     k + 1, so the iterates run as a wavefront that lags one step per iterate:

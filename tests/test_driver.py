@@ -44,6 +44,7 @@ from fpmflow.spectral import (
     half_coefficients,
     heat_multiplier,
 )
+from fpmflow.stepper import _integrating_factor_rk4
 
 from oracles import l2_norm, picard_in_turn, read_snapshot, sobolev_norm
 
@@ -424,13 +425,11 @@ class TestCampaigns:
         assert long - short < state_bytes
 
     def test_picard_holds_at_most_n_steps_iterates(self, monkeypatch):
-        import fpmflow.driver as driver
-
-        rk4, rows = driver._integrating_factor_rk4, []
+        rows = []
 
         def spy(c, *args):
             rows.append(c.shape[0])
-            return rk4(c, *args)
+            return _integrating_factor_rk4(c, *args)
 
         cfg = self._cfg(modes=1024, mu=0.25, t_end=0.02, dt=0.005)  # 4 steps
         state_bytes = 16 * (1024 // 2 + 1)
@@ -439,7 +438,7 @@ class TestCampaigns:
         many = self._picard_peak(cfg, 40)
         # the iterates past the first n_steps + 1 add their d_n and no state
         assert many - bounded < state_bytes
-        monkeypatch.setattr(driver, "_integrating_factor_rk4", spy)
+        monkeypatch.setattr("fpmflow.driver._integrating_factor_rk4", spy)
         picard_iteration(cfg, 40)
         assert max(rows) == 4 and len(rows) == 4 + 40 - 1
 
