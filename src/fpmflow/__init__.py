@@ -2,7 +2,7 @@
 
 Library layout:
 
-- :mod:`fpmflow.spectral`    grids, transforms, Fourier multipliers, dealiasing,
+- :mod:`fpmflow.spectral`    grids, real transforms, Fourier multipliers, dealiasing,
                              and the rfft layout of real fields' spectra
 - :mod:`fpmflow.model`       velocity law, transport operator, mollified data
 - :mod:`fpmflow.stepper`     integrating-factor RK4 with CFL control
@@ -12,25 +12,16 @@ Library layout:
 """
 
 from .model import InitialCondition, ModelParams
-from .spectral import (
-    RealField,
-    SpectralField,
-    TorusGrid,
-    forward_transform,
-    inverse_transform,
-)
+from .spectral import RealField, TorusGrid
 from .stepper import StepperConfig, integrate
 
 __all__ = [
     "InitialCondition",
     "ModelParams",
     "RealField",
-    "SpectralField",
     "StepperConfig",
     "TorusGrid",
-    "forward_transform",
     "integrate",
-    "inverse_transform",
 ]
 
 __version__ = "0.1.0"

@@ -11,20 +11,20 @@ form
 
     T[G] = Re sum_xi sum_eta G(xi, eta) conj(c(xi)) c(eta) c(xi - eta)
 
-is evaluated either by the direct double lattice sum ("naive"; one pass
-serves a stack of fields) or, for kernels separable as sum_k a_k(xi)
-b_k(eta), as a triple product in physical space on a 3N/2 grid per axis
-("fft"; Orszag's 3/2 rule).  Both paths treat xi - eta outside the resolved
-band as absent (coefficient zero, no periodic wrap): with |xi_j|, |eta_j| <=
-N/2 - 1, no sum of three band wavenumbers reaches 3N/2, so the product has
-no aliasing.
+is evaluated two ways.  The direct double lattice sum (:func:`_trilinear_naive`)
+takes any kernel and the coefficients of every mode in numpy FFT ordering, and
+one pass serves a stack of fields; ``verify`` probes the cancellation of
+anti-symmetric kernels with it.  The energy identities of a nu = 0 run are
+checked by one :class:`EnergyResidualKernel` per run, built from the run's
+operator, which holds the factors of both identities in rfft layout on a 3N/2
+grid per axis (Orszag's 3/2 rule) and takes each trilinear form by Parseval
+from the spectrum of one physical product per component.  Both treat xi - eta
+outside the resolved band as absent (coefficient zero, no periodic wrap): with
+|xi_j|, |eta_j| <= N/2 - 1, no sum of three band wavenumbers reaches 3N/2, so
+the product has no aliasing.
 
-The energy identities of a nu = 0 run are checked by one
-:class:`EnergyResidualKernel` per run, built from the run's operator, which
-holds the factors of both identities in rfft layout on the 3N/2 grid and
-takes each trilinear form by Parseval from the spectrum of one physical
-product per component.  A run's states are rfft-layout coefficient arrays;
-their norms are :func:`fpmflow.spectral.half_norm` and the B1/B2 sums
+A run's states are rfft-layout coefficient arrays; their norms are
+:func:`fpmflow.spectral.half_norm` and the B1/B2 sums
 :func:`fpmflow.spectral.half_sum`.
 """
 
@@ -37,15 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import SpectralOperator, velocity_symbol
-from .spectral import (
-    SpectralField,
-    half,
-    half_inverse,
-    half_norm,
-    half_sum,
-    half_transform,
-    sobolev_weight,
-)
+from .spectral import half, half_inverse, half_norm, half_sum, half_transform, sobolev_weight
 
 TWO_PI = 2.0 * math.pi
 NAIVE_BLOCK = 10_000_000  # complex entries per block of the naive lattice sum
@@ -80,25 +72,6 @@ def _blowup_functionals(grid, mag: np.ndarray, absc: np.ndarray) -> tuple:
     return b1, l1 * l1  # a float product overflows to inf; float ** 2 would raise
 
 
-@dataclass(frozen=True)
-class SeparableKernel:
-    """Kernel G(xi, eta) = sum_k a_k(xi) b_k(eta).
-
-    Factors are callables evaluated vectorized on wavenumber arrays of
-    shape (..., d).  The object is also directly callable, so the naive
-    and fft paths of ``trilinear_T`` share one definition.
-    """
-
-    terms: tuple  # tuple of (a, b) callable pairs
-
-    def __call__(self, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
-        out = None
-        for a, b in self.terms:
-            t = np.asarray(a(xi)) * np.asarray(b(eta))
-            out = t if out is None else out + t
-        return out
-
-
 def _shifted(grid, coeffs: np.ndarray) -> np.ndarray:
     """Coefficients of shape (..., *grid.shape) reordered so index i along each grid
     axis means wavenumber i - N/2.
@@ -108,29 +81,25 @@ def _shifted(grid, coeffs: np.ndarray) -> np.ndarray:
     change-of-variables cancellation for anti-symmetric kernels only holds
     up to the Nyquist content.
     """
-    axes = tuple(range(-grid.d, 0))
-    c = np.fft.fftshift(coeffs, axes=axes).copy()
-    for ax in axes:
+    c = np.fft.fftshift(coeffs, axes=grid.axes).copy()
+    for ax in grid.axes:
         sl = [slice(None)] * c.ndim
         sl[ax] = 0
         c[tuple(sl)] = 0.0
     return c
 
 
-def _padded(arr: np.ndarray, n: int, rfft: bool = False) -> np.ndarray:
-    """An N-grid array in FFT order placed on the 3N/2 grid, zero off the band.
+def _padded(arr: np.ndarray, n: int) -> np.ndarray:
+    """An rfft-layout N-grid array placed on the 3N/2 grid in rfft layout, zero off the band.
 
     Every |k_j| <= N/2 - 1 is kept; the unpaired -N/2 slice is dropped, as in
-    ``_shifted``.  With ``rfft`` only the k >= 0 half of the last axis is
-    read and returned (rfft layout), so arr may be in rfft layout too.
+    ``_shifted``.  Only the k >= 0 half of the last axis is read.
     """
     m, h = 3 * n // 2, n // 2
-    # per axis, (source, target) of k = 0..N/2-1 and of k = 1-N/2..-1
-    blocks = [((slice(0, h), slice(0, h)), (slice(h + 1, n), slice(m - h + 1, m)))] * arr.ndim
-    shape = [m] * arr.ndim
-    if rfft:
-        blocks[-1], shape[-1] = blocks[-1][:1], m // 2 + 1
-    out = np.zeros(shape, dtype=arr.dtype)
+    # per axis, (source, target) of k = 0..N/2-1 and, except on the last axis, of k = 1-N/2..-1
+    low = (slice(0, h), slice(0, h))
+    blocks = [(low, (slice(h + 1, n), slice(m - h + 1, m)))] * (arr.ndim - 1) + [(low,)]
+    out = np.zeros((m,) * (arr.ndim - 1) + (m // 2 + 1,), dtype=arr.dtype)
     for block in itertools.product(*blocks):
         out[tuple(dst for _, dst in block)] = arr[tuple(src for src, _ in block)]
     return out
@@ -139,7 +108,7 @@ def _padded(arr: np.ndarray, n: int, rfft: bool = False) -> np.ndarray:
 def _trilinear_naive(G, grid, coeffs: np.ndarray) -> tuple:
     """(T[G], sum |G| |c(xi)| |c(eta)| |c(xi-eta)|) of each field of a stack.
 
-    ``coeffs`` holds full-layout coefficients of shape (fields, *grid.shape).
+    ``coeffs`` holds the coefficients of every mode, shape (fields, *grid.shape).
     One pass over the lattice pairs serves every field: the kernel values and
     the xi - eta lookup are built once per block of xi rows.  The rows are
     blocked as for a single field and the fields as far as ``NAIVE_BLOCK``
@@ -177,47 +146,6 @@ def _trilinear_naive(G, grid, coeffs: np.ndarray) -> tuple:
     return total, scale
 
 
-def _trilinear_fft(G: SeparableKernel, F: SpectralField) -> float:
-    """Re sum over terms of mean(conj(A) B C) on the 3N/2 grid.
-
-    A, B and C are the physical fields with coefficients a c, b c and c.
-    Complex transforms, because a general kernel has no parity.
-    """
-    kv = F.grid.wavevectors()
-    c = F.coeffs
-
-    def physical(h):
-        return np.fft.ifftn(_padded(h, F.grid.n), norm="forward")
-
-    C = physical(c)
-    total = 0.0
-    for a, b in G.terms:
-        A = physical(np.asarray(a(kv)) * c)
-        B = physical(np.asarray(b(kv)) * c)
-        total += float(np.mean(np.conj(A) * B * C).real)
-    return total
-
-
-def trilinear_T(G, F: SpectralField, mode: str = "naive") -> float:
-    """Evaluate T[G] = Re sum_{xi,eta} G(xi,eta) conj(c(xi)) c(eta) c(xi-eta).
-
-    ``mode="naive"`` accepts any callable kernel (N <= 64); ``mode="fft"``
-    requires a :class:`SeparableKernel`.
-    """
-    if mode == "naive":
-        return float(_trilinear_naive(G, F.grid, F.coeffs[None])[0][0])
-    if mode == "fft":
-        if not isinstance(G, SeparableKernel):
-            raise TypeError("fft mode requires a SeparableKernel")
-        return _trilinear_fft(G, F)
-    raise ValueError(f"unknown trilinear mode {mode!r}")
-
-
-def trilinear_scale(G, F: SpectralField) -> float:
-    """Magnitude scale sum |G| |c(xi)| |c(eta)| |c(xi-eta)| (naive path)."""
-    return float(_trilinear_naive(G, F.grid, F.coeffs[None])[1][0])
-
-
 class EnergyResidualKernel:
     """The energy identities of one nu = 0 run, evaluated from three samples.
 
@@ -250,9 +178,9 @@ class EnergyResidualKernel:
         kv = half(grid, grid.wavevectors())
         m = velocity_symbol(kv, p)
         self.weight = w = sobolev_weight(op.mag, s, True)
-        self.b = [_padded(-1j * m * kv[..., j], n, rfft=True) for j in range(grid.d)]
-        self.a_L2 = [_padded(-1j * kv[..., j], n, rfft=True) for j in range(grid.d)]
-        self.a_Hs = [_padded(-1j * w * kv[..., j], n, rfft=True) for j in range(grid.d)]
+        self.b = [_padded(-1j * m * kv[..., j], n) for j in range(grid.d)]
+        self.a_L2 = [_padded(-1j * kv[..., j], n) for j in range(grid.d)]
+        self.a_Hs = [_padded(-1j * w * kv[..., j], n) for j in range(grid.d)]
         self._scale = p.c_K * TWO_PI ** grid.d
         self._grid = grid
         self._shape = (3 * n // 2,) * grid.d
@@ -264,7 +192,7 @@ class EnergyResidualKernel:
         T = sum_j mean(A_j P_j) is a band sum of Re(conj(a_j c) P_j-hat).
         """
         shape = self._shape
-        c = _padded(h, self._grid.n, rfft=True)
+        c = _padded(h, self._grid.n)
         C = half_inverse(c, shape)
         P = [half_transform(half_inverse(b * c, shape) * C, shape) for b in self.b]
         T = []

@@ -13,7 +13,8 @@ Exit codes:
        dimension, c_K, nu, mu, dt, dt_max, t_end, s_list, seed, blowup_threshold,
        --samples, --n-max; mu-converge also max(s_list) < -1); bad init data (an
        unknown kind, a non-finite value, cosine without mean >= amplitude >= 0,
-       gaussian mass <= 0, k or center with neither 1 nor `dimension` entries); a
+       gaussian mass <= 0, k or center with neither 1 nor `dimension` entries); init data
+       whose field overflows on the grid (found when a run builds it, before it steps); a
        refine --n-list of fewer than two N or an empty mu-converge --mu-list, or one
        with a mu that is not finite, positive and descending; a picard step count
        t_end / dt above max_steps; an empty --out (verify's means no report file) or
@@ -112,8 +113,12 @@ class RunConfig:
         return parse_init(self.init, self.seed)
 
     def initial_field(self) -> RealField:
-        rho0 = self.initial_condition().build(self.grid())
-        return mollify_initial(rho0, self.mu)
+        """The run's first field, mollified; data that overflow on the grid are a ConfigError."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            rho0 = mollify_initial(self.initial_condition().build(self.grid()), self.mu)
+        if not np.all(np.isfinite(rho0.values)):
+            raise ConfigError(f"init {self.init!r} overflows: the initial field is not finite")
+        return rho0
 
 
 def _parse_list(text: str, convert, name: str, sep: str = ",") -> list:

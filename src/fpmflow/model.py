@@ -15,9 +15,9 @@ A run builds one :class:`SpectralOperator` (its params as ``op.p``, its fixed
 multipliers in rfft layout) and passes it to ``velocity``, ``nonlinear_rhs``
 and the stepper.  States are rfft-layout coefficient arrays h from the run's
 first transform (:func:`fpmflow.spectral.half_coefficients`) on; the layout
-itself, its transforms and its full-layout mirror belong to
-:mod:`fpmflow.spectral`.  Products are dealiased once: ``op.mask * h``.  The
-initial data are built and mollified in rfft layout too.
+itself and its transforms belong to :mod:`fpmflow.spectral`.  Products are
+dealiased once: ``op.mask * h``.  The initial data are built and mollified in
+rfft layout too.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ class SpectralOperator:
     def __init__(self, grid: TorusGrid, p: ModelParams):
         self.grid = grid
         self.p = p
-        # copies, so the full-layout arrays are freed and the halves are contiguous
+        # copies, so the whole-lattice arrays are freed and the halves are contiguous
         self.mag = half(grid, grid.wavenumber_magnitude()).copy()
         kv = half(grid, grid.wavevectors())
         self.mask = half(grid, dealias_mask(grid)).copy()

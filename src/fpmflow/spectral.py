@@ -8,15 +8,14 @@ integer vectors.  Coefficients follow the convention
 i.e. c_0 is the mean of the field and the physical L2 norm equals
 (2pi)^{d/2} times the l2 norm of the coefficients.  Coefficient arrays are
 stored in numpy FFT ordering (wavenumbers 0, 1, ..., N/2-1, -N/2, ..., -1
-along each axis).  Full layout (:class:`SpectralField`) holds every mode.
-rfft layout keeps only wavenumbers 0..N/2 of the last axis, the rest
-following from Hermitian symmetry; this module is the only one that knows
-it: the view :func:`half`, the real transform pair :func:`half_transform` /
-:func:`half_inverse`, the column-weighted sum :func:`half_sum` with the
-Parseval norm :func:`half_norm`, the Hermitian completion of a run's first
-state (:func:`half_coefficients`) with its full-layout mirror
-(:func:`full_field`), and the restriction of a finer grid's state to a
-grid's band (:func:`band_power`).
+along each axis), in rfft layout: the last axis keeps only wavenumbers
+0..N/2, the rest following from Hermitian symmetry.  This module is the only
+one that knows the layout: the view :func:`half` of arrays on every mode,
+the real transform pair :func:`half_transform` / :func:`half_inverse`, the
+column-weighted sum :func:`half_sum` with the Parseval norm
+:func:`half_norm`, a run's first state made Hermitian bit for bit
+(:func:`half_coefficients`), and the restriction of a finer grid's state to
+a grid's band (:func:`band_power`).
 A Fourier multiplier is its symbol, a function of the wavenumbers applied to
 every mode: its value at xi = 0 is what the multiplier does to the mean.
 Every |xi|^s of the package that is 0 at xi = 0 comes from :func:`radial_power`.
@@ -34,13 +33,6 @@ import numpy as np
 class SpectralError(ValueError):
     """Raised on inconsistent grids or invalid spectral data."""
 
-
-class SymmetryError(SpectralError):
-    """Raised when coefficients violate Hermitian symmetry."""
-
-
-# Relative imaginary residue tolerated when transforming back to physical space.
-HERMITIAN_RTOL = 1e-10
 
 Symbol = Callable[[np.ndarray], np.ndarray]  # of a wavenumber array of shape (..., d)
 
@@ -105,13 +97,6 @@ class TorusGrid:
         return list(np.meshgrid(x, x, indexing="ij"))
 
 
-def _on_grid(grid: TorusGrid, arr, dtype, what: str) -> np.ndarray:
-    arr = np.asarray(arr, dtype=dtype)
-    if arr.shape != grid.shape:
-        raise SpectralError(f"{what} shape {arr.shape} does not match grid {grid.shape}")
-    return arr
-
-
 @dataclass
 class RealField:
     """Physical-space field: real values on the grid points."""
@@ -120,18 +105,10 @@ class RealField:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = _on_grid(self.grid, self.values, np.float64, "value")
-
-
-@dataclass
-class SpectralField:
-    """Coefficient-space field in FFT ordering (full layout)."""
-
-    grid: TorusGrid
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = _on_grid(self.grid, self.coeffs, np.complex128, "coeff")
+        self.values = np.asarray(self.values, dtype=np.float64)
+        if self.values.shape != self.grid.shape:
+            raise SpectralError(f"value shape {self.values.shape} does not match grid "
+                                f"{self.grid.shape}")
 
 
 def bump(r: np.ndarray) -> np.ndarray:
@@ -142,36 +119,6 @@ def bump(r: np.ndarray) -> np.ndarray:
     ri = r[inside]
     out[inside] = np.exp(1.0 - 1.0 / (1.0 - ri * ri))
     return out
-
-
-def forward_transform(f: RealField) -> SpectralField:
-    """Physical values -> Fourier coefficients (c_0 is the mean)."""
-    if not np.all(np.isfinite(f.values)):
-        raise SpectralError("field contains non-finite values")
-    coeffs = np.fft.fftn(f.values) / f.grid.npoints
-    return SpectralField(f.grid, coeffs)
-
-
-def inverse_transform(F: SpectralField) -> RealField:
-    """Fourier coefficients -> physical values; input must be Hermitian."""
-    vals = np.fft.ifftn(F.coeffs) * F.grid.npoints
-    scale = np.max(np.abs(vals.real))
-    imax = np.max(np.abs(vals.imag))
-    if imax > HERMITIAN_RTOL * max(scale, 1.0):
-        raise SymmetryError(
-            f"coefficients violate Hermitian symmetry (imag residue {imax:.3e})"
-        )
-    return RealField(F.grid, vals.real)
-
-
-def field_from_function(grid: TorusGrid, fn) -> RealField:
-    """Sample fn on the physical grid (fn takes one array per dimension)."""
-    return RealField(grid, np.asarray(fn(*grid.points()), dtype=np.float64))
-
-
-def apply_multiplier(F: SpectralField, symbol: Symbol) -> SpectralField:
-    """Scale every coefficient, the zero mode included, by the symbol's value."""
-    return SpectralField(F.grid, F.coeffs * symbol(F.grid.wavevectors()))
 
 
 def radial_power(mag: np.ndarray, s: float) -> np.ndarray:
@@ -230,7 +177,7 @@ def half_sum(shape: tuple, values: np.ndarray) -> np.ndarray:
 
 
 def half(grid: TorusGrid, a: np.ndarray) -> np.ndarray:
-    """rfft-layout view of full-layout a of shape (..., *grid.shape), or of the lattice
+    """rfft-layout view of a of shape (..., *grid.shape) on every mode, or of the lattice
     grid.shape + (d,): its last grid axis cut to wavenumbers 0..N/2."""
     keep = slice(0, grid.n // 2 + 1)
     return a[..., keep] if a.shape[-1] == grid.n else a[..., keep, :]
@@ -267,23 +214,17 @@ def mirror_rows(grid: TorusGrid, a: np.ndarray) -> None:
 
 def half_coefficients(rho: RealField) -> np.ndarray:
     """rfft-layout coefficients of rho, a run's first state, with the columns k = 0 and
-    N/2 made Hermitian bit for bit: rows -1..1-N/2 from 1..N/2-1, rows 0 and N/2 real."""
+    N/2 made Hermitian bit for bit (in 2-D, rfftn's are not): rows -1..1-N/2 from
+    1..N/2-1, rows 0 and N/2 real.  A non-finite rho is a SpectralError."""
+    if not np.all(np.isfinite(rho.values)):
+        raise SpectralError("field contains non-finite values")
     n = rho.grid.n
-    h = half(rho.grid, forward_transform(rho).coeffs).copy()
+    h = half_transform(rho.values, rho.grid.shape)
     ends = h[..., [0, n // 2]].reshape(-1, 2)  # a single row in 1-D, which mirrors nothing
     mirror_rows(rho.grid, ends.T)
     ends[::n // 2] = ends[::n // 2].real
     h[..., [0, n // 2]] = ends
     return h
-
-
-def full_field(grid: TorusGrid, h: np.ndarray) -> SpectralField:
-    """The full-layout field whose rfft-layout part is h bit for bit; the other
-    columns mirror h, so it is Hermitian bit for bit when h is a run's state."""
-    n = grid.n
-    rows = (-np.arange(n)) % n if grid.d == 2 else Ellipsis
-    mirror = np.conj(h[rows, n // 2 - 1:0:-1])
-    return SpectralField(grid, np.concatenate([h, mirror], axis=-1))
 
 
 def band_power(grid: TorusGrid, h: np.ndarray, fine: np.ndarray) -> np.ndarray:

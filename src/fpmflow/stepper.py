@@ -20,8 +20,7 @@ import numpy as np
 
 from .diagnostics import EnergyResidualKernel, make_record
 from .model import ModelParams, SpectralOperator, nonlinear_rhs
-from .spectral import (RealField, SpectralError, SpectralField, TorusGrid, full_field,
-                       half_coefficients)
+from .spectral import RealField, SpectralError, TorusGrid, half_coefficients
 
 EPS0 = 1e-12
 
@@ -69,11 +68,6 @@ class FinalState:
     reason: str                      # "completed" | "blowup_detected" | "max_steps"
     n_steps: int
     records: list
-
-    @property
-    def state(self) -> SpectralField:
-        """h in full layout, built on each access."""
-        return full_field(self.grid, self.h)
 
 
 def cfl_dt(umax: float, rho_max: float, op: SpectralOperator, safety: float,

@@ -372,9 +372,9 @@ def sample_antisymmetry(n_fields: int = 100, N: int = 32, d: int = 1,
                         seed: int = 0, tol: float = 1e-10) -> VerifyReport:
     """|T[G]| / magnitude scale for anti-symmetric kernels; passes when below tol.
 
-    The fields come from one draw and one FFT, the coefficients of
-    ``forward_transform(random_real_field(grid, rng))`` for each field in turn;
-    one lattice pass per kernel gives T[G] and its scale for all of them.
+    The fields come from one draw and one FFT, the coefficients of every mode,
+    ``np.fft.fftn(random_real_field(grid, rng).values) / grid.npoints``, of each
+    field in turn; one lattice pass per kernel gives T[G] and its scale for all of them.
     """
     grid = TorusGrid(d=d, n=N)
     fields = random_real_values(grid, np.random.default_rng(seed), decay=2.0, lead=(n_fields,))

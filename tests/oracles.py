@@ -1,24 +1,94 @@
-"""Full-layout reference norms, the energy kernel, the snapshot reader, the
-one-field-at-a-time samplers and the one-iterate-at-a-time Picard loop, for the
-tests only.
+"""Full-layout fields and their transforms, reference norms, the energy kernel with the
+FFT evaluation of separable trilinear forms, the snapshot reader, the one-field-at-a-time
+samplers and the one-iterate-at-a-time Picard loop, for the tests only.
 
-The package computes its norms from rfft-layout coefficients
-(``spectral.half_norm``), evaluates the energy identities through
-``diagnostics.EnergyResidualKernel``, never reads a snapshot back, draws
-each of verify's field populations in one batch and advances Picard's
-iterates as a wavefront; these are the direct forms that the tests check it
-against.
+The package knows one coefficient layout, rfft layout (``spectral.half_coefficients``,
+``half_transform``, ``half_norm``), evaluates trilinear forms by the naive lattice sum
+and inside ``diagnostics.EnergyResidualKernel``, never reads a snapshot back, draws
+each of verify's field populations in one batch and advances Picard's iterates as a
+wavefront; these are the direct forms that the tests check it against.  A full-layout
+field holds the coefficients of every mode in numpy FFT ordering.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from fpmflow.diagnostics import SeparableKernel
 from fpmflow.model import ModelParams, SpectralOperator, velocity, velocity_symbol
-from fpmflow.spectral import (RealField, SpectralField, TorusGrid, forward_transform,
-                              fractional_power, half_coefficients, half_norm, sobolev_weight)
+from fpmflow.spectral import (RealField, TorusGrid, fractional_power, half_coefficients,
+                              half_norm, sobolev_weight)
 from fpmflow.stepper import _integrating_factor_rk4
+
+
+@dataclass
+class SpectralField:
+    """Full-layout coefficients of a field on grid."""
+
+    grid: TorusGrid
+    coeffs: np.ndarray
+
+
+def forward_transform(f: RealField) -> SpectralField:
+    """Full-layout coefficients of f through one complex FFT: c_0 is its mean."""
+    return SpectralField(f.grid, np.fft.fftn(f.values) / f.grid.npoints)
+
+
+def inverse_transform(F: SpectralField) -> RealField:
+    """The real field of F, which must be Hermitian: an imaginary part above 1e-10 of the
+    real part's peak (or of 1) fails."""
+    vals = np.fft.ifftn(F.coeffs) * F.grid.npoints
+    assert np.max(np.abs(vals.imag)) <= 1e-10 * max(np.max(np.abs(vals.real)), 1.0)
+    return RealField(F.grid, vals.real)
+
+
+def field_from_function(grid: TorusGrid, fn) -> RealField:
+    """fn sampled on the grid points; it takes one coordinate array per dimension."""
+    return RealField(grid, fn(*grid.points()))
+
+
+def apply_multiplier(F: SpectralField, symbol) -> SpectralField:
+    """Every coefficient of F, the zero mode included, times the symbol's value."""
+    return SpectralField(F.grid, F.coeffs * symbol(F.grid.wavevectors()))
+
+
+def full_field(grid: TorusGrid, h: np.ndarray) -> SpectralField:
+    """The full-layout field whose rfft-layout part is h bit for bit, the other columns
+    mirroring h: Hermitian bit for bit when h is a run's state."""
+    n = grid.n
+    rows = (-np.arange(n)) % n if grid.d == 2 else Ellipsis
+    return SpectralField(grid, np.concatenate([h, np.conj(h[rows, n // 2 - 1:0:-1])], axis=-1))
+
+
+@dataclass(frozen=True)
+class SeparableKernel:
+    """Kernel G(xi, eta) = sum_k a_k(xi) b_k(eta) from (a, b) pairs of factors evaluated
+    on wavenumber arrays of shape (..., d); callable, so the naive lattice sum takes it."""
+
+    terms: tuple
+
+    def __call__(self, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
+        return sum(np.asarray(a(xi)) * np.asarray(b(eta)) for a, b in self.terms)
+
+
+def trilinear_fft(G: SeparableKernel, F: SpectralField) -> float:
+    """T[G] as Re sum over G's terms of mean(conj(A) B C) on the 3N/2 grid (Orszag's 3/2
+    rule), A, B and C the fields of a c, b c and c on the band |k_j| <= N/2 - 1 (the
+    unpaired -N/2 dropped, as the naive sum does); complex FFTs, as a kernel has no parity."""
+    g, m = F.grid, 3 * F.grid.n // 2
+    k = g.axis_wavenumbers()
+    band = np.abs(k) < g.n // 2
+    src, dst = np.ix_(*[band] * g.d), np.ix_(*[k[band] % m] * g.d)
+    kv = g.wavevectors()
+
+    def physical(c):
+        padded = np.zeros((m,) * g.d, dtype=complex)
+        padded[dst] = c[src]
+        return np.fft.ifftn(padded, norm="forward")
+
+    C = physical(F.coeffs)
+    return sum(float(np.mean(np.conj(physical(a(kv) * F.coeffs)) * physical(b(kv) * F.coeffs)
+                             * C).real) for a, b in G.terms)
 
 
 def mass(F: SpectralField) -> float:

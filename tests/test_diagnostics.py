@@ -9,18 +9,13 @@ from fpmflow import stepper
 from fpmflow.diagnostics import (
     EnergyResidualKernel,
     _blowup_functionals,
+    _trilinear_naive,
     make_record,
-    trilinear_T,
-    trilinear_scale,
 )
 from fpmflow.model import ModelParams, SpectralOperator
 from fpmflow.spectral import (
     RealField,
-    SpectralField,
     TorusGrid,
-    apply_multiplier,
-    field_from_function,
-    forward_transform,
     fractional_power,
     half,
     half_norm,
@@ -28,7 +23,8 @@ from fpmflow.spectral import (
 )
 from fpmflow.stepper import StepperConfig, integrate
 
-from oracles import energy_kernel, mass, sobolev_norm
+from oracles import (SpectralField, apply_multiplier, energy_kernel, field_from_function,
+                     forward_transform, full_field, mass, sobolev_norm)
 
 
 def blowup(F):
@@ -54,7 +50,7 @@ class TestMass:
         rho0 = InitialCondition(kind="gaussian", mass=3.0, sigma=0.6).build(g)
         p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0, nu=0.1)
         res = integrate(rho0, p, StepperConfig(t_end=0.05, dt_mode="fixed", dt=5e-3))
-        assert mass(res.state) == pytest.approx(3.0, rel=1e-12)
+        assert mass(full_field(g, res.h)) == pytest.approx(3.0, rel=1e-12)
 
 
 class TestSobolevNorm:
@@ -132,7 +128,7 @@ class TestBlowupFunctionals:
         k = g.axis_wavenumbers().astype(float)
         ref = float(np.sum(k ** 2 * (1 + np.abs(k)) * np.exp(-nu * k ** 2 * t_end)
                            * np.abs(F0.coeffs)))
-        assert blowup(res.state)[0] == pytest.approx(ref, rel=1e-12)
+        assert blowup(full_field(g, res.h))[0] == pytest.approx(ref, rel=1e-12)
 
 
 def antisym_kernel(xi, eta):
@@ -141,38 +137,33 @@ def antisym_kernel(xi, eta):
     return dot * m2
 
 
+def naive(G, F) -> tuple:
+    """(T[G], its magnitude scale) of the full-layout field F by the naive lattice sum."""
+    (total,), (scale,) = _trilinear_naive(G, F.grid, F.coeffs[None])
+    return total, scale
+
+
 class TestTrilinear:
     def test_zero_kernel(self):
         g = TorusGrid(d=1, n=16)
         F = forward_transform(field_from_function(g, np.cos))
-        assert trilinear_T(lambda xi, eta: np.zeros(np.broadcast_shapes(
-            xi.shape[:-1], eta.shape[:-1])), F) == 0.0
+        assert naive(lambda xi, eta: np.zeros(np.broadcast_shapes(
+            xi.shape[:-1], eta.shape[:-1])), F)[0] == 0.0
 
     def test_antisymmetric_cancellation(self):
         rng = np.random.default_rng(23)
         g = TorusGrid(d=1, n=32)
         for _ in range(5):
             F = forward_transform(random_real_field(g, rng, decay=2.0))
-            scale = trilinear_scale(antisym_kernel, F)
-            assert abs(trilinear_T(antisym_kernel, F)) <= 1e-10 * scale
+            total, scale = naive(antisym_kernel, F)
+            assert abs(total) <= 1e-10 * scale
 
     def test_antisymmetric_cancellation_2d(self):
         rng = np.random.default_rng(24)
         g = TorusGrid(d=2, n=16)
         F = forward_transform(random_real_field(g, rng, decay=2.0))
-        scale = trilinear_scale(antisym_kernel, F)
-        assert abs(trilinear_T(antisym_kernel, F)) <= 1e-10 * scale
-
-    @pytest.mark.parametrize("d,n", [(1, 32), (2, 16)])
-    def test_naive_fft_agreement(self, d, n):
-        rng = np.random.default_rng(25)
-        g = TorusGrid(d=d, n=n)
-        p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0)
-        K = energy_kernel(0.0, p, g)
-        F = forward_transform(random_real_field(g, rng, decay=2.0))
-        a = trilinear_T(K, F, mode="naive")
-        b = trilinear_T(K, F, mode="fft")
-        assert b == pytest.approx(a, rel=1e-10)
+        total, scale = naive(antisym_kernel, F)
+        assert abs(total) <= 1e-10 * scale
 
     def test_swap_order_identical(self):
         # summation with (eta, xi) roles swapped on the transposed kernel
@@ -183,26 +174,20 @@ class TestTrilinear:
         def G(xi, eta):
             return np.sum(xi * eta, axis=-1) * np.sum(eta * eta, axis=-1)
 
-        direct = trilinear_T(G, F)
+        direct = naive(G, F)[0]
         # T[G](rho) with conj moved by change of variables equals the direct sum
         def G_swapped(xi, eta):
             return G(eta, xi)
 
-        swapped = trilinear_T(G_swapped, F)
+        swapped = naive(G_swapped, F)[0]
         # for real fields, T[G^T] = T[G] by the change of variables identity
         assert swapped == pytest.approx(direct, rel=1e-12, abs=1e-14)
-
-    def test_fft_requires_separable(self):
-        g = TorusGrid(d=1, n=16)
-        F = forward_transform(field_from_function(g, np.cos))
-        with pytest.raises(TypeError):
-            trilinear_T(lambda xi, eta: xi[..., 0] * eta[..., 0], F, mode="fft")
 
     def test_naive_size_limit(self):
         g = TorusGrid(d=1, n=128)
         F = forward_transform(field_from_function(g, np.cos))
         with pytest.raises(ValueError):
-            trilinear_T(antisym_kernel, F, mode="naive")
+            naive(antisym_kernel, F)
 
 
 def residual_window(op, s, samples):
@@ -264,7 +249,7 @@ class TestEnergyResidualKernel:
         F = forward_transform(random_real_field(g, np.random.default_rng(27), decay=2.0))
         t_l2, t_hs = EnergyResidualKernel(SpectralOperator(g, p), s).trilinear(half(g, F.coeffs))
         for got, s_kernel in ((t_l2, 0.0), (t_hs, s)):
-            ref = trilinear_T(energy_kernel(s_kernel, p, g), F, mode="naive")
+            ref = naive(energy_kernel(s_kernel, p, g), F)[0]
             assert got == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("d,n", [(1, 32), (2, 16)])

@@ -33,20 +33,11 @@ from fpmflow.driver import (
     write_snapshot,
 )
 from fpmflow.model import velocity
-from fpmflow.spectral import (
-    RealField,
-    SpectralField,
-    TorusGrid,
-    apply_multiplier,
-    field_from_function,
-    forward_transform,
-    full_field,
-    half_coefficients,
-    heat_multiplier,
-)
+from fpmflow.spectral import RealField, TorusGrid, half_coefficients, heat_multiplier
 from fpmflow.stepper import _integrating_factor_rk4
 
-from oracles import l2_norm, picard_in_turn, read_snapshot, sobolev_norm
+from oracles import (SpectralField, apply_multiplier, field_from_function, forward_transform,
+                     full_field, l2_norm, picard_in_turn, read_snapshot, sobolev_norm)
 
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -77,7 +68,8 @@ dt = 0.005
 def fftshift_refinement(cfg, n_list) -> list:
     """refine's errors from full-layout states: both spectra fftshifted, the fine one cut
     to the coarse band [-N/2, N/2)^d."""
-    finals = [run_to_final(replace(cfg, modes=n)).state for n in n_list]
+    finals = [full_field(res.grid, res.h)
+              for res in (run_to_final(replace(cfg, modes=n)) for n in n_list)]
     errs = []
     for coarse, fine in zip(finals, finals[1:]):
         a, lo = coarse.grid.n, (fine.grid.n - coarse.grid.n) // 2
@@ -88,11 +80,11 @@ def fftshift_refinement(cfg, n_list) -> list:
 
 def full_layout_mu_convergence(cfg, mu_list, s) -> list:
     """mu-converge's rows (mu, L2 error, H^s error) from full-layout states."""
-    ref = run_to_final(replace(cfg, mu=0.0)).state
+    ref = run_to_final(replace(cfg, mu=0.0))
     rows = []
     for mu in mu_list:
         res = run_to_final(replace(cfg, mu=mu))
-        diff = SpectralField(ref.grid, res.state.coeffs - ref.coeffs)
+        diff = full_field(ref.grid, res.h - ref.h)
         rows.append((mu, l2_norm(diff), sobolev_norm(diff, s)))
     return rows
 
@@ -280,7 +272,7 @@ class TestRunSimulation:
             assert "reason blowup_detected" in fh.read()
 
     def test_attractive_fixed_dt_ends_in_blowup(self, tmp_path):
-        # Used to raise SymmetryError mid-run instead of reporting blow-up.
+        # Used to raise a Hermitian symmetry error mid-run instead of reporting blow-up.
         out = tmp_path / "attractive"
         code = main(["simulate", "--config", os.path.join(CONFIG_DIR, "repulsive_inviscid.cfg"),
                      "--c_K", "1", "--dt_mode", "fixed", "--dt", "0.05",
@@ -496,23 +488,23 @@ class TestCampaigns:
                              full_layout_mu_convergence(cfg, [0.5, 0.25], s_m1)):
             assert got[0] == want[0]
             assert got[1:] == pytest.approx(want[1:], rel=1e-13)
-        res = run_to_final(cfg)
-        assert res.state.coeffs.tobytes() == full_field(res.grid, res.h).coeffs.tobytes()
 
     def test_runs_and_campaigns_build_no_full_layout(self, monkeypatch, tmp_path):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a full-layout array was built")
+        # on cosine data every transform of a run or campaign is a real FFT
+        complex_calls = []
+        for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn"):
+            def counted(*args, fn=getattr(np.fft, name), name=name, **kwargs):
+                complex_calls.append(name)
+                return fn(*args, **kwargs)
 
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "fpmflow":
-                for attr in ("full_field", "inverse_transform"):
-                    if hasattr(module, attr):
-                        monkeypatch.setattr(module, attr, forbidden)
+            monkeypatch.setattr(np.fft, name, counted)
         for d in (1, 2):
             cfg = self._cfg(dimension=d, modes=16, out=str(tmp_path / f"run{d}"))
+            assert cfg.init.startswith("cosine:")
             assert run_simulation(cfg, quiet=True) == 0
             assert len(grid_refinement(cfg, [16, 32])) == 1
             assert len(mu_convergence(cfg, [0.5])) == 1
+        assert complex_calls == []
 
     def test_mu_convergence_stops_at_an_incomplete_mu_run(self, monkeypatch):
         run_to_final = fpmflow.driver.run_to_final
@@ -604,6 +596,9 @@ class TestCli:
         ["mu-converge", "--config", "heat.cfg", "--mu-list", "0.5,nan"],
         ["picard", "--config", "repulsive_inviscid.cfg", "--mu", "0.25", "--dt", "1e-300"],
         ["picard", "--config", "repulsive_inviscid.cfg", "--mu", "0.25", "--dt", "5e-324"],
+        # initial data that overflow on the grid ended in a SpectralError traceback
+        ["simulate", "--config", "heat.cfg", "--init", "cosine:mean=1e308,amplitude=1e308"],
+        ["simulate", "--config", "heat.cfg", "--init", "gaussian:mass=1e308,sigma=0.01"],
     ], ids=" ".join)
     def test_bad_value_is_config_error(self, tmp_path, capsys, monkeypatch, argv):
         def no_run(*args, **kwargs):
@@ -659,7 +654,7 @@ class TestCli:
     @pytest.mark.parametrize("dimension", ["1", "2"])
     def test_unresolved_gaussian_run_ends_classified(self, tmp_path, capsys, dimension):
         # At N = 128 and sigma = 0.05 the unpaired -N/2 mode of the Gaussian is far above
-        # round-off; a full-layout build ended this run in a SymmetryError traceback.
+        # round-off; a full-layout build ended this run in a Hermitian-symmetry traceback.
         out = tmp_path / "g"
         rc = main(["simulate", "--config", os.path.join(CONFIG_DIR, "repulsive_inviscid.cfg"),
                    "--dimension", dimension, "--init", "gaussian:sigma=0.05,center=1",

@@ -16,21 +16,16 @@ from fpmflow.model import (
 )
 from fpmflow.spectral import (
     RealField,
-    SpectralField,
     TorusGrid,
-    apply_multiplier,
     dealias_mask,
-    field_from_function,
-    forward_transform,
-    full_field,
     half,
     half_coefficients,
     heat_multiplier,
-    inverse_transform,
     random_real_field,
 )
 from fpmflow.stepper import StepperConfig, integrate, step
-from oracles import mass
+from oracles import (SpectralField, apply_multiplier, field_from_function, forward_transform,
+                     full_field, inverse_transform, mass)
 
 
 def naive_flux_divergence(rho_hat, u_hats, grid):
@@ -307,9 +302,9 @@ class TestSpectralOperator:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_final_state_is_bitwise_hermitian(self, d):
-        # states stay in rfft layout; the full layout a run hands out is Hermitian
+        # states stay in rfft layout; the full layout of a run's last state is Hermitian
         # bit for bit and keeps the rfft-layout half bit for bit.  At N = 48 the
-        # 2-D fftn of rho0 has non-real self-conjugate modes and a non-Hermitian
+        # 2-D rfftn of rho0 has non-real self-conjugate modes and a non-Hermitian
         # column 0, so the first state has to be made Hermitian.
         rng = np.random.default_rng(16)
         g = TorusGrid(d=d, n=48)
@@ -318,7 +313,7 @@ class TestSpectralOperator:
         cfg = StepperConfig(t_end=0.02, dt_mode="fixed", dt=5e-3)
         res = integrate(rho0, p, cfg)
         assert res.reason == "completed" and res.n_steps == 4
-        assert is_hermitian(res.state.coeffs)
+        assert is_hermitian(full_field(g, res.h).coeffs)
         op = SpectralOperator(g, p)
         h = step(step(half_coefficients(rho0), lambda *_: 5e-3, op)[0], lambda *_: 5e-3, op)[0]
         full = full_field(g, h).coeffs
@@ -406,7 +401,7 @@ class TestInitialConditions:
     def test_gaussian_unpaired_nyquist_mode(self, d):
         # sigma = 0.05 leaves exp(-5.12) of the peak on the N = 128 Nyquist modes, whose
         # -N/2 coefficients have no +N/2 partner on the lattice: the lattice series is not
-        # real, and building the field in full layout raised SymmetryError.
+        # real, and building the field in full layout raised a Hermitian symmetry error.
         g = TorusGrid(d=d, n=128)
         f = InitialCondition(kind="gaussian", sigma=0.05, center=(1.0,)).build(g)
         kv = g.wavevectors()
