@@ -68,8 +68,8 @@ dt = 0.005
 def fftshift_refinement(cfg, n_list) -> list:
     """refine's errors from full-layout states: both spectra fftshifted, the fine one cut
     to the coarse band [-N/2, N/2)^d."""
-    finals = [full_field(res.grid, res.h)
-              for res in (run_to_final(replace(cfg, modes=n)) for n in n_list)]
+    runs = [run_to_final(replace(cfg, modes=n)) for n in n_list]
+    finals = [full_field(res.grid, res.h) for res in runs]
     errs = []
     for coarse, fine in zip(finals, finals[1:]):
         a, lo = coarse.grid.n, (fine.grid.n - coarse.grid.n) // 2
