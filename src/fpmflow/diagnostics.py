@@ -167,7 +167,10 @@ class EnergyResidualKernel:
     field A is real.  T = sum_j mean(A_j B_j C) is taken by Parseval from the
     forward transforms of P_j = B_j C, so it needs 1 + d inverse and d forward
     real transforms, and the A_j are never formed.  Build one per run:
-    nothing outside the run keeps it alive.
+    nothing outside the run keeps it alive.  In a run, :meth:`trilinear` of a
+    sample's state runs on the run's worker thread while the next step is
+    taken (on the main thread if the worker has not taken it by the next
+    sample), and :meth:`residuals` gets the pair it returned.
     """
 
     def __init__(self, op: SpectralOperator, s: float):
@@ -188,29 +191,34 @@ class EnergyResidualKernel:
     def trilinear(self, h: np.ndarray) -> tuple:
         """(T[G_0], T[G_s]) of the state with rfft-layout coefficients h (1 + 2d real FFTs).
 
-        P_j = B_j C is formed once and transformed forward; by Parseval each
-        T = sum_j mean(A_j P_j) is a band sum of Re(conj(a_j c) P_j-hat).
+        P_j = B_j C is formed and transformed forward one j at a time; by Parseval each
+        T = sum_j mean(A_j P_j) is a band sum of Re(conj(a_j c) P_j-hat), and each j's
+        band term is added to both sums before P_j is dropped.
         """
         shape = self._shape
         c = _padded(h, self._grid.n)
         C = half_inverse(c, shape)
-        P = [half_transform(half_inverse(b * c, shape) * C, shape) for b in self.b]
-        T = []
-        for a in (self.a_L2, self.a_Hs):
-            band = sum((np.conj(aj * c) * Pj).real for aj, Pj in zip(a, P))
-            T.append(float(half_sum(shape, band)))
-        return tuple(T)
+        bands = [0, 0]
+        for j, b in enumerate(self.b):
+            P = half_transform(half_inverse(b * c, shape) * C, shape)
+            for i, a in enumerate((self.a_L2, self.a_Hs)):
+                bands[i] = bands[i] + (np.conj(a[j] * c) * P).real
+        return tuple(float(half_sum(shape, band)) for band in bands)
 
-    def residuals(self, window) -> tuple:
-        """(L2 residual, Hdot^s residual) at the middle of three (t, h, l2, hsdot_s) samples."""
+    def residuals(self, window, T=None) -> tuple:
+        """(L2 residual, Hdot^s residual) at the middle of three (t, h, l2, hsdot_s) samples.
+
+        T is the pair (T[G_0], T[G_s]) of the middle state, :meth:`trilinear` of its h
+        when not given.
+        """
         (t0, _, *n0), (tm, hm, *nm), (t1, _, *n1) = window
         h0, h1 = tm - t0, t1 - tm
         out = []
-        for i, T in enumerate(self.trilinear(hm)):
+        for i, T_i in enumerate(self.trilinear(hm) if T is None else T):
             e0, em, e1 = (0.5 * norms[i] ** 2 for norms in (n0, nm, n1))
             # three-point dE/dt at tm, exact for quadratics at any spacing
             rate = (h0 * h0 * (e1 - em) + h1 * h1 * (em - e0)) / (h0 * h1 * (h0 + h1))
-            out.append(abs(rate - self._scale * T))
+            out.append(abs(rate - self._scale * T_i))
         return tuple(out)
 
 

@@ -14,12 +14,14 @@ Exit codes:
        --samples, --n-max; mu-converge also max(s_list) < -1); bad init data (an
        unknown kind, a non-finite value, cosine without mean >= amplitude >= 0,
        gaussian mass <= 0, k or center with neither 1 nor `dimension` entries); init data
-       whose field overflows on the grid (found when a run builds it, before it steps); a
+       whose field or first transform overflows on the grid (found when a run builds its
+       first field, before it steps); a
        refine --n-list of fewer than two N or an empty mu-converge --mu-list, or one
        with a mu that is not finite, positive and descending; a picard step count
        t_end / dt above max_steps; an empty --out (verify's means no report file) or
        one that cannot be a directory.  All are found before any run starts.
-    2  simulate ended blowup_detected (also on a CFL dt that is not finite and
+    2  simulate ended blowup_detected (also at t = 0, after no step, when B1 of the
+       first state is above blowup_threshold, and on a CFL dt that is not finite and
        positive, as an overflowing max|u| gives) or max_steps; picard diverged (d_n
        rose three times in a row, or one turned non-finite, which ends the
        iteration); a refine or mu-converge run (also the mu = 0 reference) did not
@@ -47,11 +49,15 @@ from .spectral import (
     half_coefficients,
     half_inverse,
     half_norm,
+    half_transform,
     sobolev_weight,
 )
 from .stepper import FinalState, StepperConfig, _integrating_factor_rk4, integrate
 
 FMT = "%.17g"
+# Every partial sum of a real FFT is at most a small power of N times sum |rho| (sum |rho|
+# itself for the radix passes), so data with sum |rho| below this cannot overflow it.
+TRANSFORM_SAFE_SUM = 1e250
 
 
 class ConfigError(ValueError):
@@ -113,11 +119,19 @@ class RunConfig:
         return parse_init(self.init, self.seed)
 
     def initial_field(self) -> RealField:
-        """The run's first field, mollified; data that overflow on the grid are a ConfigError."""
+        """The run's first field, mollified; data that overflow on the grid, or whose first
+        transform overflows, are a ConfigError."""
+        grid = self.grid()
         with np.errstate(over="ignore", invalid="ignore"):
-            rho0 = mollify_initial(self.initial_condition().build(self.grid()), self.mu)
-        if not np.all(np.isfinite(rho0.values)):
-            raise ConfigError(f"init {self.init!r} overflows: the initial field is not finite")
+            rho0 = mollify_initial(self.initial_condition().build(grid), self.mu)
+            if not np.all(np.isfinite(rho0.values)):
+                raise ConfigError(f"init {self.init!r} overflows: the initial field is not finite")
+            # only data near the float range are transformed here, to see whether the first
+            # state is finite: the run takes that transform again
+            if not (np.sum(np.abs(rho0.values)) < TRANSFORM_SAFE_SUM
+                    or np.all(np.isfinite(half_transform(rho0.values, grid.shape)))):
+                raise ConfigError(
+                    f"init {self.init!r} overflows: its first transform is not finite")
         return rho0
 
 

@@ -7,11 +7,16 @@ Stage 1 does not depend on dt, so every step evaluates it first and takes dt
 from the run's one rule (a CFL bound, or the fixed dt) applied to the largest
 speed and density of its dealiased fields: the step size costs no transform.
 States are rfft-layout coefficient arrays that no step updates in place.
+So a nu = 0 run checks its energy identities alongside its steps: the
+trilinear form of a sample's state runs on the run's one worker thread while
+the main thread takes the next step, and the pair it gives is collected when
+the sample after it is taken.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable
@@ -68,6 +73,74 @@ class FinalState:
     reason: str                      # "completed" | "blowup_detected" | "max_steps"
     n_steps: int
     records: list
+
+
+class _Worker:
+    """One thread that runs fn on the caller's arguments, one at a time, while the caller
+    goes on.
+
+    The caller alternates :meth:`submit` and :meth:`result`.  The thread takes the
+    argument once it holds the GIL; one it has not taken when the result is asked for
+    is taken back, and the caller runs fn itself, so a caller whose numpy calls are
+    too small to release the GIL does not wait for the thread to be scheduled.  fn
+    runs under the run loop's error state, which a new thread does not inherit, and
+    an exception it raises on the thread comes back from :meth:`result`.
+    :meth:`close` drops an argument not taken, waits for a call in flight, and joins
+    the thread.
+    """
+
+    def __init__(self, fn: Callable):
+        self._fn = fn
+        self._lock = threading.Lock()
+        self._arg = self._out = None  # the argument nobody has taken; the thread's (value, exc)
+        self._pending = self._stop = False
+        self._given = threading.Semaphore(0)
+        self._done = threading.Semaphore(0)
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _take(self):
+        with self._lock:
+            arg, self._arg = self._arg, None
+        return arg
+
+    def _serve(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            while True:
+                self._given.acquire()
+                if self._stop:
+                    return
+                arg = self._take()
+                if arg is None:  # the caller took it back
+                    continue
+                try:
+                    self._out = self._fn(arg), None
+                except BaseException as exc:  # raised again by result()
+                    self._out = None, exc
+                self._done.release()
+
+    def submit(self, arg):
+        with self._lock:
+            self._arg, self._pending = arg, True
+        self._given.release()
+
+    def result(self):
+        self._pending = False
+        arg = self._take()
+        if arg is not None:
+            return self._fn(arg)
+        self._done.acquire()
+        (value, exc), self._out = self._out, None
+        if exc is not None:
+            raise exc
+        return value
+
+    def close(self):
+        if self._pending and self._take() is None:  # in flight: it runs to its end, unread
+            self._done.acquire()
+        self._stop = True
+        self._given.release()
+        self._thread.join()
 
 
 def cfl_dt(umax: float, rho_max: float, op: SpectralOperator, safety: float,
@@ -133,21 +206,25 @@ def integrate(rho0: RealField, p: ModelParams, cfg: StepperConfig,
     """Advance from rho0 to t_end, sampling diagnostics along the way.
 
     Aborts with reason "blowup_detected" when B1 exceeds the configured
-    threshold, the state or an RK4 stage turns non-finite, or the CFL rule
-    gives a dt that is not finite and positive, and with
-    "max_steps" when the step budget runs out.  The B1 and B2 time
-    integrals are accumulated by the trapezoid rule over sample times.  With
-    ``energy_residuals`` (nu = 0 only) each interior record gets the L2 and
-    Hdot^{max s_list} energy residuals once the sample after it is taken; the
-    window holds the last three sampled states (by reference) and their
-    records' norms.  Only the last state is handed out, in rfft layout.
+    threshold (the t = 0 sample included, which then ends the run after no
+    step), the state or an RK4 stage turns non-finite, or the CFL rule gives a
+    dt that is not finite and positive, and with "max_steps" when the step
+    budget runs out.  The B1 and B2 time integrals are accumulated by the
+    trapezoid rule over sample times.  With ``energy_residuals`` (nu = 0 only)
+    each interior record gets the L2 and Hdot^{max s_list} energy residuals
+    once the sample after it is taken; the window holds the last three sampled
+    states (by reference) and their records' norms.  The trilinear form of an
+    interior sample's state is handed to the run's one worker thread when the
+    loop steps on from that sample, runs while the main thread takes the
+    steps up to the next sample, and is collected there; the thread is joined
+    before this returns or raises.  Only the last state is handed out, in rfft
+    layout.
     """
     op = SpectralOperator(rho0.grid, p)
     s_max = float(max(cfg.s_list))
     fixed = cfg.dt_mode == "fixed"
     kernel = EnergyResidualKernel(op, s_max) if energy_residuals else None
     window: deque = deque(maxlen=3)
-    state = half_coefficients(rho0)
     t = 0.0
     records: list = []
 
@@ -162,37 +239,54 @@ def integrate(rho0: RealField, p: ModelParams, cfg: StepperConfig,
             window.append((cur_t, cur_state, rec.l2, rec.hs[s_max][0]))
             if len(window) == 3:
                 mid = records[-2]
-                mid.energy_residual_L2, mid.energy_residual_Hs = kernel.residuals(window)
+                mid.energy_residual_L2, mid.energy_residual_Hs = kernel.residuals(
+                    window, worker.result())
         return rec.B1
 
     def rule(umax, rho_max):  # the run's dt, cut to end the run at t_end
         return min(cfg.dt if fixed else cfl_dt(umax, rho_max, op, cfg.safety, cfg.dt_max),
                    cfg.t_end - t)
 
-    sample(0.0, state, rho0.values)
     n_steps = 0
-    reason = "max_steps"
-    # A state that overflows has blown up: it is classified below, not warned about.
-    with np.errstate(over="ignore", invalid="ignore"):
-        while n_steps < cfg.max_steps:
-            if t >= cfg.t_end - EPS0:
-                reason = "completed"
-                break
-            try:
-                state, dt = step(state, rule, op)
-            except SpectralError:  # a non-finite stage or an unusable CFL dt: the last state stays
+    reason = None
+    handoff = False  # a sample after t = 0 was just taken: its state goes to the worker
+    # if the loop steps on from it, so a completed run forms no trilinear form it discards
+    worker = _Worker(kernel.trilinear) if kernel is not None else None
+    try:
+        # A state that overflows has blown up: it is classified below, not warned about.
+        with np.errstate(over="ignore", invalid="ignore"):
+            state = half_coefficients(rho0)
+            b1 = sample(0.0, state, rho0.values)
+            if not np.all(np.isfinite(state)) or b1 > cfg.blowup_threshold:
                 reason = "blowup_detected"
-                break
-            t += dt
-            n_steps += 1
-            if not np.all(np.isfinite(state)):
-                reason = "blowup_detected"
-                break
-            if n_steps % cfg.sample_every == 0 or t >= cfg.t_end - EPS0:
-                b1 = sample(t, state, op.physical(state))
-                if b1 > cfg.blowup_threshold:
+            while reason is None:
+                if n_steps >= cfg.max_steps:
+                    reason = "max_steps"
+                    break
+                if t >= cfg.t_end - EPS0:
+                    reason = "completed"
+                    break
+                if handoff:
+                    worker.submit(state)
+                    handoff = False
+                try:
+                    state, dt = step(state, rule, op)
+                except SpectralError:  # a non-finite stage or an unusable CFL dt
+                    reason = "blowup_detected"  # the last state stays
+                    break
+                t += dt
+                n_steps += 1
+                if not np.all(np.isfinite(state)):
                     reason = "blowup_detected"
                     break
+                if n_steps % cfg.sample_every == 0 or t >= cfg.t_end - EPS0:
+                    if sample(t, state, op.physical(state)) > cfg.blowup_threshold:
+                        reason = "blowup_detected"
+                        break
+                    handoff = worker is not None
+    finally:
+        if worker is not None:
+            worker.close()
 
     return FinalState(h=state, grid=op.grid, t=t, reason=reason, n_steps=n_steps,
                       records=records)

@@ -294,6 +294,21 @@ class TestRunSimulation:
         with open(out / "status.txt") as fh:
             assert "reason blowup_detected" in fh.read()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_first_sample_above_threshold_exits_two_before_any_step(self, tmp_path, capsys):
+        # used to warn from the t = 0 sample and then take sample_every = 10 steps
+        out = tmp_path / "huge"
+        code = main(["simulate", "--config", os.path.join(CONFIG_DIR, "heat.cfg"),
+                     "--init", "cosine:mean=1e300,amplitude=1e300", "--out", str(out)])
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+        with open(out / "status.txt") as fh:
+            status = dict(line.rstrip("\n").split(" ", 1) for line in fh)
+        assert (status["reason"], status["t_final"], status["n_steps"]) == (
+            "blowup_detected", "0", "0")
+        with open(out / "series.csv") as fh:
+            assert len(fh.readlines()) == 2  # the header and the t = 0 row
+
     @pytest.mark.parametrize("c_K", ["1.7e308", "-1.7e308"])
     def test_cfl_dt_overflow_ends_in_blowup(self, tmp_path, capsys, c_K):
         # Used to end in a ValueError traceback, exit 1: umax overflowed to inf, so the
@@ -599,6 +614,8 @@ class TestCli:
         # initial data that overflow on the grid ended in a SpectralError traceback
         ["simulate", "--config", "heat.cfg", "--init", "cosine:mean=1e308,amplitude=1e308"],
         ["simulate", "--config", "heat.cfg", "--init", "gaussian:mass=1e308,sigma=0.01"],
+        # finite data whose first transform overflows ended blowup_detected at t = 0, warning
+        ["simulate", "--config", "heat.cfg", "--init", "cosine:mean=1e308,amplitude=0"],
     ], ids=" ".join)
     def test_bad_value_is_config_error(self, tmp_path, capsys, monkeypatch, argv):
         def no_run(*args, **kwargs):

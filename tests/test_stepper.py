@@ -2,6 +2,9 @@
 
 import gc
 import math
+import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -17,7 +20,9 @@ from fpmflow.spectral import (
     half_inverse,
     random_real_field,
 )
-from fpmflow.stepper import StepperConfig, _integrating_factor_rk4, cfl_dt, integrate, step
+from fpmflow.diagnostics import EnergyResidualKernel
+from fpmflow.stepper import (StepperConfig, _integrating_factor_rk4, _Worker, cfl_dt, integrate,
+                             step)
 
 from oracles import SpectralField, field_from_function, full_field
 
@@ -33,14 +38,19 @@ REAL_INVERSE = ("irfft", "irfft2", "irfftn")
 
 
 def count_ffts(monkeypatch):
-    """Count every numpy.fft transform call from now on, in total and per name."""
+    """Count every numpy.fft transform call from now on, in total and per name.
+
+    A run's worker thread transforms too, so each count is taken under a lock.
+    """
     counter = {"calls": 0}
+    lock = threading.Lock()
     for name in FFT_NAMES:
         fn = getattr(np.fft, name)
 
         def counted(*args, fn=fn, name=name, **kwargs):
-            counter["calls"] += 1
-            counter[name] = counter.get(name, 0) + 1
+            with lock:
+                counter["calls"] += 1
+                counter[name] = counter.get(name, 0) + 1
             return fn(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
@@ -410,6 +420,29 @@ class TestIntegrate:
         assert res.reason == "max_steps"
         assert res.n_steps == 5
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale, threshold", [(1.0, 1.0), (1e300, 1e6)])
+    def test_first_sample_above_threshold_ends_the_run_before_any_step(self, scale, threshold):
+        # the t = 0 sample was taken outside the loop's error state and never checked, so
+        # data with B1 = 2e300 warned and then took sample_every steps before ending
+        g = TorusGrid(d=1, n=64)
+        rho0 = field_from_function(g, lambda x: scale * (1 + np.cos(x)))
+        cfg = StepperConfig(t_end=0.1, dt_mode="fixed", dt=1e-3, sample_every=10,
+                            blowup_threshold=threshold)
+        res = integrate(rho0, ModelParams(alpha_minus_d=-1.0, c_K=0.0, nu=1.0), cfg)
+        assert (res.reason, res.n_steps, res.t, len(res.records)) == ("blowup_detected", 0, 0.0, 1)
+        assert res.records[0].B1 > threshold
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_first_state_that_overflows_ends_the_run_at_t0(self):
+        # finite values whose transform sums past the float range
+        g = TorusGrid(d=1, n=64)
+        p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0)
+        res = integrate(RealField(g, np.full(64, 1e308)), p,
+                        StepperConfig(t_end=0.1, blowup_threshold=math.inf), energy_residuals=True)
+        assert (res.reason, res.n_steps, len(res.records)) == ("blowup_detected", 0, 1)
+        assert not np.all(np.isfinite(res.h))
+
     def test_callback_order_and_integrals(self):
         g = TorusGrid(d=1, n=32)
         p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0)
@@ -427,3 +460,127 @@ class TestIntegrate:
             StepperConfig(t_end=1.0, safety=1.5)
         with pytest.raises(ValueError):
             StepperConfig(t_end=1.0, dt_mode="imex")
+
+
+class TestResidualWorker:
+    """A nu = 0 run's trilinear forms run on one worker thread that no exit leaves behind."""
+
+    EXITS = {
+        "completed": (-1.0, StepperConfig(t_end=0.02, dt_mode="fixed", dt=5e-3)),
+        "blowup_detected": (1.0, StepperConfig(t_end=5.0, safety=0.4, blowup_threshold=50.0)),
+        # the step budget runs out with a trilinear form in flight
+        "max_steps": (-1.0, StepperConfig(t_end=1.0, dt_mode="fixed", dt=5e-3, max_steps=3,
+                                          sample_every=2)),
+        "raises": (-1.0, StepperConfig(t_end=0.02, dt_mode="fixed", dt=5e-3)),
+    }
+
+    @pytest.mark.parametrize("exit", list(EXITS))
+    def test_one_thread_while_running_and_none_after(self, worker_takes_every_call,
+                                                      monkeypatch, exit):
+        g = TorusGrid(d=2, n=16)
+        rho0 = field_from_function(g, lambda x, y: 1 + 0.5 * np.cos(x + y))
+        c_K, cfg = self.EXITS[exit]
+        trilinear = EnergyResidualKernel.trilinear
+        threads = []
+
+        def counting(self, h):
+            threads.append(threading.active_count())
+            out = trilinear(self, h)
+            if exit == "raises":
+                raise RuntimeError("trilinear failed")
+            return out
+
+        monkeypatch.setattr(EnergyResidualKernel, "trilinear", counting)
+
+        def run():
+            return integrate(rho0, ModelParams(alpha_minus_d=-1.0, c_K=c_K), cfg,
+                             energy_residuals=True)
+
+        before = threading.active_count()
+        if exit == "raises":  # raised on the worker thread, it comes back from integrate
+            with pytest.raises(RuntimeError, match="trilinear failed"):
+                run()
+        else:
+            assert run().reason == exit
+        assert threading.active_count() == before
+        assert threads and set(threads) == {before + 1}
+        assert all(worker_takes_every_call)
+
+    def test_stress_each_result_is_that_of_its_argument(self):
+        # callers on more threads than cores, each with its own worker, under a short switch
+        # interval: the thread and the caller race to take each argument, and a result handed
+        # to the wrong argument, or lost, breaks the equality or hangs a join
+        def f(x):
+            return 2 * x + sum(range(x % 40))
+
+        failures = []
+
+        def caller(seed):
+            rng = random.Random(seed)
+            worker = _Worker(f)
+            try:
+                for x in range(1, 300):
+                    worker.submit(x)
+                    sum(range(rng.randrange(60)))  # the caller's own work, of varying length
+                    if worker.result() != f(x):
+                        failures.append((seed, x))
+                worker.submit(300)  # closed with an argument taken or not
+            except Exception as exc:  # a thread's exception would not fail the test
+                failures.append((seed, exc))
+            finally:
+                worker.close()
+
+        before, interval = threading.active_count(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=caller, args=(seed,)) for seed in range(4)]
+            for c in callers:
+                c.start()
+            for c in callers:
+                c.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(c.is_alive() for c in callers)
+        assert failures == [] and threading.active_count() == before
+
+    def test_no_thread_without_residuals(self, monkeypatch):
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self))
+        g = TorusGrid(d=1, n=16)
+        integrate(cosine_data(g, 0.3), ModelParams(alpha_minus_d=-1.0, c_K=-1.0),
+                  StepperConfig(t_end=0.02, dt_mode="fixed", dt=5e-3))
+        assert started == []
+
+    @pytest.mark.parametrize("d,n", [(1, 32), (2, 16)])
+    def test_states_handed_to_the_worker_stay_unwritten(self, worker_takes_every_call,
+                                                        monkeypatch, d, n):
+        # no step writes a state in place, so the worker reads it while the run steps on
+        g = TorusGrid(d=d, n=n)
+        rho0 = random_real_field(g, np.random.default_rng(8), mean=1.0, amplitude=0.3)
+        p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0)
+        cfg = StepperConfig(t_end=0.03, dt_mode="adaptive", dt_max=5e-3)
+        plain = integrate(rho0, p, cfg, energy_residuals=True)
+        submit = _Worker.submit
+        handed = []
+
+        def read_only(self, arg):
+            arg.setflags(write=False)
+            handed.append(arg)
+            submit(self, arg)
+
+        monkeypatch.setattr(_Worker, "submit", read_only)
+        res = integrate(rho0, p, cfg, energy_residuals=True)
+        assert len(handed) == len(res.records) - 2 > 0
+        assert np.array_equal(res.h, plain.h) and repr(res.records) == repr(plain.records)
+
+    def test_worker_runs_under_the_loop_error_state(self, worker_takes_every_call):
+        # the trilinear form of data near 1e120 overflows on the thread, which starts with
+        # numpy's default error state: the residuals turn non-finite without a warning
+        g = TorusGrid(d=1, n=16)
+        rho0 = field_from_function(g, lambda x: 1e120 * (1 + 0.5 * np.cos(x)))
+        cfg = StepperConfig(t_end=0.02, dt_mode="fixed", dt=5e-3, blowup_threshold=math.inf)
+        res = integrate(rho0, ModelParams(alpha_minus_d=-1.0, c_K=0.0), cfg,
+                        energy_residuals=True)
+        interior = res.records[1:-1]
+        assert res.reason == "completed" and interior and all(worker_takes_every_call)
+        assert not any(math.isfinite(r.energy_residual_L2) for r in interior)
