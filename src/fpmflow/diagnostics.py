@@ -167,10 +167,10 @@ class EnergyResidualKernel:
     field A is real.  T = sum_j mean(A_j B_j C) is taken by Parseval from the
     forward transforms of P_j = B_j C, so it needs 1 + d inverse and d forward
     real transforms, and the A_j are never formed.  Build one per run:
-    nothing outside the run keeps it alive.  In a run, :meth:`trilinear` of a
-    sample's state runs on the run's worker thread while the next step is
-    taken (on the main thread if the worker has not taken it by the next
-    sample), and :meth:`residuals` gets the pair it returned.
+    nothing outside the run keeps it alive.  In a run on a grid of at least
+    ``stepper.WORKER_MIN_POINTS`` points, :meth:`trilinear` of a sample's
+    state runs on the run's worker thread while the next step is taken, and
+    :meth:`residuals` gets the pair it returned.
     """
 
     def __init__(self, op: SpectralOperator, s: float):

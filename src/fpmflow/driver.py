@@ -55,9 +55,6 @@ from .spectral import (
 from .stepper import FinalState, StepperConfig, _integrating_factor_rk4, integrate
 
 FMT = "%.17g"
-# Every partial sum of a real FFT is at most a small power of N times sum |rho| (sum |rho|
-# itself for the radix passes), so data with sum |rho| below this cannot overflow it.
-TRANSFORM_SAFE_SUM = 1e250
 
 
 class ConfigError(ValueError):
@@ -126,10 +123,8 @@ class RunConfig:
             rho0 = mollify_initial(self.initial_condition().build(grid), self.mu)
             if not np.all(np.isfinite(rho0.values)):
                 raise ConfigError(f"init {self.init!r} overflows: the initial field is not finite")
-            # only data near the float range are transformed here, to see whether the first
-            # state is finite: the run takes that transform again
-            if not (np.sum(np.abs(rho0.values)) < TRANSFORM_SAFE_SUM
-                    or np.all(np.isfinite(half_transform(rho0.values, grid.shape)))):
+            # the run takes this transform again: at N = 256 in 2-D it costs 0.6 ms
+            if not np.all(np.isfinite(half_transform(rho0.values, grid.shape))):
                 raise ConfigError(
                     f"init {self.init!r} overflows: its first transform is not finite")
         return rho0

@@ -7,16 +7,15 @@ Stage 1 does not depend on dt, so every step evaluates it first and takes dt
 from the run's one rule (a CFL bound, or the fixed dt) applied to the largest
 speed and density of its dealiased fields: the step size costs no transform.
 States are rfft-layout coefficient arrays that no step updates in place.
-So a nu = 0 run checks its energy identities alongside its steps: the
-trilinear form of a sample's state runs on the run's one worker thread while
-the main thread takes the next step, and the pair it gives is collected when
-the sample after it is taken.
+So a nu = 0 run on a grid of at least WORKER_MIN_POINTS points checks its
+energy identities alongside its steps: the trilinear form of a sample's state
+runs on the run's one worker thread while the main thread takes the next
+step, and the pair it gives is collected when the sample after it is taken.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable
@@ -28,6 +27,13 @@ from .model import ModelParams, SpectralOperator, nonlinear_rhs
 from .spectral import RealField, SpectralError, TorusGrid, half_coefficients
 
 EPS0 = 1e-12
+# A nu = 0 run forms its trilinear forms on a worker thread when its grid has at least this
+# many points (2-D N >= 128, 1-D N >= 16384), and in the loop on smaller grids, whose numpy
+# calls are too short to release the GIL for long: there the thread's hand-offs cost more
+# than the overlap saves.  In-process on 2 cores, the thread made 2-D N = 16 to 32 and
+# 1-D N = 128 to 1024 runs 40-100% slower, 2-D N = 64 to 96 and 1-D N = 4096 moved within
+# noise, and 2-D N = 128 to 256 and 1-D N = 16384 to 65536 ran 10-35% faster.
+WORKER_MIN_POINTS = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -73,74 +79,6 @@ class FinalState:
     reason: str                      # "completed" | "blowup_detected" | "max_steps"
     n_steps: int
     records: list
-
-
-class _Worker:
-    """One thread that runs fn on the caller's arguments, one at a time, while the caller
-    goes on.
-
-    The caller alternates :meth:`submit` and :meth:`result`.  The thread takes the
-    argument once it holds the GIL; one it has not taken when the result is asked for
-    is taken back, and the caller runs fn itself, so a caller whose numpy calls are
-    too small to release the GIL does not wait for the thread to be scheduled.  fn
-    runs under the run loop's error state, which a new thread does not inherit, and
-    an exception it raises on the thread comes back from :meth:`result`.
-    :meth:`close` drops an argument not taken, waits for a call in flight, and joins
-    the thread.
-    """
-
-    def __init__(self, fn: Callable):
-        self._fn = fn
-        self._lock = threading.Lock()
-        self._arg = self._out = None  # the argument nobody has taken; the thread's (value, exc)
-        self._pending = self._stop = False
-        self._given = threading.Semaphore(0)
-        self._done = threading.Semaphore(0)
-        self._thread = threading.Thread(target=self._serve, daemon=True)
-        self._thread.start()
-
-    def _take(self):
-        with self._lock:
-            arg, self._arg = self._arg, None
-        return arg
-
-    def _serve(self):
-        with np.errstate(over="ignore", invalid="ignore"):
-            while True:
-                self._given.acquire()
-                if self._stop:
-                    return
-                arg = self._take()
-                if arg is None:  # the caller took it back
-                    continue
-                try:
-                    self._out = self._fn(arg), None
-                except BaseException as exc:  # raised again by result()
-                    self._out = None, exc
-                self._done.release()
-
-    def submit(self, arg):
-        with self._lock:
-            self._arg, self._pending = arg, True
-        self._given.release()
-
-    def result(self):
-        self._pending = False
-        arg = self._take()
-        if arg is not None:
-            return self._fn(arg)
-        self._done.acquire()
-        (value, exc), self._out = self._out, None
-        if exc is not None:
-            raise exc
-        return value
-
-    def close(self):
-        if self._pending and self._take() is None:  # in flight: it runs to its end, unread
-            self._done.acquire()
-        self._stop = True
-        self._given.release()
-        self._thread.join()
 
 
 def cfl_dt(umax: float, rho_max: float, op: SpectralOperator, safety: float,
@@ -213,12 +151,13 @@ def integrate(rho0: RealField, p: ModelParams, cfg: StepperConfig,
     trapezoid rule over sample times.  With ``energy_residuals`` (nu = 0 only)
     each interior record gets the L2 and Hdot^{max s_list} energy residuals
     once the sample after it is taken; the window holds the last three sampled
-    states (by reference) and their records' norms.  The trilinear form of an
-    interior sample's state is handed to the run's one worker thread when the
-    loop steps on from that sample, runs while the main thread takes the
-    steps up to the next sample, and is collected there; the thread is joined
-    before this returns or raises.  Only the last state is handed out, in rfft
-    layout.
+    states (by reference) and their records' norms.  On a grid of at least
+    WORKER_MIN_POINTS points the trilinear form of an interior sample's state
+    is handed to the run's one worker thread when the loop steps on from that
+    sample, runs while the main thread takes the steps up to the next sample,
+    and is collected there; the thread is joined before this returns or
+    raises.  On a smaller grid it is formed when the next sample is taken.
+    Only the last state is handed out, in rfft layout.
     """
     op = SpectralOperator(rho0.grid, p)
     s_max = float(max(cfg.s_list))
@@ -240,7 +179,7 @@ def integrate(rho0: RealField, p: ModelParams, cfg: StepperConfig,
             if len(window) == 3:
                 mid = records[-2]
                 mid.energy_residual_L2, mid.energy_residual_Hs = kernel.residuals(
-                    window, worker.result())
+                    window, formed.result() if pool is not None else None)
         return rec.B1
 
     def rule(umax, rho_max):  # the run's dt, cut to end the run at t_end
@@ -249,9 +188,17 @@ def integrate(rho0: RealField, p: ModelParams, cfg: StepperConfig,
 
     n_steps = 0
     reason = None
+    pool = formed = None  # the worker and the trilinear form it runs
+    if kernel is not None and op.grid.npoints >= WORKER_MIN_POINTS:
+        from concurrent.futures import ThreadPoolExecutor
+        pool = ThreadPoolExecutor(max_workers=1)
+
+    def trilinear(h):  # a thread starts with numpy's default error state
+        with np.errstate(over="ignore", invalid="ignore"):
+            return kernel.trilinear(h)
+
     handoff = False  # a sample after t = 0 was just taken: its state goes to the worker
     # if the loop steps on from it, so a completed run forms no trilinear form it discards
-    worker = _Worker(kernel.trilinear) if kernel is not None else None
     try:
         # A state that overflows has blown up: it is classified below, not warned about.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -267,7 +214,7 @@ def integrate(rho0: RealField, p: ModelParams, cfg: StepperConfig,
                     reason = "completed"
                     break
                 if handoff:
-                    worker.submit(state)
+                    formed = pool.submit(trilinear, state)
                     handoff = False
                 try:
                     state, dt = step(state, rule, op)
@@ -283,10 +230,10 @@ def integrate(rho0: RealField, p: ModelParams, cfg: StepperConfig,
                     if sample(t, state, op.physical(state)) > cfg.blowup_threshold:
                         reason = "blowup_detected"
                         break
-                    handoff = worker is not None
+                    handoff = pool is not None
     finally:
-        if worker is not None:
-            worker.close()
+        if pool is not None:  # a form in flight runs to its end, unread
+            pool.shutdown(wait=True, cancel_futures=True)
 
     return FinalState(h=state, grid=op.grid, t=t, reason=reason, n_steps=n_steps,
                       records=records)

@@ -1,14 +1,12 @@
 """Fixtures shared by the test modules."""
 
-import threading
-import time
 import weakref
 
 import pytest
 
 from fpmflow.diagnostics import EnergyResidualKernel
+from fpmflow import stepper
 from fpmflow.model import SpectralOperator
-from fpmflow.stepper import _Worker
 
 
 def _track(monkeypatch, cls) -> list:
@@ -37,24 +35,7 @@ def built_residual_kernels(monkeypatch):
 
 
 @pytest.fixture
-def worker_takes_every_call(monkeypatch):
-    """Each argument handed to a run's worker is taken by its thread before the run steps on,
-    so the trilinear forms run on the thread (a run with small arrays would mostly run them
-    itself).  Returns, per trilinear form taken, whether it ran off the main thread."""
-    submit, trilinear = _Worker.submit, EnergyResidualKernel.trilinear
-    off_main = []
-
-    def waiting_submit(self, arg):
-        submit(self, arg)
-        deadline = time.monotonic() + 30.0
-        while self._arg is not None:
-            assert time.monotonic() < deadline, "the worker thread never took its argument"
-            time.sleep(1e-4)
-
-    def recording_trilinear(self, h):
-        off_main.append(threading.current_thread() is not threading.main_thread())
-        return trilinear(self, h)
-
-    monkeypatch.setattr(_Worker, "submit", waiting_submit)
-    monkeypatch.setattr(EnergyResidualKernel, "trilinear", recording_trilinear)
-    return off_main
+def worker_on_every_grid(monkeypatch):
+    """A nu = 0 run starts its residual worker thread on a grid of any size, so small test
+    grids take the thread's path."""
+    monkeypatch.setattr(stepper, "WORKER_MIN_POINTS", 1)

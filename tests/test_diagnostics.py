@@ -273,18 +273,18 @@ class TestEnergyResidualKernel:
         with pytest.raises(ValueError):
             EnergyResidualKernel(SpectralOperator(TorusGrid(d=1, n=16), p), 4.0)
 
-    @pytest.mark.parametrize("on_thread", [False, True], ids=["either-thread", "worker-thread"])
-    @pytest.mark.parametrize("d,n", [(1, 64), (2, 16)])
+    @pytest.mark.parametrize("d,n,on_worker", [(1, 64, False), (2, 16, False), (2, 16, True)],
+                             ids=["1d", "2d", "2d-worker"])
     @pytest.mark.parametrize("c_K,cfg", [
         (-1.0, StepperConfig(t_end=0.05, dt_mode="fixed", dt=5e-3, s_list=(3.0, 4.0))),
         (1.0, StepperConfig(t_end=5.0, safety=0.4, blowup_threshold=50.0)),
     ])
     def test_in_run_residuals_equal_kernel_on_neighbouring_states(self, c_K, cfg, d, n,
-                                                                  on_thread, monkeypatch,
+                                                                  on_worker, monkeypatch,
                                                                   request):
-        # the trilinear forms run on the run's worker thread, or on the main thread where
-        # the thread has not taken them: the same numbers either way
-        off_main = request.getfixturevalue("worker_takes_every_call") if on_thread else None
+        # the trilinear forms run in the loop, or on the run's worker thread: the same numbers
+        if on_worker:
+            request.getfixturevalue("worker_on_every_grid")
         g = TorusGrid(d=d, n=n)
         rho0 = field_from_function(g, lambda *x: 1 + 0.5 * np.cos(sum(x)))
         p = ModelParams(alpha_minus_d=-1.0, c_K=c_K)
@@ -297,8 +297,6 @@ class TestEnergyResidualKernel:
         monkeypatch.setattr(stepper, "make_record", recording)
         res = integrate(rho0, p, cfg, energy_residuals=True)
         assert res.reason == ("completed" if c_K < 0 else "blowup_detected")
-        if on_thread:
-            assert off_main == [True] * (len(res.records) - 2)
         recs = res.records
         assert len(recs) == len(sampled) >= 3
         for rec in (recs[0], recs[-1]):

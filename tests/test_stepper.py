@@ -2,9 +2,8 @@
 
 import gc
 import math
-import random
-import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -21,8 +20,8 @@ from fpmflow.spectral import (
     random_real_field,
 )
 from fpmflow.diagnostics import EnergyResidualKernel
-from fpmflow.stepper import (StepperConfig, _integrating_factor_rk4, _Worker, cfl_dt, integrate,
-                             step)
+from fpmflow.stepper import (WORKER_MIN_POINTS, StepperConfig, _integrating_factor_rk4, cfl_dt,
+                             integrate, step)
 
 from oracles import SpectralField, field_from_function, full_field
 
@@ -463,7 +462,8 @@ class TestIntegrate:
 
 
 class TestResidualWorker:
-    """A nu = 0 run's trilinear forms run on one worker thread that no exit leaves behind."""
+    """A nu = 0 run on a large enough grid forms its trilinear forms on one worker thread,
+    which no exit leaves behind."""
 
     EXITS = {
         "completed": (-1.0, StepperConfig(t_end=0.02, dt_mode="fixed", dt=5e-3)),
@@ -475,16 +475,17 @@ class TestResidualWorker:
     }
 
     @pytest.mark.parametrize("exit", list(EXITS))
-    def test_one_thread_while_running_and_none_after(self, worker_takes_every_call,
-                                                      monkeypatch, exit):
+    def test_one_thread_while_running_and_none_after(self, worker_on_every_grid, monkeypatch,
+                                                      exit):
         g = TorusGrid(d=2, n=16)
         rho0 = field_from_function(g, lambda x, y: 1 + 0.5 * np.cos(x + y))
         c_K, cfg = self.EXITS[exit]
         trilinear = EnergyResidualKernel.trilinear
-        threads = []
+        threads = []  # (thread count, off the main thread) per trilinear form
 
         def counting(self, h):
-            threads.append(threading.active_count())
+            threads.append((threading.active_count(),
+                            threading.current_thread() is not threading.main_thread()))
             out = trilinear(self, h)
             if exit == "raises":
                 raise RuntimeError("trilinear failed")
@@ -503,56 +504,56 @@ class TestResidualWorker:
         else:
             assert run().reason == exit
         assert threading.active_count() == before
-        assert threads and set(threads) == {before + 1}
-        assert all(worker_takes_every_call)
+        assert threads and set(threads) == {(before + 1, True)}
 
-    def test_stress_each_result_is_that_of_its_argument(self):
-        # callers on more threads than cores, each with its own worker, under a short switch
-        # interval: the thread and the caller race to take each argument, and a result handed
-        # to the wrong argument, or lost, breaks the equality or hangs a join
-        def f(x):
-            return 2 * x + sum(range(x % 40))
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_worker_only_on_grids_of_its_size(self, monkeypatch, n):
+        # 2-D N = 64 has 4096 points, below WORKER_MIN_POINTS, and N = 128 has 16384
+        g = TorusGrid(d=2, n=n)
+        on_worker = g.npoints >= WORKER_MIN_POINTS
+        assert on_worker == (n == 128)
+        trilinear = EnergyResidualKernel.trilinear
+        off_main = []
 
-        failures = []
+        def recording(self, h):
+            off_main.append(threading.current_thread() is not threading.main_thread())
+            return trilinear(self, h)
 
-        def caller(seed):
-            rng = random.Random(seed)
-            worker = _Worker(f)
-            try:
-                for x in range(1, 300):
-                    worker.submit(x)
-                    sum(range(rng.randrange(60)))  # the caller's own work, of varying length
-                    if worker.result() != f(x):
-                        failures.append((seed, x))
-                worker.submit(300)  # closed with an argument taken or not
-            except Exception as exc:  # a thread's exception would not fail the test
-                failures.append((seed, exc))
-            finally:
-                worker.close()
+        monkeypatch.setattr(EnergyResidualKernel, "trilinear", recording)
+        rho0 = field_from_function(g, lambda x, y: 1 + 0.5 * np.cos(x + y))
+        res = integrate(rho0, ModelParams(alpha_minus_d=-1.0, c_K=-1.0),
+                        StepperConfig(t_end=1.0, dt_mode="fixed", dt=1e-3, max_steps=3),
+                        energy_residuals=True)
+        assert len(res.records) == 4 and off_main == [on_worker] * 2
 
-        before, interval = threading.active_count(), sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            callers = [threading.Thread(target=caller, args=(seed,)) for seed in range(4)]
-            for c in callers:
-                c.start()
-            for c in callers:
-                c.join(timeout=60.0)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(c.is_alive() for c in callers)
-        assert failures == [] and threading.active_count() == before
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_worker_makes_the_transforms_of_the_loop(self, monkeypatch, d):
+        # a completed run forms no trilinear form it discards: with the worker it makes the
+        # same real FFTs, name by name, as when it forms each pair in the loop
+        g = TorusGrid(d=d, n=16)
+        p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0)
+        cfg = StepperConfig(t_end=0.02, dt_mode="adaptive", dt_max=5e-3)
+        rho0 = random_real_field(g, np.random.default_rng(7), mean=1.0, amplitude=0.3)
+        in_loop = count_ffts(monkeypatch)
+        integrate(rho0, p, cfg, energy_residuals=True)
+        in_loop = dict(in_loop)
+        monkeypatch.setattr("fpmflow.stepper.WORKER_MIN_POINTS", 1)
+        on_worker = count_ffts(monkeypatch)
+        res = integrate(rho0, p, cfg, energy_residuals=True)
+        assert res.reason == "completed" and len(res.records) >= 4
+        assert dict(on_worker) == in_loop
 
     def test_no_thread_without_residuals(self, monkeypatch):
         started = []
         monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self))
-        g = TorusGrid(d=1, n=16)
-        integrate(cosine_data(g, 0.3), ModelParams(alpha_minus_d=-1.0, c_K=-1.0),
+        g = TorusGrid(d=2, n=128)
+        rho0 = field_from_function(g, lambda x, y: 1 + 0.3 * np.cos(x + y))
+        integrate(rho0, ModelParams(alpha_minus_d=-1.0, c_K=-1.0),
                   StepperConfig(t_end=0.02, dt_mode="fixed", dt=5e-3))
         assert started == []
 
     @pytest.mark.parametrize("d,n", [(1, 32), (2, 16)])
-    def test_states_handed_to_the_worker_stay_unwritten(self, worker_takes_every_call,
+    def test_states_handed_to_the_worker_stay_unwritten(self, worker_on_every_grid,
                                                         monkeypatch, d, n):
         # no step writes a state in place, so the worker reads it while the run steps on
         g = TorusGrid(d=d, n=n)
@@ -560,27 +561,27 @@ class TestResidualWorker:
         p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0)
         cfg = StepperConfig(t_end=0.03, dt_mode="adaptive", dt_max=5e-3)
         plain = integrate(rho0, p, cfg, energy_residuals=True)
-        submit = _Worker.submit
+        submit = ThreadPoolExecutor.submit
         handed = []
 
-        def read_only(self, arg):
+        def read_only(self, fn, arg):
             arg.setflags(write=False)
             handed.append(arg)
-            submit(self, arg)
+            return submit(self, fn, arg)
 
-        monkeypatch.setattr(_Worker, "submit", read_only)
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", read_only)
         res = integrate(rho0, p, cfg, energy_residuals=True)
         assert len(handed) == len(res.records) - 2 > 0
         assert np.array_equal(res.h, plain.h) and repr(res.records) == repr(plain.records)
 
-    def test_worker_runs_under_the_loop_error_state(self, worker_takes_every_call):
+    def test_worker_runs_under_the_loop_error_state(self, worker_on_every_grid):
         # the trilinear form of data near 1e120 overflows on the thread, which starts with
         # numpy's default error state: the residuals turn non-finite without a warning
-        g = TorusGrid(d=1, n=16)
-        rho0 = field_from_function(g, lambda x: 1e120 * (1 + 0.5 * np.cos(x)))
+        g = TorusGrid(d=2, n=16)
+        rho0 = field_from_function(g, lambda x, y: 1e120 * (1 + 0.5 * np.cos(x + y)))
         cfg = StepperConfig(t_end=0.02, dt_mode="fixed", dt=5e-3, blowup_threshold=math.inf)
         res = integrate(rho0, ModelParams(alpha_minus_d=-1.0, c_K=0.0), cfg,
                         energy_residuals=True)
         interior = res.records[1:-1]
-        assert res.reason == "completed" and interior and all(worker_takes_every_call)
+        assert res.reason == "completed" and interior
         assert not any(math.isfinite(r.energy_residual_L2) for r in interior)
