@@ -19,7 +19,8 @@ Exit codes:
        refine --n-list of fewer than two N or an empty mu-converge --mu-list, or one
        with a mu that is not finite, positive and descending; a picard step count
        t_end / dt above max_steps; an empty --out (verify's means no report file) or
-       one that cannot be a directory.  All are found before any run starts.
+       one that cannot be a directory.  All are found before any run starts, and an
+       invocation that ends in one removes the --out directory it made.
     2  simulate ended blowup_detected (also at t = 0, after no step, when B1 of the
        first state is above blowup_threshold, and on a CFL dt that is not finite and
        positive, as an overflowing max|u| gives) or max_steps; picard diverged (d_n
@@ -34,6 +35,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import shutil
 import sys
 from dataclasses import MISSING, dataclass, fields, replace
 
@@ -259,8 +261,8 @@ def _audit(records):
 
 def run_simulation(cfg: RunConfig, quiet: bool = False) -> int:
     """Run one simulation, write series + snapshots, return the exit code."""
-    os.makedirs(cfg.out, exist_ok=True)
     rho0 = cfg.initial_field()
+    os.makedirs(cfg.out, exist_ok=True)
     regime = classify_regime(cfg, rho0)
     if not quiet:
         print(f"regime: {regime}", file=sys.stderr)
@@ -461,13 +463,21 @@ def _parse_overrides(extra: list) -> list:
     return out
 
 
-def _make_out(path) -> None:
-    """Create the output directory, if any, before any run; failing is a config error."""
+def _make_out(path):
+    """Create the output directory, if any, before any run; failing is a config error.
+
+    Returns the outermost directory that this call created, or None if it made none.
+    """
+    if not path:
+        return None
+    made, head = None, os.path.abspath(path)
+    while not os.path.lexists(head):
+        made, head = head, os.path.dirname(head)
     try:
-        if path:
-            os.makedirs(path, exist_ok=True)
+        os.makedirs(path, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory: {exc}") from exc
+    return made
 
 
 def main(argv=None) -> int:
@@ -499,13 +509,14 @@ def main(argv=None) -> int:
     sp.add_argument("--out", default=None)
     sp.add_argument("--seed", type=int, default=0)
 
+    made = None
     try:
         args, extra = parser.parse_known_args(argv)
         if args.command == "verify":
             if extra:
                 raise ConfigError(f"unexpected arguments {extra}")
             selection = [s.strip() for s in args.select.split(",") if s.strip()]
-            _make_out(args.out)
+            made = _make_out(args.out)
             reports = verify_suite(selection, seed=args.seed, n=args.samples)
             text = "\n".join(r.format() for r in reports)
             if args.out:
@@ -524,7 +535,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             overrides.append(("seed", str(args.seed)))
         cfg = load_config(args.config, overrides)
-        _make_out(cfg.out)
+        made = _make_out(cfg.out)
 
         if args.command == "simulate":
             return run_simulation(cfg)
@@ -558,6 +569,8 @@ def main(argv=None) -> int:
             return 0
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
+        if made:  # such as initial data that overflow: the invocation leaves no directory
+            shutil.rmtree(made, ignore_errors=True)
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except IncompleteRun as exc:

@@ -629,6 +629,33 @@ class TestCli:
         assert err.startswith("config error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
+        ["simulate", "--config", "heat.cfg"],
+        ["picard", "--config", "heat.cfg", "--mu", "0.25"],
+        ["refine", "--config", "heat.cfg", "--n-list", "32,64"],
+        ["mu-converge", "--config", "heat.cfg"],
+    ], ids=lambda argv: argv[0])
+    def test_overflowing_init_leaves_no_out_directory(self, tmp_path, capsys, argv):
+        # main made --out before the first field was built, so the config error left it
+        init = ["--init", "cosine:mean=1e308,amplitude=0"]
+        argv = [os.path.join(CONFIG_DIR, a) if a.endswith(".cfg") else a for a in argv]
+        assert main(argv + init + ["--out", str(tmp_path / "new" / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == []
+        # an --out that was there before stays
+        (tmp_path / "old").mkdir()
+        assert main(argv + init + ["--out", str(tmp_path / "old")]) == 1
+        assert os.listdir(tmp_path) == ["old"] and os.listdir(tmp_path / "old") == []
+
+    def test_run_simulation_checks_the_first_field_before_making_out(self, tmp_path):
+        cfg = load_config(os.path.join(CONFIG_DIR, "heat.cfg"),
+                          [("init", "cosine:mean=1e308,amplitude=0"),
+                           ("out", str(tmp_path / "x"))])
+        with pytest.raises(ConfigError, match="overflows"):
+            run_simulation(cfg, quiet=True)
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("argv", [
         ["simulate", "--config", "heat.cfg", "--seed", "abc"],
         ["simulate", "--config", "heat.cfg", "--seed"],
         ["verify", "--samples", "abc"],

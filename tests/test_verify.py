@@ -541,29 +541,47 @@ def ref_pointwise(d, n, seed):
     return [row + (ref_safe_ratio(row[3], row[4]),) for row in out]
 
 
+SUITE_POINTWISE = dict(lemma1=(3.0, 4.0, 6.0), gdecomp=((3.0, 0.0), (3.0, 0.5), (3.0, 1.0)),
+                       bdiff=(0.25, 0.5, 0.75, 1.0))
+
+
 class TestPointwiseGeometry:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_suite_sides_match_frozen_formulas(self, monkeypatch, seed):
-        seen = []
-        report, to_report = verify._pointwise_report, verify._ratios_to_report
+        # The walk evaluates each family block by block: the pairs and sides of every block
+        # are captured where the _Pairs methods return them and joined in walk order, and
+        # each report's population of ratios where _ratios_to_report receives it.
+        blocks, ratios = {}, {}
+        names = {"lemma1": lambda d, s: f"lemma1(s={s}, d={d})",
+                 "gdecomp": lambda d, s, b: f"gdecomp(s={s}, b={b}, d={d})",
+                 "bdiff": lambda d, b: f"bdiff(b={b}, d={d})"}
+        for family, name in names.items():
+            def capture(pairs, *args, method=getattr(verify._Pairs, family), name=name):
+                sides = method(pairs, *args)
+                blocks.setdefault(name(pairs.xi.shape[1], *args), []).append(
+                    [pairs.xi.copy(), pairs.eta.copy(), *(a.copy() for a in sides)])
+                return sides
 
-        def capture(name, pairs, sides):
-            seen.append([name, pairs.xi.copy(), pairs.eta.copy(), *sides])
-            return report(name, pairs, sides)
+            monkeypatch.setattr(verify._Pairs, family, capture)
+        to_report = verify._ratios_to_report
 
-        def capture_ratios(name, ratios, degenerate, argmax_inputs):
-            seen[-1].append(ratios.copy())
-            return to_report(name, ratios, degenerate, argmax_inputs)
+        def capture_ratios(name, r, degenerate, argmax_inputs):
+            ratios[name] = r.copy()
+            return to_report(name, r, degenerate, argmax_inputs)
 
-        monkeypatch.setattr(verify, "_pointwise_report", capture)
         monkeypatch.setattr(verify, "_ratios_to_report", capture_ratios)
-        verify_suite(("lemma1", "gdecomp", "bdiff"), seed=seed, n=2000)
         want = ref_pointwise(1, 2000, seed) + ref_pointwise(2, 2000, seed)
-        assert sorted(row[0] for row in seen) == sorted(row[0] for row in want)
-        got = {row[0]: row for row in seen}
-        for name, *arrays in want:
-            for a, b in zip(got[name][1:], arrays):
-                assert a.shape == b.shape and np.all(a == b), name
+        for block in (verify.POINTWISE_BLOCK, 700):  # one block, then three
+            monkeypatch.setattr(verify, "POINTWISE_BLOCK", block)
+            blocks.clear()
+            ratios.clear()
+            verify_suite(("lemma1", "gdecomp", "bdiff"), seed=seed, n=2000)
+            assert sorted(blocks) == sorted(ratios) == sorted(row[0] for row in want)
+            for name, *arrays in want:
+                assert len(blocks[name]) == -(-arrays[0].shape[0] // block)
+                got = [np.concatenate(parts) for parts in zip(*blocks[name])] + [ratios[name]]
+                for a, b in zip(got, arrays):
+                    assert a.shape == b.shape and np.all(a == b), name
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_norm_and_dot_match_axis_sums(self, d):
@@ -572,20 +590,64 @@ class TestPointwiseGeometry:
         assert np.all(_norm(v) == ref_norm(v))
         assert np.all(verify._dot(v, w) == np.sum(v * w, axis=-1))
 
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_pointwise_peak_memory(self, d):
-        # The parent's evaluators peaked at 3.53 MB (d = 1) and 4.08 MB (d = 2);
-        # the shared geometry must not cost more than the temporaries it saves.
-        params = dict(lemma1=(3.0, 4.0, 6.0), gdecomp=((3.0, 0.0), (3.0, 0.5), (3.0, 1.0)),
-                      bdiff=(0.25, 0.5, 0.75, 1.0))
-        verify.pointwise_reports(d, 20_000, 0, **params)  # first-call allocations
+    @staticmethod
+    def pointwise_peak(d, n):
+        verify.pointwise_reports(d, n, 0, **SUITE_POINTWISE)  # first-call allocations
         tracemalloc.start()
         try:
-            verify.pointwise_reports(d, 20_000, 0, **params)
-            peak = tracemalloc.get_traced_memory()[1]
+            verify.pointwise_reports(d, n, 0, **SUITE_POINTWISE)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= {1: 3.53e6, 2: 4.08e6}[d]
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_pointwise_peak_memory(self, d):
+        # The evaluators of whole populations peaked at 3.53 MB (d = 1) and 4.08 MB (d = 2);
+        # the shared geometry must not cost more than the temporaries it saves.
+        assert self.pointwise_peak(d, 20_000) <= {1: 3.53e6, 2: 4.08e6}[d]
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_pointwise_peak_memory_at_full_samples(self, d):
+        # At verify's default 100 000 pairs the whole-population evaluators peaked at
+        # 13.00 MB (d = 1) and 14.84 MB (d = 2), and the block walk at 9.67 and 9.80 MB.
+        assert self.pointwise_peak(d, 100_000) <= {1: 13.01e6, 2: 14.85e6}[d]
+
+
+class TestPointwiseBlocks:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_block_size_does_not_change_a_report(self, monkeypatch, d):
+        got = []
+        for block in (7, 1000, 8192):
+            monkeypatch.setattr(verify, "POINTWISE_BLOCK", block)
+            reps = pointwise_reports(d, 2000, 0, **SUITE_POINTWISE)
+            got.append([vars(rep) for family in SUITE_POINTWISE for rep in reps[family]])
+        assert len(got[0]) == 10
+        assert got[0] == got[1] == got[2]
+
+    @pytest.mark.parametrize("block", [7, 1000])
+    def test_zero_vectors_at_block_boundaries(self, monkeypatch, block):
+        # Rows with eta = 0 or xi = 0 on both sides of the boundaries of blocks of 7: the
+        # filters drop them from the families after lemma1, and the walk must give each
+        # family the reports of its whole filtered population evaluated at once.
+        monkeypatch.setattr(verify, "POINTWISE_BLOCK", block)
+        rng = np.random.default_rng(12)
+        xi, eta = rng.uniform(-4.0, 4.0, size=(2, 40, 2))
+        eta[[6, 7, 14, 28]] = 0.0
+        xi[[13, 20, 21, 27, 28]] = 0.0
+        got = verify._pairs_reports(xi, eta, **SUITE_POINTWISE)
+        keep = _norm(eta) > 0.0
+        both = keep & (_norm(xi) > 0.0)
+        for family, x, e in (("lemma1", xi, eta), ("gdecomp", xi[keep], eta[keep]),
+                             ("bdiff", xi[both], eta[both])):
+            args = SUITE_POINTWISE[family]
+            assert len(got[family]) == len(args)
+            for rep, a in zip(got[family], args):
+                sides = getattr(_Pairs(x, e), family)(*np.atleast_1d(a))
+                want = _ratios_to_report(rep.name, *_safe_ratio(*sides),
+                                         lambda i: {"xi": x[i].tolist(), "eta": e[i].tolist()})
+                assert rep.n == x.shape[0] and vars(rep) == vars(want)
+        assert [rep.n for rep in got["lemma1"] + got["gdecomp"] + got["bdiff"]] == \
+            [40] * 3 + [36] * 3 + [32] * 4
 
 
 class TestBatchedNaive:
