@@ -2,8 +2,8 @@
 
 Library layout:
 
-- :mod:`fpmflow.spectral`    grids, real transforms, Fourier multipliers, dealiasing,
-                             and the rfft layout of real fields' spectra
+- :mod:`fpmflow.spectral`    grids and their rfft-layout lattice with |xi| and the
+                             dealias mask, real transforms, the zero-mode power rule
 - :mod:`fpmflow.model`       velocity law, transport operator, mollified data
 - :mod:`fpmflow.stepper`     integrating-factor RK4 with CFL control
 - :mod:`fpmflow.diagnostics` norms, blow-up functionals, trilinear form

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import SpectralOperator, velocity_symbol
-from .spectral import half, half_inverse, half_norm, half_sum, half_transform, sobolev_weight
+from .spectral import half_inverse, half_norm, half_sum, half_transform, sobolev_weight
 
 TWO_PI = 2.0 * math.pi
 NAIVE_BLOCK = 10_000_000  # complex entries per block of the naive lattice sum
@@ -178,7 +178,7 @@ class EnergyResidualKernel:
         if p.nu != 0.0:
             raise ValueError("energy residual identity requires nu = 0")
         n = grid.n
-        kv = half(grid, grid.wavevectors())
+        kv = grid.half_wavevectors()
         m = velocity_symbol(kv, p)
         self.weight = w = sobolev_weight(op.mag, s, True)
         self.b = [_padded(-1j * m * kv[..., j], n) for j in range(grid.d)]

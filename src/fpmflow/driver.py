@@ -47,7 +47,6 @@ from .spectral import (
     RealField,
     TorusGrid,
     band_power,
-    half,
     half_coefficients,
     half_inverse,
     half_norm,
@@ -118,11 +117,16 @@ class RunConfig:
         return parse_init(self.init, self.seed)
 
     def initial_field(self) -> RealField:
-        """The run's first field, mollified; data that overflow on the grid, or whose first
-        transform overflows, are a ConfigError."""
+        """The run's first field, mollified; data that overflow on the grid (a Gaussian
+        width whose square overflows too), or whose first transform overflows, are a
+        ConfigError."""
         grid = self.grid()
         with np.errstate(over="ignore", invalid="ignore"):
-            rho0 = mollify_initial(self.initial_condition().build(grid), self.mu)
+            try:
+                rho0 = self.initial_condition().build(grid)
+            except OverflowError as exc:  # a float power: the Gaussian's sigma ** 2
+                raise ConfigError(f"init {self.init!r} overflows: {exc}") from exc
+            rho0 = mollify_initial(rho0, self.mu)
             if not np.all(np.isfinite(rho0.values)):
                 raise ConfigError(f"init {self.init!r} overflows: the initial field is not finite")
             # the run takes this transform again: at N = 256 in 2-D it costs 0.6 ms
@@ -318,7 +322,7 @@ def mu_convergence(cfg: RunConfig, mu_list) -> list:
         raise ConfigError(f"the H^(s-1) error needs max(s_list) >= -1, got {s_m1 + 1.0}")
     ref = _completed_run(replace(cfg, mu=0.0))
     grid = ref.grid
-    w = sobolev_weight(half(grid, grid.wavenumber_magnitude()), s_m1, False)
+    w = sobolev_weight(grid.half_magnitude(), s_m1, False)
     rows = []
     for mu, run in zip(mu_list, runs):
         p2 = np.abs(_completed_run(run).h - ref.h) ** 2

@@ -12,12 +12,13 @@ Diffusion is handled exactly by the integrating factor in the stepper, so
 ``nonlinear_rhs`` returns only -div(rho u) in coefficient space.
 
 A run builds one :class:`SpectralOperator` (its params as ``op.p``, its fixed
-multipliers in rfft layout) and passes it to ``velocity``, ``nonlinear_rhs``
-and the stepper.  States are rfft-layout coefficient arrays h from the run's
-first transform (:func:`fpmflow.spectral.half_coefficients`) on; the layout
-itself and its transforms belong to :mod:`fpmflow.spectral`.  Products are
-dealiased once: ``op.mask * h``.  The initial data are built and mollified in
-rfft layout too.
+multipliers on the grid's rfft-layout lattice) and passes it to ``velocity``,
+``nonlinear_rhs`` and the stepper.  States are rfft-layout coefficient arrays h
+from the run's first transform (:func:`fpmflow.spectral.half_coefficients`) on;
+the layout itself, its lattice (:meth:`fpmflow.spectral.TorusGrid.half_wavevectors`)
+and its transforms belong to :mod:`fpmflow.spectral`.  Products are dealiased
+once: ``op.mask * h``.  The initial data are built and mollified on that lattice
+too, with the heat factor exp(-t sum_j xi_j^2).
 """
 
 from __future__ import annotations
@@ -32,13 +33,11 @@ from .spectral import (
     SpectralError,
     TorusGrid,
     bump,
-    dealias_mask,
-    fractional_power,
-    half,
     half_inverse,
     half_transform,
-    heat_multiplier,
+    magnitude,
     mirror_rows,
+    radial_power,
     random_real_field,
 )
 
@@ -79,9 +78,10 @@ def velocity_symbol(kv: np.ndarray, p: ModelParams) -> np.ndarray:
 
     |xi|^{alpha-d} bump(mu |xi|), 0 at xi = 0; the cutoff applies only when mu > 0.
     """
-    sym = fractional_power(p.alpha_minus_d)(kv)
+    mag = magnitude(kv)
+    sym = radial_power(mag, p.alpha_minus_d)
     if p.mu > 0.0:
-        sym = sym * bump(p.mu * np.sqrt(np.sum(kv * kv, axis=-1)))
+        sym = sym * bump(p.mu * mag)
     return sym
 
 
@@ -106,10 +106,9 @@ class SpectralOperator:
     def __init__(self, grid: TorusGrid, p: ModelParams):
         self.grid = grid
         self.p = p
-        # copies, so the whole-lattice arrays are freed and the halves are contiguous
-        self.mag = half(grid, grid.wavenumber_magnitude()).copy()
-        kv = half(grid, grid.wavevectors())
-        self.mask = half(grid, dealias_mask(grid)).copy()
+        self.mag = grid.half_magnitude()
+        kv = grid.half_wavevectors()
+        self.mask = grid.half_mask()
         scale = p.c_K * velocity_symbol(kv, p)
         self.neg_div = []
         self.vel = []
@@ -173,7 +172,8 @@ def mollify_initial(rho0: RealField, mu: float) -> RealField:
         return RealField(rho0.grid, rho0.values.copy())
     grid = rho0.grid
     h = half_transform(rho0.values, grid.shape)
-    heat = heat_multiplier(mu * mu / 2.0)(half(grid, grid.wavevectors()))
+    kv = grid.half_wavevectors()
+    heat = np.exp(-(mu * mu / 2.0) * np.sum(kv * kv, axis=-1))
     return RealField(grid, half_inverse(heat * h, grid.shape))
 
 
@@ -230,10 +230,10 @@ class InitialCondition:
         if self.kind == "gaussian":
             # Periodized Gaussian, the heat kernel at time sigma^2 / 2, assembled in rfft layout:
             # c_xi = mass / (2pi)^d * exp(-sigma^2 |xi|^2 / 2 - i xi.center).
-            kv = half(grid, grid.wavevectors())
+            kv = grid.half_wavevectors()
             phase = sum(kv[..., j] * center[j] for j in range(grid.d))
-            coeffs = (self.mass / (2.0 * math.pi) ** grid.d
-                      * heat_multiplier(self.sigma ** 2 / 2.0)(kv) * np.exp(-1j * phase))
+            heat = np.exp(-(self.sigma ** 2 / 2.0) * np.sum(kv * kv, axis=-1))
+            coeffs = self.mass / (2.0 * math.pi) ** grid.d * heat * np.exp(-1j * phase)
             return RealField(grid, half_inverse(coeffs, grid.shape))
         rng = np.random.default_rng(self.seed)
         return random_real_field(

@@ -8,33 +8,30 @@ integer vectors.  Coefficients follow the convention
 i.e. c_0 is the mean of the field and the physical L2 norm equals
 (2pi)^{d/2} times the l2 norm of the coefficients.  Coefficient arrays are
 stored in numpy FFT ordering (wavenumbers 0, 1, ..., N/2-1, -N/2, ..., -1
-along each axis), in rfft layout: the last axis keeps only wavenumbers
-0..N/2, the rest following from Hermitian symmetry.  This module is the only
-one that knows the layout: the view :func:`half` of arrays on every mode,
-the real transform pair :func:`half_transform` / :func:`half_inverse`, the
-column-weighted sum :func:`half_sum` with the Parseval norm
-:func:`half_norm`, a run's first state made Hermitian bit for bit
-(:func:`half_coefficients`), and the restriction of a finer grid's state to
-a grid's band (:func:`band_power`).
-A Fourier multiplier is its symbol, a function of the wavenumbers applied to
-every mode: its value at xi = 0 is what the multiplier does to the mean.
-Every |xi|^s of the package that is 0 at xi = 0 comes from :func:`radial_power`.
+along each axis), in rfft layout: the last axis keeps only numpy's first
+N/2 + 1 wavenumbers 0, ..., N/2-1, -N/2, the rest following from Hermitian
+symmetry.  This module is the only one that knows the layout: the grid's
+lattice in it (:meth:`TorusGrid.half_wavevectors`, with |xi| and the 2/3 dealias
+mask on it), the real transform pair :func:`half_transform` /
+:func:`half_inverse`, the column-weighted sum :func:`half_sum` with the
+Parseval norm :func:`half_norm`, a run's first state made Hermitian bit for
+bit (:func:`half_coefficients`), and the restriction of a finer grid's state
+to a grid's band (:func:`band_power`).
+A Fourier multiplier is an array on that lattice, applied to every mode: its
+value at xi = 0 is what the multiplier does to the mean.  Every |xi|^s of the
+package that is 0 at xi = 0 comes from :func:`radial_power`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 
 class SpectralError(ValueError):
     """Raised on inconsistent grids or invalid spectral data."""
-
-
-Symbol = Callable[[np.ndarray], np.ndarray]  # of a wavenumber array of shape (..., d)
 
 
 @dataclass(frozen=True)
@@ -77,17 +74,27 @@ class TorusGrid:
         """Integer wavenumbers along one axis, FFT ordering."""
         return np.fft.fftfreq(self.n, d=1.0 / self.n).astype(np.int64)
 
+    def _lattice(self, last: np.ndarray) -> np.ndarray:
+        """The wavevectors of every axis's wavenumbers, but ``last`` on the last axis."""
+        axes = [self.axis_wavenumbers()] * (self.d - 1) + [last]
+        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).astype(np.float64)
+
     def wavevectors(self) -> np.ndarray:
         """Array of shape grid.shape + (d,) holding the wavenumber lattice."""
-        k = self.axis_wavenumbers()
-        if self.d == 1:
-            return k[:, None].astype(np.float64)
-        kx, ky = np.meshgrid(k, k, indexing="ij")
-        return np.stack([kx, ky], axis=-1).astype(np.float64)
+        return self._lattice(self.axis_wavenumbers())
 
-    def wavenumber_magnitude(self) -> np.ndarray:
-        kv = self.wavevectors()
-        return np.sqrt(np.sum(kv * kv, axis=-1))
+    def half_wavevectors(self) -> np.ndarray:
+        """The lattice in rfft layout: its last axis holds numpy's first N/2 + 1
+        wavenumbers, so column N/2 is the mode -N/2."""
+        return self._lattice(self.axis_wavenumbers()[:self.n // 2 + 1])
+
+    def half_magnitude(self) -> np.ndarray:
+        """|xi| on the rfft-layout lattice."""
+        return magnitude(self.half_wavevectors())
+
+    def half_mask(self) -> np.ndarray:
+        """2/3-rule dealias mask on the rfft-layout lattice: every |xi_j| <= N/3."""
+        return np.all(np.abs(self.half_wavevectors()) <= self.n / 3.0, axis=-1)
 
     def points(self) -> list:
         """Physical coordinate arrays, one per dimension (meshgrid for d=2)."""
@@ -121,19 +128,15 @@ def bump(r: np.ndarray) -> np.ndarray:
     return out
 
 
+def magnitude(kv: np.ndarray) -> np.ndarray:
+    """|xi| of the wavevectors kv of shape (..., d)."""
+    return np.sqrt(np.sum(kv * kv, axis=-1))
+
+
 def radial_power(mag: np.ndarray, s: float) -> np.ndarray:
     """mag^s where mag > 0, else 0: every |xi|^s with that zero-mode rule in the package."""
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(mag > 0.0, mag ** s, 0.0)
-
-
-def fractional_power(s: float) -> Symbol:
-    """Symbol |xi|^s on nonzero modes, 0 at the zero mode."""
-
-    def symbol(kv):
-        return radial_power(np.sqrt(np.sum(kv * kv, axis=-1)), s)
-
-    return symbol
 
 
 def sobolev_weight(mag: np.ndarray, s: float, homogeneous: bool) -> np.ndarray:
@@ -143,25 +146,6 @@ def sobolev_weight(mag: np.ndarray, s: float, homogeneous: bool) -> np.ndarray:
     if homogeneous:
         return radial_power(mag, 2.0 * s)
     return (1.0 + mag ** 2) ** s
-
-
-def heat_multiplier(t: float) -> Symbol:
-    """Symbol exp(-t |xi|^2); exactly 1 at the zero mode, so the mean is kept."""
-
-    def symbol(kv):
-        return np.exp(-t * np.sum(kv * kv, axis=-1))
-
-    return symbol
-
-
-def dealias_mask(grid: TorusGrid) -> np.ndarray:
-    """Boolean mask keeping modes with every |xi_j| <= N/3 (2/3 rule)."""
-    cut = grid.n / 3.0
-    k = grid.axis_wavenumbers()
-    keep1 = np.abs(k) <= cut
-    if grid.d == 1:
-        return keep1
-    return keep1[:, None] & keep1[None, :]
 
 
 def half_sum(shape: tuple, values: np.ndarray) -> np.ndarray:
@@ -174,13 +158,6 @@ def half_sum(shape: tuple, values: np.ndarray) -> np.ndarray:
     if n % 2 == 0:
         col[-1] = 1.0
     return np.sum(col * values, axis=tuple(range(-len(shape), 0)))
-
-
-def half(grid: TorusGrid, a: np.ndarray) -> np.ndarray:
-    """rfft-layout view of a of shape (..., *grid.shape) on every mode, or of the lattice
-    grid.shape + (d,): its last grid axis cut to wavenumbers 0..N/2."""
-    keep = slice(0, grid.n // 2 + 1)
-    return a[..., keep] if a.shape[-1] == grid.n else a[..., keep, :]
 
 
 def half_transform(values: np.ndarray, shape: tuple) -> np.ndarray:
@@ -251,7 +228,7 @@ def random_series(grid: TorusGrid, rng, envelope, lead: tuple = ()) -> np.ndarra
     re, im = np.moveaxis(rng.standard_normal(lead + (2,) + grid.shape), len(lead), 0)
     raw = re + 1j * im
     del re, im  # the transform does not need the draws: free them before it runs
-    return np.fft.ifftn(raw * envelope(grid.wavenumber_magnitude()) * grid.npoints,
+    return np.fft.ifftn(raw * envelope(magnitude(grid.wavevectors())) * grid.npoints,
                         axes=grid.axes).real
 
 

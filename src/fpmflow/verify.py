@@ -42,9 +42,6 @@ import numpy as np
 from . import diagnostics
 from .spectral import (
     TorusGrid,
-    dealias_mask,
-    fractional_power,
-    half,
     half_inverse,
     half_norm,
     half_transform,
@@ -328,11 +325,10 @@ def _commutator_lhs(grid: TorusGrid, f: np.ndarray, g: np.ndarray, b: float,
     are formed from 2/3-dealiased factors.  With ``extract_symbol`` the
     correction is b sum_k (df/dx_k) d/dx_k Lambda^{-b-2} dg/dx_j.
     """
-    kv = half(grid, grid.wavevectors())
-    mask = half(grid, dealias_mask(grid))
+    kv, mag, mask = grid.half_wavevectors(), grid.half_magnitude(), grid.half_mask()
     ik = [np.where(mask, 1j * kv[..., j], 0.0) for j in range(grid.d)]
-    lam = fractional_power(-b)(kv)
-    lam2 = fractional_power(-b - 2.0)(kv)
+    lam = radial_power(mag, -b)
+    lam2 = radial_power(mag, -b - 2.0)
     F, G = half_transform(f, grid.shape), half_transform(g, grid.shape)
     scale = np.maximum(1.0, np.max(np.abs(G), axis=grid.axes))
     if np.any(np.abs(G[(...,) + (0,) * grid.d].real) > 1e-12 * scale):
@@ -363,7 +359,7 @@ def _commutator_sides(grid: TorusGrid, f: np.ndarray, g: np.ndarray, b: float,
     d = grid.d
     s_f, s_g = (d / 2.0 + 1.0 - b + eps, -b) if plain else (d / 2.0 + 3.0 + eps, -b - 1.0)
     lhs = _commutator_lhs(grid, f, g, b, extract_symbol=not plain)
-    mag = half(grid, grid.wavenumber_magnitude())
+    mag = grid.half_magnitude()
 
     def sobolev(v, s):
         power = np.abs(half_transform(v, grid.shape)) ** 2

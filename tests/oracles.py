@@ -1,13 +1,16 @@
-"""Full-layout fields and their transforms, reference norms, the energy kernel with the
-FFT evaluation of separable trilinear forms, the snapshot reader, the one-field-at-a-time
+"""Full-layout fields and their transforms, the full lattice's |xi|, dealias mask and
+symbols with their cut to rfft layout, reference norms, the energy kernel with the FFT
+evaluation of separable trilinear forms, the snapshot reader, the one-field-at-a-time
 samplers and the one-iterate-at-a-time Picard loop, for the tests only.
 
 The package knows one coefficient layout, rfft layout (``spectral.half_coefficients``,
-``half_transform``, ``half_norm``), evaluates trilinear forms by the naive lattice sum
+``half_transform``, ``half_norm``) on the grid's rfft-layout lattice
+(``TorusGrid.half_wavevectors``), evaluates trilinear forms by the naive lattice sum
 and inside ``diagnostics.EnergyResidualKernel``, never reads a snapshot back, draws
 each of verify's field populations in one batch and advances Picard's iterates as a
 wavefront; these are the direct forms that the tests check it against.  A full-layout
-field holds the coefficients of every mode in numpy FFT ordering.
+field holds the coefficients of every mode in numpy FFT ordering; a symbol is a
+function of a wavenumber array of shape (..., d), applied to every mode.
 """
 
 import math
@@ -16,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from fpmflow.model import ModelParams, SpectralOperator, velocity, velocity_symbol
-from fpmflow.spectral import (RealField, TorusGrid, fractional_power, half_coefficients,
-                              half_norm, sobolev_weight)
+from fpmflow.spectral import (RealField, TorusGrid, half_coefficients, half_norm, magnitude,
+                              radial_power, sobolev_weight)
 from fpmflow.stepper import _integrating_factor_rk4
 
 
@@ -45,6 +48,46 @@ def inverse_transform(F: SpectralField) -> RealField:
 def field_from_function(grid: TorusGrid, fn) -> RealField:
     """fn sampled on the grid points; it takes one coordinate array per dimension."""
     return RealField(grid, fn(*grid.points()))
+
+
+def half(grid: TorusGrid, a: np.ndarray) -> np.ndarray:
+    """rfft-layout view of a of shape (..., *grid.shape) on every mode, or of the lattice
+    grid.shape + (d,): its last grid axis cut to wavenumbers 0..N/2."""
+    keep = slice(0, grid.n // 2 + 1)
+    return a[..., keep] if a.shape[-1] == grid.n else a[..., keep, :]
+
+
+def wavenumber_magnitude(grid: TorusGrid) -> np.ndarray:
+    """|xi| on the full lattice."""
+    return magnitude(grid.wavevectors())
+
+
+def dealias_mask(grid: TorusGrid) -> np.ndarray:
+    """Boolean mask on the full lattice keeping modes with every |xi_j| <= N/3 (2/3 rule)."""
+    cut = grid.n / 3.0
+    k = grid.axis_wavenumbers()
+    keep1 = np.abs(k) <= cut
+    if grid.d == 1:
+        return keep1
+    return keep1[:, None] & keep1[None, :]
+
+
+def fractional_power(s: float):
+    """Symbol |xi|^s on nonzero modes, 0 at the zero mode."""
+
+    def symbol(kv):
+        return radial_power(magnitude(kv), s)
+
+    return symbol
+
+
+def heat_multiplier(t: float):
+    """Symbol exp(-t |xi|^2); exactly 1 at the zero mode, so the mean is kept."""
+
+    def symbol(kv):
+        return np.exp(-t * np.sum(kv * kv, axis=-1))
+
+    return symbol
 
 
 def apply_multiplier(F: SpectralField, symbol) -> SpectralField:
@@ -103,7 +146,7 @@ def l2_norm(F: SpectralField) -> float:
 
 def sobolev_norm(F: SpectralField, s: float, homogeneous: bool = False) -> float:
     """H^s (or homogeneous Hdot^s) norm under the series convention."""
-    w = sobolev_weight(F.grid.wavenumber_magnitude(), s, homogeneous)
+    w = sobolev_weight(wavenumber_magnitude(F.grid), s, homogeneous)
     return math.sqrt((2.0 * math.pi) ** F.grid.d * float(np.sum(w * np.abs(F.coeffs) ** 2)))
 
 
@@ -142,7 +185,7 @@ def series_in_turn(grid: TorusGrid, rng, envelope, count: int) -> np.ndarray:
     out = []
     for _ in range(count):
         raw = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-        out.append(np.fft.ifftn(raw * envelope(grid.wavenumber_magnitude()) * grid.npoints).real)
+        out.append(np.fft.ifftn(raw * envelope(wavenumber_magnitude(grid)) * grid.npoints).real)
     return np.stack(out)
 
 

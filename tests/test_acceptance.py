@@ -22,7 +22,7 @@ from fpmflow.driver import (
     run_to_final,
 )
 from fpmflow.model import ModelParams
-from fpmflow.spectral import TorusGrid, fractional_power, half_inverse, random_real_field
+from fpmflow.spectral import TorusGrid, half_inverse, random_real_field
 from fpmflow.stepper import StepperConfig, integrate
 from fpmflow.verify import (
     _commutator_lhs,
@@ -34,7 +34,7 @@ from fpmflow.verify import (
 )
 
 from oracles import (SeparableKernel, apply_multiplier, field_from_function, forward_transform,
-                     trilinear_fft)
+                     fractional_power, trilinear_fft)
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 

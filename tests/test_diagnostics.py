@@ -16,21 +16,19 @@ from fpmflow.model import ModelParams, SpectralOperator
 from fpmflow.spectral import (
     RealField,
     TorusGrid,
-    fractional_power,
-    half,
     half_norm,
     random_real_field,
 )
 from fpmflow.stepper import StepperConfig, integrate
 
 from oracles import (SpectralField, apply_multiplier, energy_kernel, field_from_function,
-                     forward_transform, full_field, mass, sobolev_norm)
+                     forward_transform, fractional_power, full_field, half, mass, sobolev_norm)
 
 
 def blowup(F):
     """(B1, B2) of the real field with full-layout coefficients F."""
     g = F.grid
-    return _blowup_functionals(g, half(g, g.wavenumber_magnitude()), np.abs(half(g, F.coeffs)))
+    return _blowup_functionals(g, g.half_magnitude(), np.abs(half(g, F.coeffs)))
 
 
 class TestMass:

@@ -33,11 +33,12 @@ from fpmflow.driver import (
     write_snapshot,
 )
 from fpmflow.model import velocity
-from fpmflow.spectral import RealField, TorusGrid, half_coefficients, heat_multiplier
+from fpmflow.spectral import RealField, TorusGrid, half_coefficients
 from fpmflow.stepper import _integrating_factor_rk4
 
 from oracles import (SpectralField, apply_multiplier, field_from_function, forward_transform,
-                     full_field, l2_norm, picard_in_turn, read_snapshot, sobolev_norm)
+                     full_field, heat_multiplier, l2_norm, picard_in_turn, read_snapshot,
+                     sobolev_norm)
 
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -616,6 +617,9 @@ class TestCli:
         ["simulate", "--config", "heat.cfg", "--init", "gaussian:mass=1e308,sigma=0.01"],
         # finite data whose first transform overflows ended blowup_detected at t = 0, warning
         ["simulate", "--config", "heat.cfg", "--init", "cosine:mean=1e308,amplitude=0"],
+        # a Gaussian width whose square overflows ended in an OverflowError traceback
+        ["simulate", "--config", "heat.cfg", "--init", "gaussian:sigma=1e200"],
+        ["simulate", "--config", "heat.cfg", "--init", "gaussian:sigma=1e160"],
     ], ids=" ".join)
     def test_bad_value_is_config_error(self, tmp_path, capsys, monkeypatch, argv):
         def no_run(*args, **kwargs):
@@ -627,6 +631,7 @@ class TestCli:
         assert main(argv + ["--out", str(tmp_path / "x")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--config", "heat.cfg"],

@@ -17,15 +17,13 @@ from fpmflow.model import (
 from fpmflow.spectral import (
     RealField,
     TorusGrid,
-    dealias_mask,
-    half,
     half_coefficients,
-    heat_multiplier,
     random_real_field,
 )
 from fpmflow.stepper import StepperConfig, integrate, step
-from oracles import (SpectralField, apply_multiplier, field_from_function, forward_transform,
-                     full_field, inverse_transform, mass)
+from oracles import (SpectralField, apply_multiplier, dealias_mask, field_from_function,
+                     forward_transform, full_field, half, heat_multiplier, inverse_transform,
+                     mass, wavenumber_magnitude)
 
 
 def naive_flux_divergence(rho_hat, u_hats, grid):
@@ -293,12 +291,19 @@ class TestSpectralOperator:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_mag_and_mask_own_contiguous_data(self, d):
-        # copies of the rfft-layout halves: the full-layout arrays are not kept alive
-        g = TorusGrid(d=d, n=32)
-        op = SpectralOperator(g, ModelParams(alpha_minus_d=-1.0, c_K=-1.0))
-        for arr, full in ((op.mag, g.wavenumber_magnitude()), (op.mask, dealias_mask(g))):
-            assert arr.base is None and arr.flags["C_CONTIGUOUS"]
-            assert np.array_equal(arr, half(g, full))
+        # the grid's rfft-layout lattice, |xi| and mask are the cut of the full ones bit for
+        # bit, built on the half lattice: no full-layout array is kept alive
+        for n in (8, 30, 64):
+            g = TorusGrid(d=d, n=n)
+            kv = g.half_wavevectors()
+            assert np.array_equal(kv, half(g, g.wavevectors()))
+            assert np.all(kv[..., n // 2, -1] == -n // 2)  # column N/2 is the mode -N/2
+            op = SpectralOperator(g, ModelParams(alpha_minus_d=-1.0, c_K=-1.0))
+            for arr, mine, full in ((op.mag, g.half_magnitude(), wavenumber_magnitude(g)),
+                                    (op.mask, g.half_mask(), dealias_mask(g))):
+                assert arr.base is None and arr.flags["C_CONTIGUOUS"]
+                assert np.array_equal(mine, half(g, full))
+                assert np.array_equal(arr, mine)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_final_state_is_bitwise_hermitian(self, d):

@@ -14,7 +14,6 @@ from fpmflow.spectral import (
     RealField,
     SpectralError,
     TorusGrid,
-    dealias_mask,
     half_coefficients,
     half_inverse,
     random_real_field,
@@ -23,7 +22,7 @@ from fpmflow.diagnostics import EnergyResidualKernel
 from fpmflow.stepper import (WORKER_MIN_POINTS, StepperConfig, _integrating_factor_rk4, cfl_dt,
                              integrate, step)
 
-from oracles import SpectralField, field_from_function, full_field
+from oracles import SpectralField, dealias_mask, field_from_function, full_field
 
 
 def cosine_data(grid, amplitude=1.0):
@@ -459,6 +458,43 @@ class TestIntegrate:
             StepperConfig(t_end=1.0, safety=1.5)
         with pytest.raises(ValueError):
             StepperConfig(t_end=1.0, dt_mode="imex")
+
+
+class TestExactB1Solution:
+    """At b = 1 and nu = 0, div u = -c_K (rho - mean), so along characteristics
+    D rho / Dt = c_K rho (rho - mean): max rho and min rho are the closed form
+    mean r0 / (r0 + (mean - r0) e^{c_K mean t}) of max rho0 and min rho0.  The data have
+    mean 1, max 1.5 and min 0.5, so the attractive case (c_K = 1) blows up at T* = ln 3.
+    The tolerances were fixed before the runs; each comment gives the value measured."""
+
+    T_STAR = math.log(3.0)
+
+    @staticmethod
+    def error(d, n, c_K, dt, t_end):
+        """Largest relative error of max rho and min rho over the samples of a run."""
+        g = TorusGrid(d=d, n=n)
+        x = g.points()
+        vals = 1 + 0.5 * np.cos(x[0]) if d == 1 else 1 + 0.25 * (np.cos(x[0]) + np.cos(x[1]))
+        cfg = StepperConfig(t_end=t_end, dt_mode="fixed", dt=dt, sample_every=10,
+                            blowup_threshold=math.inf)
+        res = integrate(RealField(g, vals), ModelParams(alpha_minus_d=-2.0, c_K=c_K), cfg)
+        assert res.reason == "completed"
+
+        def closed(r0, t):
+            return r0 / (r0 + (1.0 - r0) * math.exp(c_K * t))
+
+        return max(max(abs(r.max_rho / closed(1.5, r.t) - 1.0),
+                       abs(r.min_rho / closed(0.5, r.t) - 1.0)) for r in res.records)
+
+    def test_repulsive_case_is_the_closed_form_to_round_off(self):
+        errs = [self.error(1, 128, -1.0, dt, 1.0) for dt in (4e-3, 2e-3, 1e-3)]
+        assert errs[1] <= 1e-11  # 8.1e-14
+        assert errs[0] >= 8.0 * errs[1] and errs[1] >= 8.0 * errs[2]  # RK4: 16x and 14x
+        assert self.error(2, 64, -1.0, 2e-3, 0.5) <= 1e-11  # 8.1e-14
+
+    def test_attractive_error_falls_with_n_up_to_four_fifths_of_blowup(self):
+        errs = [self.error(1, n, 1.0, 2e-3, 0.8 * self.T_STAR) for n in (64, 128, 256)]
+        assert errs[0] >= 10.0 * errs[1] and errs[1] >= 10.0 * errs[2]  # 2.6e-2, 3.5e-4, 1.8e-7
 
 
 class TestResidualWorker:

@@ -8,13 +8,7 @@ import pytest
 
 from fpmflow import diagnostics, verify
 from fpmflow.driver import ESTIMATES, verify_suite
-from fpmflow.spectral import (
-    RealField,
-    TorusGrid,
-    dealias_mask,
-    fractional_power,
-    random_real_field,
-)
+from fpmflow.spectral import RealField, TorusGrid, random_real_field
 from fpmflow.verify import (
     _commutator_lhs,
     _commutator_sides,
@@ -30,8 +24,9 @@ from fpmflow.verify import (
 )
 
 from oracles import (SpectralField, _analytic_random_field, antisymmetry_coeffs_in_turn,
-                     apply_multiplier, commutator_fields_in_turn, field_from_function,
-                     forward_transform, inverse_transform, l2_norm)
+                     apply_multiplier, commutator_fields_in_turn, dealias_mask,
+                     field_from_function, forward_transform, fractional_power,
+                     inverse_transform, l2_norm)
 
 
 def reference_commutator_lhs(f, g, b, extract_symbol):
