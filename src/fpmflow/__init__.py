@@ -6,7 +6,7 @@ Library layout:
                              dealias mask, real transforms, the zero-mode power rule
 - :mod:`fpmflow.model`       velocity law, transport operator, mollified data
 - :mod:`fpmflow.stepper`     integrating-factor RK4 with CFL control
-- :mod:`fpmflow.diagnostics` norms, blow-up functionals, trilinear form
+- :mod:`fpmflow.diagnostics` norms, blow-up functionals, energy identities, trilinear form
 - :mod:`fpmflow.verify`      numerical checks of the analytic inequalities
 - :mod:`fpmflow.driver`      CLI, experiment campaigns, file formats
 """

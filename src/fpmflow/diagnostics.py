@@ -1,4 +1,4 @@
-"""Norms, blow-up functionals, and the trilinear form behind the energy identities.
+"""Norms, blow-up functionals, energy identities and the trilinear form.
 
 The two monitored functionals are weighted lattice l1 sums of the
 coefficients,
@@ -11,17 +11,15 @@ form
 
     T[G] = Re sum_xi sum_eta G(xi, eta) conj(c(xi)) c(eta) c(xi - eta)
 
-is evaluated two ways.  The direct double lattice sum (:func:`_trilinear_naive`)
-takes any kernel and the coefficients of every mode in numpy FFT ordering, and
-one pass serves a stack of fields; ``verify`` probes the cancellation of
-anti-symmetric kernels with it.  The energy identities of a nu = 0 run are
-checked by one :class:`EnergyResidualKernel` per run, built from the run's
-operator, which holds the factors of both identities in rfft layout on a 3N/2
-grid per axis (Orszag's 3/2 rule) and takes each trilinear form by Parseval
-from the spectrum of one physical product per component.  Both treat xi - eta
-outside the resolved band as absent (coefficient zero, no periodic wrap): with
-|xi_j|, |eta_j| <= N/2 - 1, no sum of three band wavenumbers reaches 3N/2, so
-the product has no aliasing.
+is evaluated by the direct double lattice sum (:func:`_trilinear_naive`),
+which takes any kernel and the coefficients of every mode in numpy FFT
+ordering, treats xi - eta outside the resolved band as absent, and serves a
+stack of fields in one pass; ``verify`` probes the cancellation of
+anti-symmetric kernels with it.  A run checks its energy identities against
+the rates :func:`energy_rates` reads from the transport term its step computes
+anyway (on the dealiased band, the pairing with it is c_K T of the paper's
+energy kernel), and :func:`identity_residuals` compares them with a three-point
+derivative of the sampled norms.
 
 A run's states are rfft-layout coefficient arrays; their norms are
 :func:`fpmflow.spectral.half_norm` and the B1/B2 sums
@@ -30,14 +28,12 @@ A run's states are rfft-layout coefficient arrays; their norms are
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SpectralOperator, velocity_symbol
-from .spectral import half_inverse, half_norm, half_sum, half_transform, sobolev_weight
+from .spectral import half_norm, half_sum, sobolev_weight
 
 TWO_PI = 2.0 * math.pi
 NAIVE_BLOCK = 10_000_000  # complex entries per block of the naive lattice sum
@@ -48,7 +44,7 @@ class DiagnosticsRecord:
     """One sampled row of run diagnostics.
 
     The energy residuals are nan where the identity was not evaluated: on the
-    first and last rows, and in runs that do not compute them.
+    first and last rows.
     """
 
     t: float
@@ -87,22 +83,6 @@ def _shifted(grid, coeffs: np.ndarray) -> np.ndarray:
         sl[ax] = 0
         c[tuple(sl)] = 0.0
     return c
-
-
-def _padded(arr: np.ndarray, n: int) -> np.ndarray:
-    """An rfft-layout N-grid array placed on the 3N/2 grid in rfft layout, zero off the band.
-
-    Every |k_j| <= N/2 - 1 is kept; the unpaired -N/2 slice is dropped, as in
-    ``_shifted``.  Only the k >= 0 half of the last axis is read.
-    """
-    m, h = 3 * n // 2, n // 2
-    # per axis, (source, target) of k = 0..N/2-1 and, except on the last axis, of k = 1-N/2..-1
-    low = (slice(0, h), slice(0, h))
-    blocks = [(low, (slice(h + 1, n), slice(m - h + 1, m)))] * (arr.ndim - 1) + [(low,)]
-    out = np.zeros((m,) * (arr.ndim - 1) + (m // 2 + 1,), dtype=arr.dtype)
-    for block in itertools.product(*blocks):
-        out[tuple(dst for _, dst in block)] = arr[tuple(src for src, _ in block)]
-    return out
 
 
 def _trilinear_naive(G, grid, coeffs: np.ndarray) -> tuple:
@@ -146,80 +126,40 @@ def _trilinear_naive(G, grid, coeffs: np.ndarray) -> tuple:
     return total, scale
 
 
-class EnergyResidualKernel:
-    """The energy identities of one nu = 0 run, evaluated from three samples.
+def energy_rates(h: np.ndarray, k1: np.ndarray, op, s: float) -> tuple:
+    """(dE_0/dt, dE_s/dt) at the state with rfft-layout coefficients h, from its transport
+    term k1 = nonlinear_rhs(h), stage 1 of the step that leaves it.
 
-    For s = 0 and the run's Hdot^s exponent, the residual is
-
-        | three-point derivative of (1/2)||rho||^2  -  c_K (2pi)^d T[G_s] |
-
-    at the middle sample, with G_s(xi, eta) = |xi|^{2s} xi.eta m(eta).  The
-    energies are (1/2) l2^2 and (1/2) hsdot_s^2 of the samples' records.  The
-    kernel reads the grid, the params and |xi| of the run's operator, and its
-    factors live on the 3N/2 grid in rfft layout (last axis k >= 0):
-
-    b      : -i m(eta) eta_j, m the velocity symbol, shared by both identities;
-    a_L2   : -i xi_j;
-    a_Hs   : -i |xi|^{2s} xi_j;
-    weight : the Hdot^s energy weight |xi|^{2s} on the N grid, rfft layout.
-
-    a and b are odd and c is Hermitian, so each -i a c is Hermitian and its
-    field A is real.  T = sum_j mean(A_j B_j C) is taken by Parseval from the
-    forward transforms of P_j = B_j C, so it needs 1 + d inverse and d forward
-    real transforms, and the A_j are never formed.  Build one per run:
-    nothing outside the run keeps it alive.  In a run on a grid of at least
-    ``stepper.WORKER_MIN_POINTS`` points, :meth:`trilinear` of a sample's
-    state runs on the run's worker thread while the next step is taken, and
-    :meth:`residuals` gets the pair it returned.
+    E_s = (1/2) (2pi)^d sum_xi w |c_xi|^2 with w = 1 and w = |xi|^{2s}, and
+    dc/dt = k1 - nu |xi|^2 c, so each rate is the band sum
+    (2pi)^d sum_xi w (Re(conj(c) k1) - nu |xi|^2 |c|^2): no transform.  On the
+    dealiased band Re sum conj(c) w k1 is c_K T[G_s], the trilinear form of the
+    paper's energy estimate with G_s(xi, eta) = |xi|^{2s} xi.eta m(eta).
     """
+    pairing = h.real * k1.real + h.imag * k1.imag
+    if op.p.nu > 0.0:
+        pairing -= op.p.nu * op.mag ** 2 * (h.real ** 2 + h.imag ** 2)
+    scale = TWO_PI ** op.grid.d
+    return tuple(scale * float(half_sum(op.grid.shape, w * pairing))
+                 for w in (1.0, sobolev_weight(op.mag, s, True)))
 
-    def __init__(self, op: SpectralOperator, s: float):
-        grid, p = op.grid, op.p
-        if p.nu != 0.0:
-            raise ValueError("energy residual identity requires nu = 0")
-        n = grid.n
-        kv = grid.half_wavevectors()
-        m = velocity_symbol(kv, p)
-        self.weight = w = sobolev_weight(op.mag, s, True)
-        self.b = [_padded(-1j * m * kv[..., j], n) for j in range(grid.d)]
-        self.a_L2 = [_padded(-1j * kv[..., j], n) for j in range(grid.d)]
-        self.a_Hs = [_padded(-1j * w * kv[..., j], n) for j in range(grid.d)]
-        self._scale = p.c_K * TWO_PI ** grid.d
-        self._grid = grid
-        self._shape = (3 * n // 2,) * grid.d
 
-    def trilinear(self, h: np.ndarray) -> tuple:
-        """(T[G_0], T[G_s]) of the state with rfft-layout coefficients h (1 + 2d real FFTs).
+def identity_residuals(window, rates) -> tuple:
+    """(L2 residual, Hdot^s residual) at the middle of three (t, l2, hsdot_s) samples:
 
-        P_j = B_j C is formed and transformed forward one j at a time; by Parseval each
-        T = sum_j mean(A_j P_j) is a band sum of Re(conj(a_j c) P_j-hat), and each j's
-        band term is added to both sums before P_j is dropped.
-        """
-        shape = self._shape
-        c = _padded(h, self._grid.n)
-        C = half_inverse(c, shape)
-        bands = [0, 0]
-        for j, b in enumerate(self.b):
-            P = half_transform(half_inverse(b * c, shape) * C, shape)
-            for i, a in enumerate((self.a_L2, self.a_Hs)):
-                bands[i] = bands[i] + (np.conj(a[j] * c) * P).real
-        return tuple(float(half_sum(shape, band)) for band in bands)
+        | three-point derivative of (1/2) norm^2  -  its rate at the middle sample |
 
-    def residuals(self, window, T=None) -> tuple:
-        """(L2 residual, Hdot^s residual) at the middle of three (t, h, l2, hsdot_s) samples.
-
-        T is the pair (T[G_0], T[G_s]) of the middle state, :meth:`trilinear` of its h
-        when not given.
-        """
-        (t0, _, *n0), (tm, hm, *nm), (t1, _, *n1) = window
-        h0, h1 = tm - t0, t1 - tm
-        out = []
-        for i, T_i in enumerate(self.trilinear(hm) if T is None else T):
-            e0, em, e1 = (0.5 * norms[i] ** 2 for norms in (n0, nm, n1))
-            # three-point dE/dt at tm, exact for quadratics at any spacing
-            rate = (h0 * h0 * (e1 - em) + h1 * h1 * (em - e0)) / (h0 * h1 * (h0 + h1))
-            out.append(abs(rate - self._scale * T_i))
-        return tuple(out)
+    with ``rates`` the pair of :func:`energy_rates` there.
+    """
+    (t0, *n0), (tm, *nm), (t1, *n1) = window
+    h0, h1 = tm - t0, t1 - tm
+    out = []
+    for i, rate in enumerate(rates):
+        e0, em, e1 = (0.5 * norms[i] ** 2 for norms in (n0, nm, n1))
+        # three-point dE/dt at tm, exact for quadratics at any spacing
+        fd = (h0 * h0 * (e1 - em) + h1 * h1 * (em - e0)) / (h0 * h1 * (h0 + h1))
+        out.append(abs(fd - rate))
+    return tuple(out)
 
 
 def make_record(t: float, h: np.ndarray, rho_values: np.ndarray, s_list,

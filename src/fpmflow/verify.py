@@ -28,9 +28,10 @@ whole-population temporaries.
 Each field population takes one draw and one batched transform
 (:func:`spectral.random_series` with a leading shape); the antisymmetry
 probe's fields then make one pass over the lattice pairs per kernel.  A
-report's quantiles are read from a sorted copy of its ratios: the order
-statistics that ``np.quantile`` of the unsorted ratios reads, found faster
-where numpy's sort is SIMD-accelerated (numpy >= 2).
+report's quantiles are read from a sorted copy of its ratios by numpy's own
+linear rule (:func:`_sorted_quantiles`): the order statistics that
+``np.quantile`` of the unsorted ratios reads, found faster where numpy's sort
+is SIMD-accelerated (numpy >= 2), with no second pass to find them again.
 """
 
 from __future__ import annotations
@@ -93,6 +94,31 @@ def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return sum(u[..., j] * v[..., j] for j in range(u.shape[-1]))
 
 
+_LEVELS = np.array([0.5, 0.9, 0.99])  # the quantiles of every report, q50, q90 and q99
+
+
+def _sorted_quantiles(a: np.ndarray) -> list:
+    """``np.quantile(a, _LEVELS)`` of the sorted 1-D array a, step for step as numpy takes
+    it: index q (n - 1) between entries lo and lo + 1 (the last entry from n - 1 on), then
+    a[lo] + (a[lo + 1] - a[lo]) t, or a[lo + 1] - (a[lo + 1] - a[lo]) (1 - t) where t >= 0.5;
+    a NaN, sorted last, makes every level NaN."""
+    n = a.size
+    virtual = (n - 1) * _LEVELS
+    lo = np.floor(virtual)
+    top = virtual >= n - 1
+    lo[top] = -1
+    hi = np.where(top, -1, lo + 1).astype(np.intp)
+    lo = lo.astype(np.intp)
+    t = virtual - lo
+    below, above = a[lo], a[hi]
+    diff = above - below
+    out = below + diff * t
+    np.subtract(above, diff * (1 - t), out=out, where=t >= 0.5)
+    if np.isnan(a[-1]):
+        out[:] = a[-1]
+    return out.tolist()
+
+
 def _ratios_to_report(name: str, ratios: np.ndarray, degenerate: np.ndarray,
                       argmax_inputs) -> VerifyReport:
     live = ratios.copy()
@@ -105,8 +131,7 @@ def _ratios_to_report(name: str, ratios: np.ndarray, degenerate: np.ndarray,
     s2 = float(np.max(live[half:])) if n - half else 0.0
     passed = bool(np.isfinite(sup)) and (s1 == 0.0 or s2 <= 2.0 * s1)
     live.sort()  # the same order statistics, found faster in sorted order
-    qs = dict(zip((50, 90, 99),
-                  np.quantile(live, [0.5, 0.9, 0.99], overwrite_input=True).tolist()))
+    qs = dict(zip((50, 90, 99), _sorted_quantiles(live)))
     return VerifyReport(
         name=name, n=n, sup_ratio=sup, argmax=argmax_inputs(imax),
         quantiles=qs, passed=passed, first_half_sup=s1, second_half_sup=s2,

@@ -1,26 +1,30 @@
 """Full-layout fields and their transforms, the full lattice's |xi|, dealias mask and
 symbols with their cut to rfft layout, reference norms, the energy kernel with the FFT
-evaluation of separable trilinear forms, the snapshot reader, the one-field-at-a-time
-samplers and the one-iterate-at-a-time Picard loop, for the tests only.
+evaluation of separable trilinear forms, the 3N/2-grid energy residual kernel, the
+snapshot reader, the one-field-at-a-time samplers and the one-iterate-at-a-time Picard
+loop, for the tests only.
 
 The package knows one coefficient layout, rfft layout (``spectral.half_coefficients``,
 ``half_transform``, ``half_norm``) on the grid's rfft-layout lattice
 (``TorusGrid.half_wavevectors``), evaluates trilinear forms by the naive lattice sum
-and inside ``diagnostics.EnergyResidualKernel``, never reads a snapshot back, draws
+only, takes a run's energy rates from the transport term its steps compute
+(``diagnostics.energy_rates``), never reads a snapshot back, draws
 each of verify's field populations in one batch and advances Picard's iterates as a
 wavefront; these are the direct forms that the tests check it against.  A full-layout
 field holds the coefficients of every mode in numpy FFT ordering; a symbol is a
 function of a wavenumber array of shape (..., d), applied to every mode.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from fpmflow.model import ModelParams, SpectralOperator, velocity, velocity_symbol
-from fpmflow.spectral import (RealField, TorusGrid, half_coefficients, half_norm, magnitude,
-                              radial_power, sobolev_weight)
+from fpmflow.diagnostics import TWO_PI
+from fpmflow.spectral import (RealField, TorusGrid, half_coefficients, half_inverse, half_norm,
+                              half_sum, half_transform, magnitude, radial_power, sobolev_weight)
 from fpmflow.stepper import _integrating_factor_rk4
 
 
@@ -168,6 +172,90 @@ def energy_kernel(s: float, p: ModelParams, grid) -> SeparableKernel:
 
         terms.append((a, b))
     return SeparableKernel(terms=tuple(terms))
+
+
+def _padded(arr: np.ndarray, n: int) -> np.ndarray:
+    """An rfft-layout N-grid array placed on the 3N/2 grid in rfft layout, zero off the band.
+
+    Every |k_j| <= N/2 - 1 is kept; the unpaired -N/2 slice is dropped, as in
+    ``diagnostics._shifted``.  Only the k >= 0 half of the last axis is read.
+    """
+    m, h = 3 * n // 2, n // 2
+    # per axis, (source, target) of k = 0..N/2-1 and, except on the last axis, of k = 1-N/2..-1
+    low = (slice(0, h), slice(0, h))
+    blocks = [(low, (slice(h + 1, n), slice(m - h + 1, m)))] * (arr.ndim - 1) + [(low,)]
+    out = np.zeros((m,) * (arr.ndim - 1) + (m // 2 + 1,), dtype=arr.dtype)
+    for block in itertools.product(*blocks):
+        out[tuple(dst for _, dst in block)] = arr[tuple(src for src, _ in block)]
+    return out
+
+
+class EnergyResidualKernel:
+    """The energy identities of a nu = 0 run by the PDE's trilinear form, from three samples.
+
+    For s = 0 and the run's Hdot^s exponent, the residual is
+
+        | three-point derivative of (1/2)||rho||^2  -  c_K (2pi)^d T[G_s] |
+
+    at the middle sample, with G_s(xi, eta) = |xi|^{2s} xi.eta m(eta).  The
+    energies are (1/2) l2^2 and (1/2) hsdot_s^2 of the samples' records.  The
+    kernel reads the grid, the params and |xi| of the run's operator, and its
+    factors live on the 3N/2 grid in rfft layout (last axis k >= 0):
+
+    b      : -i m(eta) eta_j, m the velocity symbol, shared by both identities;
+    a_L2   : -i xi_j;
+    a_Hs   : -i |xi|^{2s} xi_j;
+    weight : the Hdot^s energy weight |xi|^{2s} on the N grid, rfft layout.
+
+    a and b are odd and c is Hermitian, so each -i a c is Hermitian and its
+    field A is real.  T = sum_j mean(A_j B_j C) is taken by Parseval from the
+    forward transforms of P_j = B_j C, so it needs 1 + d inverse and d forward
+    real transforms, and the A_j are never formed.
+    """
+
+    def __init__(self, op: SpectralOperator, s: float):
+        grid, p = op.grid, op.p
+        if p.nu != 0.0:
+            raise ValueError("energy residual identity requires nu = 0")
+        n = grid.n
+        kv = grid.half_wavevectors()
+        m = velocity_symbol(kv, p)
+        self.weight = w = sobolev_weight(op.mag, s, True)
+        self.b = [_padded(-1j * m * kv[..., j], n) for j in range(grid.d)]
+        self.a_L2 = [_padded(-1j * kv[..., j], n) for j in range(grid.d)]
+        self.a_Hs = [_padded(-1j * w * kv[..., j], n) for j in range(grid.d)]
+        self._scale = p.c_K * TWO_PI ** grid.d
+        self._grid = grid
+        self._shape = (3 * n // 2,) * grid.d
+
+    def trilinear(self, h: np.ndarray) -> tuple:
+        """(T[G_0], T[G_s]) of the state with rfft-layout coefficients h (1 + 2d real FFTs).
+
+        P_j = B_j C is formed and transformed forward one j at a time; by Parseval each
+        T = sum_j mean(A_j P_j) is a band sum of Re(conj(a_j c) P_j-hat), and each j's
+        band term is added to both sums before P_j is dropped.
+        """
+        shape = self._shape
+        c = _padded(h, self._grid.n)
+        C = half_inverse(c, shape)
+        bands = [0, 0]
+        for j, b in enumerate(self.b):
+            P = half_transform(half_inverse(b * c, shape) * C, shape)
+            for i, a in enumerate((self.a_L2, self.a_Hs)):
+                bands[i] = bands[i] + (np.conj(a[j] * c) * P).real
+        return tuple(float(half_sum(shape, band)) for band in bands)
+
+    def residuals(self, window) -> tuple:
+        """(L2 residual, Hdot^s residual) at the middle of three (t, h, l2, hsdot_s) samples."""
+        (t0, _, *n0), (tm, hm, *nm), (t1, _, *n1) = window
+        h0, h1 = tm - t0, t1 - tm
+        out = []
+        for i, T_i in enumerate(self.trilinear(hm)):
+            e0, em, e1 = (0.5 * norms[i] ** 2 for norms in (n0, nm, n1))
+            # three-point dE/dt at tm, exact for quadratics at any spacing
+            rate = (h0 * h0 * (e1 - em) + h1 * h1 * (em - e0)) / (h0 * h1 * (h0 + h1))
+            out.append(abs(rate - self._scale * T_i))
+        return tuple(out)
 
 
 def read_snapshot(path: str) -> tuple:

@@ -138,7 +138,7 @@ class TestAcceptance:
         errs = []
         for dt in (4e-3, 2e-3, 1e-3):
             cfg = StepperConfig(t_end=0.2, dt_mode="fixed", dt=dt, sample_every=1)
-            res = integrate(rho0, p, cfg, energy_residuals=True)
+            res = integrate(rho0, p, cfg)
             ts = [r.t for r in res.records]
             i = min(range(1, len(ts) - 1), key=lambda j: abs(ts[j] - 0.1))
             errs.append(res.records[i].energy_residual_L2)

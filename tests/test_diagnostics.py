@@ -7,12 +7,14 @@ import pytest
 
 from fpmflow import stepper
 from fpmflow.diagnostics import (
-    EnergyResidualKernel,
+    TWO_PI,
     _blowup_functionals,
     _trilinear_naive,
+    energy_rates,
+    identity_residuals,
     make_record,
 )
-from fpmflow.model import ModelParams, SpectralOperator
+from fpmflow.model import ModelParams, SpectralOperator, nonlinear_rhs
 from fpmflow.spectral import (
     RealField,
     TorusGrid,
@@ -21,8 +23,9 @@ from fpmflow.spectral import (
 )
 from fpmflow.stepper import StepperConfig, integrate
 
-from oracles import (SpectralField, apply_multiplier, energy_kernel, field_from_function,
-                     forward_transform, fractional_power, full_field, half, mass, sobolev_norm)
+from oracles import (EnergyResidualKernel, SpectralField, apply_multiplier, energy_kernel,
+                     field_from_function, forward_transform, fractional_power, full_field, half,
+                     mass, sobolev_norm)
 
 
 def blowup(F):
@@ -188,55 +191,56 @@ class TestTrilinear:
             naive(antisym_kernel, F)
 
 
-def residual_window(op, s, samples):
-    """(t, h, l2, hsdot_s) of each (t, SpectralField) sample, the norms from make_record."""
-    out = []
+def residuals_of(op, s, samples) -> tuple:
+    """identity_residuals at the middle of three (t, SpectralField) samples, the norms from
+    make_record and the rates from energy_rates with the middle state's transport term."""
+    window, hs = [], []
     for t, F in samples:
         h = half(op.grid, F.coeffs)
         rec = make_record(t, h, op.physical(h), (s,), op)
-        out.append((t, h, rec.l2, rec.hs[s][0]))
-    return out
+        window.append((t, rec.l2, rec.hs[s][0]))
+        hs.append(h)
+    return identity_residuals(window, energy_rates(hs[1], nonlinear_rhs(hs[1], op), op, s))
+
+
+def cosine_run(d, n, p, cfg):
+    """integrate from 1 + 0.5 cos(x_1 + ... + x_d), a state on the dealiased band."""
+    rho0 = field_from_function(TorusGrid(d=d, n=n), lambda *x: 1 + 0.5 * np.cos(sum(x)))
+    return integrate(rho0, p, cfg)
 
 
 class TestEnergyResidual:
-    def _records(self, p, dt, n=64, amplitude=0.5, t_end=0.06):
-        g = TorusGrid(d=1, n=n)
-        rho0 = field_from_function(g, lambda x: 1 + amplitude * np.cos(x))
-        cfg = StepperConfig(t_end=t_end, dt_mode="fixed", dt=dt, sample_every=1)
-        return integrate(rho0, p, cfg, energy_residuals=True).records
-
     def test_zero_interaction(self):
         p = ModelParams(alpha_minus_d=-1.0, c_K=0.0)
-        assert self._records(p, 1e-3)[1].energy_residual_L2 < 1e-13
+        cfg = StepperConfig(t_end=0.06, dt_mode="fixed", dt=1e-3)
+        assert cosine_run(1, 64, p, cfg).records[1].energy_residual_L2 < 1e-13
 
     def test_constant_state(self):
         g = TorusGrid(d=1, n=32)
-        p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0)
         F = forward_transform(RealField(g, np.full(32, 2.0)))
-        op = SpectralOperator(g, p)
-        window = residual_window(op, 4.0, [(0.0, F), (0.1, F), (0.2, F)])
-        assert max(EnergyResidualKernel(op, 4.0).residuals(window)) < 1e-14
+        op = SpectralOperator(g, ModelParams(alpha_minus_d=-1.0, c_K=-1.0))
+        assert max(residuals_of(op, 4.0, [(0.0, F), (0.1, F), (0.2, F)])) < 1e-14
 
-    def test_viscous_rejected(self):
-        p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0, nu=1.0)
-        rho0 = RealField(TorusGrid(d=1, n=16), np.ones(16))
-        cfg = StepperConfig(t_end=0.01, dt_mode="fixed", dt=5e-3)
-        with pytest.raises(ValueError, match="nu = 0"):
-            integrate(rho0, p, cfg, energy_residuals=True)
-
-    def test_dt_refinement_order(self):
-        p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0)
+    @pytest.mark.parametrize("c_K,nu", [(-1.0, 0.0), (-1.0, 0.05), (1.0, 0.05)])
+    @pytest.mark.parametrize("d,n", [(1, 64), (2, 32)])
+    def test_dt_refinement_order(self, d, n, c_K, nu):
+        # both identities at the sample nearest t = 0.1, viscous runs included
+        p = ModelParams(alpha_minus_d=-1.0, c_K=c_K, nu=nu)
         errs = []
         for dt in (4e-3, 2e-3, 1e-3):
-            records = self._records(p, dt, t_end=0.2)
+            records = cosine_run(d, n, p, StepperConfig(t_end=0.2, dt_mode="fixed", dt=dt)).records
             ts = [r.t for r in records]
             i = min(range(1, len(ts) - 1), key=lambda j: abs(ts[j] - 0.1))
-            errs.append(records[i].energy_residual_L2)
-        slope = np.polyfit(np.log([4e-3, 2e-3, 1e-3]), np.log(errs), 1)[0]
-        assert slope >= 2.0 - 0.1
+            errs.append((records[i].energy_residual_L2, records[i].energy_residual_Hs))
+        for identity in zip(*errs):
+            slope = np.polyfit(np.log([4e-3, 2e-3, 1e-3]), np.log(identity), 1)[0]
+            assert slope >= 2.0 - 0.1
 
 
 class TestEnergyResidualKernel:
+    """The oracle forms T[G_s] on a 3N/2 grid; the run's rates pair each state with the
+    transport term of the step that leaves it, which on the dealiased band is c_K T."""
+
     # N = 10 puts the factors on an odd 3N/2 = 15 grid
     @pytest.mark.parametrize("d,n", [(1, 32), (2, 16), (1, 10), (2, 10)])
     @pytest.mark.parametrize("s", [0.0, 4.0])
@@ -252,39 +256,47 @@ class TestEnergyResidualKernel:
 
     @pytest.mark.parametrize("d,n", [(1, 32), (2, 16)])
     def test_uneven_spacing_gives_exact_rate(self, d, n):
-        # c_K = 0 and F(t) = (1 + t) F0: E(t) = (1 + t)^2 E(0) is quadratic, so
-        # the residual is exactly E'(tm) = 2 (1 + tm) E(0) at any spacing.
+        # c_K = 0 and F(t) = (1 + t) F0: E(t) = (1 + t)^2 E(0) is quadratic and the rates
+        # are 0, so the residual is exactly E'(tm) = 2 (1 + tm) E(0) at any spacing.
         g = TorusGrid(d=d, n=n)
-        p = ModelParams(alpha_minus_d=-1.0, c_K=0.0)
         F0 = forward_transform(random_real_field(g, np.random.default_rng(3), mean=1.0))
-        op = SpectralOperator(g, p)
-        window = residual_window(op, 4.0, [(t, SpectralField(g, (1.0 + t) * F0.coeffs))
-                                           for t in (0.1, 0.13, 0.2)])
-        res_l2, res_hs = EnergyResidualKernel(op, 4.0).residuals(window)
+        op = SpectralOperator(g, ModelParams(alpha_minus_d=-1.0, c_K=0.0))
+        res_l2, res_hs = residuals_of(op, 4.0, [(t, SpectralField(g, (1.0 + t) * F0.coeffs))
+                                                for t in (0.1, 0.13, 0.2)])
         e_l2 = 0.5 * sobolev_norm(F0, 0.0) ** 2
         e_hs = 0.5 * sobolev_norm(F0, 4.0, homogeneous=True) ** 2
         assert res_l2 == pytest.approx(2.0 * 1.13 * e_l2, rel=1e-12)
         assert res_hs == pytest.approx(2.0 * 1.13 * e_hs, rel=1e-12)
 
-    def test_viscous_rejected(self):
-        p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0, nu=0.1)
-        with pytest.raises(ValueError):
-            EnergyResidualKernel(SpectralOperator(TorusGrid(d=1, n=16), p), 4.0)
+    @pytest.mark.parametrize("mu", [0.0, 0.25])
+    @pytest.mark.parametrize("d,n", [(1, 32), (2, 16)])
+    def test_run_rates_are_the_trilinear_form(self, monkeypatch, d, n, mu):
+        g = TorusGrid(d=d, n=n)
+        p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0, mu=mu)
+        kernel = EnergyResidualKernel(SpectralOperator(g, p), 4.0)
+        paired = []  # (rates, oracle rates) of every rate the run takes
 
-    @pytest.mark.parametrize("d,n,on_worker", [(1, 64, False), (2, 16, False), (2, 16, True)],
-                             ids=["1d", "2d", "2d-worker"])
+        def recording(h, k1, op, s):
+            rates = energy_rates(h, k1, op, s)
+            paired.append((rates, [p.c_K * TWO_PI ** d * T for T in kernel.trilinear(h)]))
+            return rates
+
+        monkeypatch.setattr(stepper, "energy_rates", recording)
+        cfg = StepperConfig(t_end=0.05, dt_mode="fixed", dt=5e-3, s_list=(3.0, 4.0))
+        assert cosine_run(d, n, p, cfg).reason == "completed" and len(paired) == 9
+        for rates, oracle in paired:
+            assert rates == pytest.approx(oracle, rel=1e-12)
+
+    @pytest.mark.parametrize("d,n", [(1, 64), (2, 16)])
     @pytest.mark.parametrize("c_K,cfg", [
         (-1.0, StepperConfig(t_end=0.05, dt_mode="fixed", dt=5e-3, s_list=(3.0, 4.0))),
         (1.0, StepperConfig(t_end=5.0, safety=0.4, blowup_threshold=50.0)),
     ])
     def test_in_run_residuals_equal_kernel_on_neighbouring_states(self, c_K, cfg, d, n,
-                                                                  on_worker, monkeypatch,
-                                                                  request):
-        # the trilinear forms run in the loop, or on the run's worker thread: the same numbers
-        if on_worker:
-            request.getfixturevalue("worker_on_every_grid")
+                                                                  monkeypatch):
+        # the oracle residual takes c_K (2pi)^d T[G_s] for the rate; the two rates agree
+        # to round-off of the rate, far below the residual of a step
         g = TorusGrid(d=d, n=n)
-        rho0 = field_from_function(g, lambda *x: 1 + 0.5 * np.cos(sum(x)))
         p = ModelParams(alpha_minus_d=-1.0, c_K=c_K)
         sampled = []  # (t, h) of every sample the run takes
 
@@ -293,7 +305,7 @@ class TestEnergyResidualKernel:
             return make_record(t, h, *args)
 
         monkeypatch.setattr(stepper, "make_record", recording)
-        res = integrate(rho0, p, cfg, energy_residuals=True)
+        res = cosine_run(d, n, p, cfg)
         assert res.reason == ("completed" if c_K < 0 else "blowup_detected")
         recs = res.records
         assert len(recs) == len(sampled) >= 3
@@ -305,5 +317,7 @@ class TestEnergyResidualKernel:
                  for _, h in sampled]
         for i in range(1, len(recs) - 1):
             window = [(t, h, *n) for (t, h), n in zip(sampled[i - 1:i + 2], norms[i - 1:i + 2])]
+            rates = [abs(c_K) * TWO_PI ** d * abs(T) for T in kernel.trilinear(sampled[i][1])]
             got = (recs[i].energy_residual_L2, recs[i].energy_residual_Hs)
-            assert got == kernel.residuals(window)
+            for res_i, want, rate in zip(got, kernel.residuals(window), rates):
+                assert abs(res_i - want) <= 1e-12 * rate

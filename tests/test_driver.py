@@ -258,7 +258,7 @@ class TestRunSimulation:
         assert len(rows) == 5
         for i, row in enumerate(rows):
             values = [row[j] for j in cols]
-            if nu == "0" and 0 < i < len(rows) - 1:
+            if 0 < i < len(rows) - 1:
                 assert all(math.isfinite(float(v)) for v in values)
             else:
                 assert values == ["nan", "nan"]

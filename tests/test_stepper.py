@@ -2,8 +2,6 @@
 
 import gc
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -18,9 +16,8 @@ from fpmflow.spectral import (
     half_inverse,
     random_real_field,
 )
-from fpmflow.diagnostics import EnergyResidualKernel
-from fpmflow.stepper import (WORKER_MIN_POINTS, StepperConfig, _integrating_factor_rk4, cfl_dt,
-                             integrate, step)
+from fpmflow import stepper
+from fpmflow.stepper import StepperConfig, _integrating_factor_rk4, cfl_dt, integrate, step
 
 from oracles import SpectralField, dealias_mask, field_from_function, full_field
 
@@ -31,24 +28,17 @@ def cosine_data(grid, amplitude=1.0):
 
 FFT_NAMES = ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn",
              "rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn")
-REAL_FORWARD = ("rfft", "rfft2", "rfftn")
-REAL_INVERSE = ("irfft", "irfft2", "irfftn")
 
 
 def count_ffts(monkeypatch):
-    """Count every numpy.fft transform call from now on, in total and per name.
-
-    A run's worker thread transforms too, so each count is taken under a lock.
-    """
+    """Count every numpy.fft transform call from now on, in total and per name."""
     counter = {"calls": 0}
-    lock = threading.Lock()
     for name in FFT_NAMES:
         fn = getattr(np.fft, name)
 
         def counted(*args, fn=fn, name=name, **kwargs):
-            with lock:
-                counter["calls"] += 1
-                counter[name] = counter.get(name, 0) + 1
+            counter["calls"] += 1
+            counter[name] = counter.get(name, 0) + 1
             return fn(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
@@ -239,8 +229,9 @@ class TestCflDt:
             seen.append((umax, rho_max))
             return 2e-3
 
-        out, dt = step(h, rule, op)
+        out, dt, k1 = step(h, rule, op)
         assert seen == [stage_one_maxima(h, op)] and dt == 2e-3
+        assert np.array_equal(k1, nonlinear_rhs(h, op))
         assert np.array_equal(out, step(h, lambda *_: 2e-3, op)[0])
 
     @pytest.mark.parametrize("bad", [0.0, -1e-3, math.nan, math.inf])
@@ -305,53 +296,45 @@ class TestIntegrate:
         gc.collect()
         assert len(built_operators) == 1 and built_operators[0]() is None
 
-    def test_one_residual_kernel_per_run_and_none_outlives_it(self, built_residual_kernels):
-        g = TorusGrid(d=1, n=32)
-        cfg = StepperConfig(t_end=0.02, dt_mode="fixed", dt=5e-3)
-        integrate(cosine_data(g, 0.3), ModelParams(alpha_minus_d=-1.0, c_K=-1.0), cfg,
-                  energy_residuals=True)
-        gc.collect()
-        assert len(built_residual_kernels) == 1 and built_residual_kernels[0]() is None
-        integrate(cosine_data(g, 0.3), ModelParams(alpha_minus_d=-1.0, c_K=-1.0), cfg)
-        assert len(built_residual_kernels) == 1
-
+    @pytest.mark.parametrize("nu", [0.0, 0.05])
     @pytest.mark.parametrize("d", [1, 2])
-    def test_energy_residual_fft_count(self, monkeypatch, d):
-        # 1 + d real inverse and d real forward transforms per interior sample, nothing else
+    def test_energy_residual_fft_count(self, monkeypatch, d, nu):
+        # the rates and the residuals read stage 1 and the sampled norms: no transform
         g = TorusGrid(d=d, n=16)
-        p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0)
+        p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0, nu=nu)
         cfg = StepperConfig(t_end=0.02, dt_mode="fixed", dt=5e-3)
         rho0 = random_real_field(g, np.random.default_rng(6), mean=1.0, amplitude=0.3)
-        without = count_ffts(monkeypatch)
-        integrate(rho0, p, cfg)
-        without = dict(without)
         counter = count_ffts(monkeypatch)
-        res = integrate(rho0, p, cfg, energy_residuals=True)
+        added = []  # transforms made inside each call
+        for name in ("energy_rates", "identity_residuals"):
+            def counted(*args, fn=getattr(stepper, name)):
+                before = counter["calls"]
+                out = fn(*args)
+                added.append(counter["calls"] - before)
+                return out
+
+            monkeypatch.setattr(stepper, name, counted)
+        res = integrate(rho0, p, cfg)
         residuals = len(res.records) - 2
-        assert residuals > 0
-        assert counter["calls"] - without["calls"] == (1 + 2 * d) * residuals
-        for names, per_residual in ((REAL_INVERSE, 1 + d), (REAL_FORWARD, d)):
-            added = sum(counter.get(name, 0) - without.get(name, 0) for name in names)
-            assert added == per_residual * residuals
+        assert residuals > 0 and added == [0] * (2 * residuals)
 
     @pytest.mark.parametrize("nu", [0.0, 0.05])
     @pytest.mark.parametrize("d", [1, 2])
     def test_run_fft_count(self, monkeypatch, d, nu):
         # only real FFTs: 1 forward for the first state, 4 (1 + 2d) per step (the step
-        # size comes from stage 1), 1 per sample after a step, 1 + 2d per residual
+        # size and the energy rates come from stage 1), 1 per sample after a step
         g = TorusGrid(d=d, n=16)
         p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0, nu=nu)
         cfg = StepperConfig(t_end=0.02, dt_mode="adaptive", dt_max=5e-3)
         rho0 = random_real_field(g, np.random.default_rng(7), mean=1.0, amplitude=0.3)
         counter = count_ffts(monkeypatch)
-        res = integrate(rho0, p, cfg, energy_residuals=nu == 0.0)
+        res = integrate(rho0, p, cfg)
         assert res.reason == "completed" and res.n_steps >= 4
         assert not any(counter.get(name) for name in FFT_NAMES if "r" not in name)
         samples = len(res.records) - 1
         residuals = sum(math.isfinite(r.energy_residual_L2) for r in res.records)
-        assert residuals == (samples - 1 if nu == 0.0 else 0)
-        assert counter["calls"] == (
-            1 + res.n_steps * 4 * (1 + 2 * d) + samples + (1 + 2 * d) * residuals)
+        assert residuals == samples - 1
+        assert counter["calls"] == 1 + res.n_steps * 4 * (1 + 2 * d) + samples
 
     @pytest.mark.parametrize("nu", [0.0, 0.05])
     @pytest.mark.parametrize("d", [1, 2])
@@ -361,7 +344,7 @@ class TestIntegrate:
         p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0, nu=nu)
         rho0 = random_real_field(g, np.random.default_rng(10), mean=1.0, amplitude=0.3)
         runs = [integrate(rho0, p, StepperConfig(t_end=0.03, dt_max=4e-3, dt_mode=mode, dt=4e-3,
-                                                 sample_every=2), energy_residuals=nu == 0.0)
+                                                 sample_every=2))
                 for mode in ("adaptive", "fixed")]
         adaptive, fixed = runs
         assert adaptive.reason == fixed.reason == "completed" and adaptive.n_steps == 8
@@ -381,9 +364,9 @@ class TestIntegrate:
         dts = []
 
         def recorded_step(state, rule, op):
-            state, dt = step(state, rule, op)
+            state, dt, k1 = step(state, rule, op)
             dts.append(dt)
-            return state, dt
+            return state, dt, k1
 
         monkeypatch.setattr("fpmflow.stepper.step", recorded_step)
         res = integrate(rho0, p, cfg)
@@ -437,9 +420,26 @@ class TestIntegrate:
         g = TorusGrid(d=1, n=64)
         p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0)
         res = integrate(RealField(g, np.full(64, 1e308)), p,
-                        StepperConfig(t_end=0.1, blowup_threshold=math.inf), energy_residuals=True)
+                        StepperConfig(t_end=0.1, blowup_threshold=math.inf))
         assert (res.reason, res.n_steps, len(res.records)) == ("blowup_detected", 0, 1)
         assert not np.all(np.isfinite(res.h))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e120, 1e160])
+    def test_residuals_run_under_the_loop_error_state(self, scale):
+        # c_K = 0 and nu = 0 keep the state and make stage 1 zero: data near 1e120 have
+        # energies near 1e241 and residuals of exactly 0, data near 1e160 energies past
+        # the float range and non-finite residuals, without a warning either way
+        g = TorusGrid(d=2, n=16)
+        rho0 = field_from_function(g, lambda x, y: scale * (1 + 0.5 * np.cos(x + y)))
+        cfg = StepperConfig(t_end=0.02, dt_mode="fixed", dt=5e-3, blowup_threshold=math.inf)
+        res = integrate(rho0, ModelParams(alpha_minus_d=-1.0, c_K=0.0), cfg)
+        interior = [(r.energy_residual_L2, r.energy_residual_Hs) for r in res.records[1:-1]]
+        assert res.reason == "completed" and len(interior) == 3
+        if scale == 1e120:
+            assert interior == [(0.0, 0.0)] * 3
+        else:
+            assert not any(math.isfinite(r) for pair in interior for r in pair)
 
     def test_callback_order_and_integrals(self):
         g = TorusGrid(d=1, n=32)
@@ -496,128 +496,3 @@ class TestExactB1Solution:
         errs = [self.error(1, n, 1.0, 2e-3, 0.8 * self.T_STAR) for n in (64, 128, 256)]
         assert errs[0] >= 10.0 * errs[1] and errs[1] >= 10.0 * errs[2]  # 2.6e-2, 3.5e-4, 1.8e-7
 
-
-class TestResidualWorker:
-    """A nu = 0 run on a large enough grid forms its trilinear forms on one worker thread,
-    which no exit leaves behind."""
-
-    EXITS = {
-        "completed": (-1.0, StepperConfig(t_end=0.02, dt_mode="fixed", dt=5e-3)),
-        "blowup_detected": (1.0, StepperConfig(t_end=5.0, safety=0.4, blowup_threshold=50.0)),
-        # the step budget runs out with a trilinear form in flight
-        "max_steps": (-1.0, StepperConfig(t_end=1.0, dt_mode="fixed", dt=5e-3, max_steps=3,
-                                          sample_every=2)),
-        "raises": (-1.0, StepperConfig(t_end=0.02, dt_mode="fixed", dt=5e-3)),
-    }
-
-    @pytest.mark.parametrize("exit", list(EXITS))
-    def test_one_thread_while_running_and_none_after(self, worker_on_every_grid, monkeypatch,
-                                                      exit):
-        g = TorusGrid(d=2, n=16)
-        rho0 = field_from_function(g, lambda x, y: 1 + 0.5 * np.cos(x + y))
-        c_K, cfg = self.EXITS[exit]
-        trilinear = EnergyResidualKernel.trilinear
-        threads = []  # (thread count, off the main thread) per trilinear form
-
-        def counting(self, h):
-            threads.append((threading.active_count(),
-                            threading.current_thread() is not threading.main_thread()))
-            out = trilinear(self, h)
-            if exit == "raises":
-                raise RuntimeError("trilinear failed")
-            return out
-
-        monkeypatch.setattr(EnergyResidualKernel, "trilinear", counting)
-
-        def run():
-            return integrate(rho0, ModelParams(alpha_minus_d=-1.0, c_K=c_K), cfg,
-                             energy_residuals=True)
-
-        before = threading.active_count()
-        if exit == "raises":  # raised on the worker thread, it comes back from integrate
-            with pytest.raises(RuntimeError, match="trilinear failed"):
-                run()
-        else:
-            assert run().reason == exit
-        assert threading.active_count() == before
-        assert threads and set(threads) == {(before + 1, True)}
-
-    @pytest.mark.parametrize("n", [64, 128])
-    def test_worker_only_on_grids_of_its_size(self, monkeypatch, n):
-        # 2-D N = 64 has 4096 points, below WORKER_MIN_POINTS, and N = 128 has 16384
-        g = TorusGrid(d=2, n=n)
-        on_worker = g.npoints >= WORKER_MIN_POINTS
-        assert on_worker == (n == 128)
-        trilinear = EnergyResidualKernel.trilinear
-        off_main = []
-
-        def recording(self, h):
-            off_main.append(threading.current_thread() is not threading.main_thread())
-            return trilinear(self, h)
-
-        monkeypatch.setattr(EnergyResidualKernel, "trilinear", recording)
-        rho0 = field_from_function(g, lambda x, y: 1 + 0.5 * np.cos(x + y))
-        res = integrate(rho0, ModelParams(alpha_minus_d=-1.0, c_K=-1.0),
-                        StepperConfig(t_end=1.0, dt_mode="fixed", dt=1e-3, max_steps=3),
-                        energy_residuals=True)
-        assert len(res.records) == 4 and off_main == [on_worker] * 2
-
-    @pytest.mark.parametrize("d", [1, 2])
-    def test_worker_makes_the_transforms_of_the_loop(self, monkeypatch, d):
-        # a completed run forms no trilinear form it discards: with the worker it makes the
-        # same real FFTs, name by name, as when it forms each pair in the loop
-        g = TorusGrid(d=d, n=16)
-        p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0)
-        cfg = StepperConfig(t_end=0.02, dt_mode="adaptive", dt_max=5e-3)
-        rho0 = random_real_field(g, np.random.default_rng(7), mean=1.0, amplitude=0.3)
-        in_loop = count_ffts(monkeypatch)
-        integrate(rho0, p, cfg, energy_residuals=True)
-        in_loop = dict(in_loop)
-        monkeypatch.setattr("fpmflow.stepper.WORKER_MIN_POINTS", 1)
-        on_worker = count_ffts(monkeypatch)
-        res = integrate(rho0, p, cfg, energy_residuals=True)
-        assert res.reason == "completed" and len(res.records) >= 4
-        assert dict(on_worker) == in_loop
-
-    def test_no_thread_without_residuals(self, monkeypatch):
-        started = []
-        monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self))
-        g = TorusGrid(d=2, n=128)
-        rho0 = field_from_function(g, lambda x, y: 1 + 0.3 * np.cos(x + y))
-        integrate(rho0, ModelParams(alpha_minus_d=-1.0, c_K=-1.0),
-                  StepperConfig(t_end=0.02, dt_mode="fixed", dt=5e-3))
-        assert started == []
-
-    @pytest.mark.parametrize("d,n", [(1, 32), (2, 16)])
-    def test_states_handed_to_the_worker_stay_unwritten(self, worker_on_every_grid,
-                                                        monkeypatch, d, n):
-        # no step writes a state in place, so the worker reads it while the run steps on
-        g = TorusGrid(d=d, n=n)
-        rho0 = random_real_field(g, np.random.default_rng(8), mean=1.0, amplitude=0.3)
-        p = ModelParams(alpha_minus_d=-1.0, c_K=-1.0)
-        cfg = StepperConfig(t_end=0.03, dt_mode="adaptive", dt_max=5e-3)
-        plain = integrate(rho0, p, cfg, energy_residuals=True)
-        submit = ThreadPoolExecutor.submit
-        handed = []
-
-        def read_only(self, fn, arg):
-            arg.setflags(write=False)
-            handed.append(arg)
-            return submit(self, fn, arg)
-
-        monkeypatch.setattr(ThreadPoolExecutor, "submit", read_only)
-        res = integrate(rho0, p, cfg, energy_residuals=True)
-        assert len(handed) == len(res.records) - 2 > 0
-        assert np.array_equal(res.h, plain.h) and repr(res.records) == repr(plain.records)
-
-    def test_worker_runs_under_the_loop_error_state(self, worker_on_every_grid):
-        # the trilinear form of data near 1e120 overflows on the thread, which starts with
-        # numpy's default error state: the residuals turn non-finite without a warning
-        g = TorusGrid(d=2, n=16)
-        rho0 = field_from_function(g, lambda x, y: 1e120 * (1 + 0.5 * np.cos(x + y)))
-        cfg = StepperConfig(t_end=0.02, dt_mode="fixed", dt=5e-3, blowup_threshold=math.inf)
-        res = integrate(rho0, ModelParams(alpha_minus_d=-1.0, c_K=0.0), cfg,
-                        energy_residuals=True)
-        interior = res.records[1:-1]
-        assert res.reason == "completed" and interior
-        assert not any(math.isfinite(r.energy_residual_L2) for r in interior)

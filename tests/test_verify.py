@@ -15,6 +15,7 @@ from fpmflow.verify import (
     _norm,
     _Pairs,
     _ratios_to_report,
+    _sorted_quantiles,
     _safe_ratio,
     _sample_pairs,
     antisymmetric_kernels,
@@ -278,6 +279,18 @@ class TestReportLogic:
         ratios = np.random.default_rng(n).lognormal(size=n)
         rep = _ratios_to_report("t", ratios, np.zeros(n, dtype=bool), lambda i: {"i": i})
         assert rep.quantiles == {p: float(np.quantile(ratios, p / 100.0)) for p in (50, 90, 99)}
+
+    @pytest.mark.parametrize("values", [
+        [2.5], [3.0, 1.0], [4.0, 1.0, 7.0, 2.0, 9.0], [4.0, 1.0, 7.0, 2.0, 9.0, 3.0],
+        [1.0, 2.0, 2.0, 2.0, 5.0, 5.0, 5.0], [np.inf], [1.0, np.inf], [0.5, np.nan, 2.0],
+        np.random.default_rng(12).lognormal(size=1000).round(1).tolist(),
+    ], ids=["n1", "n2", "odd", "even", "tied", "inf", "inf-top", "nan", "tied-1000"])
+    def test_sorted_quantiles_are_numpy_quantile(self, values):
+        a = np.array(values)
+        with np.errstate(invalid="ignore"):  # an inf difference is nan, in both
+            want = np.quantile(a, [0.5, 0.9, 0.99]).tolist()
+            got = _sorted_quantiles(np.sort(a))
+        assert [repr(v) for v in got] == [repr(v) for v in want]  # == with nan == nan
 
     @pytest.mark.parametrize("special", [(), (np.inf,), (np.nan,), (np.inf, np.nan, -np.inf)])
     def test_input_kept_and_quantiles_of_the_unsorted_input(self, special):
